@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, GaussianSpec, Grid1D, _invert_cdf
+from .measures import (DiscreteMeasure, GaussianSpec, Grid1D, _distinct_rows,
+                       _find_rows, _invert_cdf)
 
 __all__ = [
     "EntropyEstimate",
@@ -50,19 +51,17 @@ class EntropyEstimate:
 
 
 def _kl_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    def table(m):
-        out = {}
-        for row, w in zip(m.points, m.weights):
-            key = np.ascontiguousarray(row).tobytes()
-            out[key] = out.get(key, 0.0) + float(w)
-        return out
-
-    p, q = table(mu), table(nu)
+    # masses of coincident atoms are pooled; terms summed in first-seen order
+    p_first, p_label = _distinct_rows(mu.points)
+    q_first, q_label = _distinct_rows(nu.points)
+    p = np.bincount(p_label, weights=mu.weights).tolist()
+    q = np.bincount(q_label, weights=nu.weights).tolist()
+    hit = _find_rows(nu.points[q_first], mu.points[p_first])
     total = 0.0
-    for key, w in p.items():
+    for w, k in zip(p, hit.tolist()):
         if w <= 0:
             continue
-        v = q.get(key, 0.0)
+        v = q[k] if k >= 0 else 0.0
         if v <= 0:
             raise ValueError("support violation: an atom of mu lies outside supp(nu)")
         total += w * math.log(w / v)

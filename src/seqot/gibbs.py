@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.special import logsumexp
 
-from .measures import empirical_from_samples
+from .measures import _find_rows, empirical_from_samples
 from .ot import barycentric_map, sinkhorn, solve_discrete_ot
 
 __all__ = [
@@ -516,21 +516,23 @@ def equivariance_check(emp_map: EmpiricalMap, batch: int = 32) -> EquivarianceRe
     used and a genuinely non-invariant law shows up as a large delta.
     """
     pts = emp_map.source_points
-    d = pts.shape[1]
+    n, d = pts.shape
     if d == 1:
         # the shift is the identity map on a single site: vacuous pass
         zero = np.zeros(1)
         return EquivarianceReport(zero, zero, 0.0, 0.0)
-    lookup = {np.ascontiguousarray(r).tobytes(): k for k, r in enumerate(pts)}
+    if n < 2:
+        raise ValueError("equivariance check needs at least 2 sample points")
     shifted = np.roll(pts, 1, axis=1)
-    idx = np.array([lookup.get(np.ascontiguousarray(r).tobytes(), -1) for r in shifted])
+    idx = _find_rows(pts, shifted)
     if np.all(idx >= 0):
         t_shift = emp_map.values[idx]
     else:
         t_shift = emp_map.evaluate(shifted)
     diff_sq = (t_shift - np.roll(emp_map.values, 1, axis=1)) ** 2
     delta = diff_sq.mean(axis=0)
-    nb = max(diff_sq.shape[0] // batch, 2)
+    batch = min(batch, n // 2)
+    nb = max(n // batch, 2)
     bm = diff_sq[: nb * batch].reshape(nb, batch, d).mean(axis=1)
     se = bm.std(axis=0, ddof=1) / math.sqrt(nb)
     return EquivarianceReport(delta, se, float(delta.max()), float(se.max()))

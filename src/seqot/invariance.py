@@ -4,7 +4,9 @@ Groups are materialized as explicit element lists (capped at |S_7| = 5040), so
 Haar averages and orbit enumeration are exact.  The invariant Kantorovich
 problem is solved as an LP over one variable per orbit of support pairs under
 the diagonal action, which enforces invariance exactly and shrinks the LP by
-roughly a factor |G|.
+roughly a factor |G| (symmetric-LP reduction, Boedi-Herr-Joswig 2013).  Each
+problem builds its orbit structure once; a pair (i, j) or an atom is labelled
+by the least flat index in its orbit, one vectorized pass per group element.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy import sparse
 
-from .measures import DiscreteMeasure
-from .ot import Coupling, cost_matrix, graph_concentration, solve_discrete_ot
+from .measures import DiscreteMeasure, _distinct_rows, _find_rows
+from .ot import (_HIGHS_OPTIONS, Coupling, cost_matrix, graph_concentration,
+                 solve_discrete_ot)
 
 MAX_GROUP_SIZE = 5040
 INVARIANCE_TOL = 1e-9
@@ -148,8 +151,9 @@ def trivial_group(dim: int) -> GroupAction:
 # index maps of the action on a finite point set
 
 
-def _point_index(points: np.ndarray) -> dict:
-    return {np.ascontiguousarray(row).tobytes(): i for i, row in enumerate(points)}
+def _moved_rows(points: np.ndarray, group: GroupAction) -> np.ndarray:
+    """Every point moved by every element, element-major: (|G| * n, dim)."""
+    return points[:, group.elements].swapaxes(0, 1).reshape(-1, points.shape[1])
 
 
 def _index_maps(points: np.ndarray, group: GroupAction) -> np.ndarray:
@@ -158,52 +162,33 @@ def _index_maps(points: np.ndarray, group: GroupAction) -> np.ndarray:
     Raises if the set is not stable under the action.  Exact float equality is
     used; permuting coordinates never changes the stored values.
     """
-    lookup = _point_index(points)
-    n = points.shape[0]
-    maps = np.empty((len(group), n), dtype=np.intp)
-    for gi, p in enumerate(group.elements):
-        moved = points[:, p]
-        for a in range(n):
-            key = np.ascontiguousarray(moved[a]).tobytes()
-            if key not in lookup:
-                raise ValueError("point set is not stable under the group action")
-            maps[gi, a] = lookup[key]
-    return maps
+    if points.shape[1] != group.dim:
+        raise ValueError("dimension mismatch between points and group")
+    maps = _find_rows(points, _moved_rows(points, group))
+    if np.any(maps < 0):
+        raise ValueError("point set is not stable under the group action")
+    return maps.reshape(len(group), points.shape[0])
 
 
 def close_support(m: DiscreteMeasure, group: GroupAction) -> DiscreteMeasure:
-    """Close the support under the action, adding zero-weight atoms as needed."""
+    """Close the support under the action, appending the missing images as
+    zero-weight atoms in order of group element, then atom."""
     if m.dim != group.dim:
         raise ValueError("dimension mismatch between measure and group")
-    lookup = _point_index(m.points)
-    extra = []
-    for p in group.elements:
-        moved = m.points[:, p]
-        for row in moved:
-            key = np.ascontiguousarray(row).tobytes()
-            if key not in lookup:
-                lookup[key] = -1
-                extra.append(row.copy())
-    if not extra:
+    moved = _moved_rows(m.points, group)
+    moved = moved[_find_rows(m.points, moved) < 0]
+    if moved.shape[0] == 0:
         return m
-    points = np.vstack([m.points, np.array(extra)])
+    extra = moved[_distinct_rows(moved)[0]]
+    points = np.vstack([m.points, extra])
     weights = np.concatenate([m.weights, np.zeros(len(extra))])
     return DiscreteMeasure(points, weights, normalize=False, prune=False)
 
 
 def merge_atoms(m: DiscreteMeasure) -> DiscreteMeasure:
     """Sum the weights of exactly coincident atoms."""
-    lookup = {}
-    points, weights = [], []
-    for row, w in zip(m.points, m.weights):
-        key = np.ascontiguousarray(row).tobytes()
-        if key in lookup:
-            weights[lookup[key]] += w
-        else:
-            lookup[key] = len(points)
-            points.append(row.copy())
-            weights.append(float(w))
-    return DiscreteMeasure(np.array(points), np.array(weights),
+    first, label = _distinct_rows(m.points)
+    return DiscreteMeasure(m.points[first], np.bincount(label, weights=m.weights),
                            normalize=False, prune=False)
 
 
@@ -211,6 +196,40 @@ def _check_invariant_weights(m: DiscreteMeasure, maps: np.ndarray, tol=INVARIANC
     for gi in range(maps.shape[0]):
         if np.max(np.abs(m.weights[maps[gi]] - m.weights)) > tol:
             raise ValueError("marginal is not invariant under the group action")
+
+
+@dataclass(frozen=True)
+class _Orbits:
+    """Closed supports, their index maps and orbit labels of one problem.
+    Orbits are numbered by their least index; ``pair_reps`` holds those of
+    the pair orbits (flat indices i*m + j)."""
+
+    mu: DiscreteMeasure
+    nu: DiscreteMeasure
+    src_maps: np.ndarray
+    tgt_maps: np.ndarray
+    pair_label: np.ndarray
+    pair_reps: np.ndarray
+    src_label: np.ndarray
+    tgt_label: np.ndarray
+
+
+def _orbits(mu: DiscreteMeasure, nu: DiscreteMeasure, group: GroupAction) -> _Orbits:
+    mu = close_support(mu, group)
+    nu = close_support(nu, group)
+    src_maps = _index_maps(mu.points, group)
+    tgt_maps = _index_maps(nu.points, group)
+    _check_invariant_weights(mu, src_maps)
+    _check_invariant_weights(nu, tgt_maps)
+    # the orbit of a pair is its image under every element
+    m = len(nu)
+    least = src_maps[0][:, None] * m + tgt_maps[0]
+    for s, t in zip(src_maps[1:], tgt_maps[1:]):
+        np.minimum(least, s[:, None] * m + t, out=least)
+    pair_reps, pair_label = np.unique(least.ravel(), return_inverse=True)
+    return _Orbits(mu, nu, src_maps, tgt_maps, pair_label.reshape(least.shape),
+                   pair_reps, np.unique(src_maps.min(axis=0), return_inverse=True)[1],
+                   np.unique(tgt_maps.min(axis=0), return_inverse=True)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +251,14 @@ def haar_project(values, points, group: GroupAction) -> np.ndarray:
     return out / len(group)
 
 
+def _average_pairs(table: np.ndarray, src_maps: np.ndarray, tgt_maps: np.ndarray) -> np.ndarray:
+    """Average a table on support pairs over the diagonal action."""
+    out = np.zeros_like(table)
+    for s, t in zip(src_maps, tgt_maps):
+        out += table[np.ix_(s, t)]
+    return out / src_maps.shape[0]
+
+
 def symmetrize_coupling(plan: Coupling, group: GroupAction) -> Coupling:
     """Average g . plan over the group (diagonal action on pairs).
 
@@ -242,11 +269,8 @@ def symmetrize_coupling(plan: Coupling, group: GroupAction) -> Coupling:
     tgt_maps = _index_maps(plan.target.points, group)
     _check_invariant_weights(plan.source, src_maps)
     _check_invariant_weights(plan.target, tgt_maps)
-    w = np.zeros_like(plan.weights)
-    for gi in range(len(group)):
-        w += plan.weights[np.ix_(src_maps[gi], tgt_maps[gi])]
-    w /= len(group)
-    return Coupling(plan.source, plan.target, w)
+    return Coupling(plan.source, plan.target,
+                    _average_pairs(plan.weights, src_maps, tgt_maps))
 
 
 def first_coordinate_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -254,33 +278,35 @@ def first_coordinate_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, 0][:, None] - y[:, 0][None, :]) ** 2
 
 
-def _pair_orbits(src_maps: np.ndarray, tgt_maps: np.ndarray):
-    """Orbit labels of support pairs under the diagonal action."""
-    n, m = src_maps.shape[1], tgt_maps.shape[1]
-    label = -np.ones(n * m, dtype=np.intp)
-    n_orbits = 0
-    for start in range(n * m):
-        if label[start] >= 0:
-            continue
-        stack = [start]
-        label[start] = n_orbits
-        while stack:
-            pid = stack.pop()
-            i, j = divmod(pid, m)
-            for gi in range(src_maps.shape[0]):
-                q = src_maps[gi, i] * m + tgt_maps[gi, j]
-                if label[q] < 0:
-                    label[q] = n_orbits
-                    stack.append(q)
-        n_orbits += 1
-    return label.reshape(n, m), n_orbits
-
-
 @dataclass(frozen=True)
 class InvariantOTResult:
     plan: Coupling
     value: float
     n_orbits: int
+
+
+def _solve_orbit_lp(orb: _Orbits, cost) -> InvariantOTResult:
+    label = orb.pair_label
+    n, m = label.shape
+    n_orbits = orb.pair_reps.size
+    c = cost_matrix(orb.mu, orb.nu, cost)
+    # objective: total cost of one unit of per-pair weight on each orbit
+    obj = np.zeros(n_orbits)
+    np.add.at(obj, label.ravel(), c.ravel())
+    # pair (i, j) adds one unit of its orbit's weight to row i and column j
+    a_eq = sparse.coo_matrix(
+        (np.ones(2 * n * m, dtype=np.intp),
+         (np.concatenate([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)]),
+          np.tile(label.ravel(), 2))),
+        shape=(n + m, n_orbits)).tocsr()
+    b_eq = np.concatenate([orb.mu.weights, orb.nu.weights])
+    res = linprog(obj, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options=_HIGHS_OPTIONS)
+    if res.status != 0:
+        raise RuntimeError(f"invariant LP failed: {res.message}")
+    w = res.x[label]
+    plan = Coupling(orb.mu, orb.nu, np.maximum(w, 0.0))
+    return InvariantOTResult(plan, float(obj @ res.x), n_orbits)
 
 
 def solve_invariant_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, group: GroupAction,
@@ -292,41 +318,7 @@ def solve_invariant_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, group: GroupAct
     enforces invariance exactly.  The default cost is the single-coordinate
     quadratic (x_1 - y_1)^2.
     """
-    mu = close_support(mu, group)
-    nu = close_support(nu, group)
-    src_maps = _index_maps(mu.points, group)
-    tgt_maps = _index_maps(nu.points, group)
-    _check_invariant_weights(mu, src_maps)
-    _check_invariant_weights(nu, tgt_maps)
-    n, m = len(mu), len(nu)
-    label, n_orbits = _pair_orbits(src_maps, tgt_maps)
-    c = cost_matrix(mu, nu, cost)
-    # objective: total cost of one unit of per-pair weight on each orbit
-    obj = np.zeros(n_orbits)
-    np.add.at(obj, label.ravel(), c.ravel())
-    # row i: sum over orbits of (count of pairs (i, *) in orbit) * w_orbit
-    rows_a, cols_a, data_a = [], [], []
-    for i in range(n):
-        cnt = np.bincount(label[i], minlength=n_orbits)
-        nz = np.nonzero(cnt)[0]
-        rows_a += [i] * nz.size
-        cols_a += nz.tolist()
-        data_a += cnt[nz].tolist()
-    for j in range(m):
-        cnt = np.bincount(label[:, j], minlength=n_orbits)
-        nz = np.nonzero(cnt)[0]
-        rows_a += [n + j] * nz.size
-        cols_a += nz.tolist()
-        data_a += cnt[nz].tolist()
-    a_eq = sparse.coo_matrix((data_a, (rows_a, cols_a)),
-                             shape=(n + m, n_orbits)).tocsr()
-    b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(obj, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"invariant LP failed: {res.message}")
-    w = res.x[label]
-    plan = Coupling(mu, nu, np.maximum(w, 0.0))
-    return InvariantOTResult(plan, float(obj @ res.x), n_orbits)
+    return _solve_orbit_lp(_orbits(mu, nu, group), cost)
 
 
 @dataclass(frozen=True)
@@ -344,45 +336,14 @@ def invariant_duality_value(mu: DiscreteMeasure, nu: DiscreteMeasure, group: Gro
     the diagonal action.  On finite supports this is the dual LP of
     ``solve_invariant_ot`` and certifies its value.
     """
-    mu = close_support(mu, group)
-    nu = close_support(nu, group)
-    src_maps = _index_maps(mu.points, group)
-    tgt_maps = _index_maps(nu.points, group)
-    _check_invariant_weights(mu, src_maps)
-    _check_invariant_weights(nu, tgt_maps)
-    n, m = len(mu), len(nu)
-    c = cost_matrix(mu, nu, cost)
-    cbar = np.zeros_like(c)
-    for gi in range(len(group)):
-        cbar += c[np.ix_(src_maps[gi], tgt_maps[gi])]
-    cbar /= len(group)
-
-    # orbits of atoms on each side: invariant potentials are constant on them
-    def atom_orbits(maps):
-        n_pts = maps.shape[1]
-        lab = -np.ones(n_pts, dtype=np.intp)
-        k = 0
-        for s in range(n_pts):
-            if lab[s] >= 0:
-                continue
-            orbit = np.unique(maps[:, s])
-            lab[orbit] = k
-            k += 1
-        return lab, k
-
-    src_lab, n_src = atom_orbits(src_maps)
-    tgt_lab, n_tgt = atom_orbits(tgt_maps)
-    pair_lab, n_pairs = _pair_orbits(src_maps, tgt_maps)
-
-    # one representative constraint per pair orbit: phi_O + psi_P <= cbar
-    reps = np.zeros(n_pairs, dtype=np.intp)
-    seen = np.zeros(n_pairs, dtype=bool)
-    flat = pair_lab.ravel()
-    for pid, o in enumerate(flat):
-        if not seen[o]:
-            seen[o] = True
-            reps[o] = pid
-    ri, rj = np.divmod(reps, m)
+    orb = _orbits(mu, nu, group)
+    cbar = _average_pairs(cost_matrix(orb.mu, orb.nu, cost), orb.src_maps, orb.tgt_maps)
+    # invariant potentials are constant on atom orbits: one variable each,
+    # and one constraint phi_O + psi_P <= cbar per pair orbit representative
+    src_lab, tgt_lab = orb.src_label, orb.tgt_label
+    n_src, n_tgt = src_lab.max() + 1, tgt_lab.max() + 1
+    n_pairs = orb.pair_reps.size
+    ri, rj = np.divmod(orb.pair_reps, len(orb.nu))
     a_ub = sparse.coo_matrix(
         (np.ones(2 * n_pairs),
          (np.concatenate([np.arange(n_pairs), np.arange(n_pairs)]),
@@ -390,9 +351,10 @@ def invariant_duality_value(mu: DiscreteMeasure, nu: DiscreteMeasure, group: Gro
         shape=(n_pairs, n_src + n_tgt)).tocsr()
     b_ub = cbar[ri, rj]
     obj = np.zeros(n_src + n_tgt)
-    np.add.at(obj, src_lab, mu.weights)
-    np.add.at(obj, n_src + tgt_lab, nu.weights)
-    res = linprog(-obj, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+    np.add.at(obj, src_lab, orb.mu.weights)
+    np.add.at(obj, n_src + tgt_lab, orb.nu.weights)
+    res = linprog(-obj, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs",
+                  options=_HIGHS_OPTIONS)
     if res.status != 0:
         raise RuntimeError(f"invariant dual LP failed: {res.message}")
     phi = res.x[:n_src][src_lab]
@@ -431,12 +393,13 @@ def transitive_identity_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
     """
     if not group.transitive:
         raise ValueError("the identity requires a transitively acting group")
-    mu = close_support(mu, group)
-    nu = close_support(nu, group)
+    orb = _orbits(mu, nu, group)
+    mu, nu = orb.mu, orb.nu
     full = solve_discrete_ot(mu, nu)
-    inv = solve_invariant_ot(mu, nu, group, cost=first_coordinate_cost)
+    inv = _solve_orbit_lp(orb, first_coordinate_cost)
     d = group.dim
-    sym_plan = symmetrize_coupling(full.plan, group)
+    sym_plan = Coupling(mu, nu, _average_pairs(full.plan.weights, orb.src_maps,
+                                               orb.tgt_maps))
     per_coord = np.array([
         float(np.sum(sym_plan.weights *
                      (mu.points[:, k][:, None] - nu.points[:, k][None, :]) ** 2))

@@ -222,6 +222,37 @@ class Grid1D:
         return _invert_cdf(self.nodes, self.cdf_table(), u)
 
 
+# ---------------------------------------------------------------------------
+# atom index: rows of a point array compared byte for byte
+
+
+def _row_keys(points: np.ndarray) -> np.ndarray:
+    """Each row of a float array as one raw-bytes scalar, so equality is exact."""
+    a = np.ascontiguousarray(points, dtype=float)
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+
+
+def _find_rows(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index in ``points`` of each row of ``queries`` (the last of equal rows),
+    -1 where there is none."""
+    keys = _row_keys(points)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    q = _row_keys(queries)
+    pos = np.searchsorted(ordered, q, side="right") - 1
+    return np.where(ordered[np.maximum(pos, 0)] == q, order[pos], -1)
+
+
+def _distinct_rows(points: np.ndarray):
+    """Index of the first row of each distinct value, in row order, and for
+    every row the position of its value in that list."""
+    _, first, inverse = np.unique(_row_keys(points), return_index=True,
+                                  return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return np.sort(first), rank[inverse.ravel()]
+
+
 def _invert_cdf(nodes: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Left-continuous generalized inverse of a piecewise-linear CDF."""
     u = np.asarray(u, dtype=float)

@@ -23,6 +23,10 @@ MARGINAL_TOL = 1e-10
 DUAL_FEAS_TOL = 1e-9
 GAP_TOL = 1e-9
 MAX_LP_CELLS = 1_000_000  # n*m cap for the exact solver
+# HiGHS feasibility tolerances for every transport LP: its 1e-7 defaults let a
+# solution miss the marginals by more than MARGINAL_TOL
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                  "dual_feasibility_tolerance": 1e-10}
 
 __all__ = [
     "Coupling",
@@ -205,9 +209,7 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OT
     ).tocsr()
     b_eq = np.concatenate([mu.weights, nu.weights])
     res = linprog(c.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+                  method="highs", options=_HIGHS_OPTIONS)
     if res.status != 0:
         raise RuntimeError(f"LP solver failed: {res.message}")
     plan_w = res.x.reshape(n, m)

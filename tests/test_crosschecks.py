@@ -8,6 +8,8 @@ identity, and grid quadrature against the Monte Carlo entropy estimator.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -20,6 +22,7 @@ from seqot.gibbs import (
 )
 from seqot.invariance import (
     _index_maps,
+    _orbits,
     close_support,
     cyclic_group,
     first_coordinate_cost,
@@ -94,6 +97,35 @@ def test_orbit_lp_matches_explicit_invariance_constraints():
         fast = solve_invariant_ot(mu, nu, group).value
         slow = brute_force_invariant_value(mu, nu, group)
         assert fast == pytest.approx(slow, abs=1e-9)
+
+
+GROUPS = {f"S{d}": symmetric_group(d) for d in (2, 3, 4)}
+GROUPS.update({f"C{d}": cyclic_group(d) for d in (2, 3, 4, 5, 6)})
+
+invariant_problems = st.builds(
+    lambda name, seed, k: (GROUPS[name], np.random.default_rng(seed), k),
+    st.sampled_from(sorted(GROUPS)), st.integers(0, 2 ** 32 - 1), st.integers(1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(invariant_problems)
+def test_orbit_structure_matches_enumerated_orbits(problem):
+    group, rng, k = problem
+    mu = random_invariant_measure(rng, group, k)
+    nu = random_invariant_measure(rng, group, k)
+    orb = _orbits(mu, nu, group)
+    label = orb.pair_label
+    for s, t in zip(orb.src_maps, orb.tgt_maps):
+        assert np.array_equal(label[np.ix_(s, t)], label)
+    # orbits enumerated from coordinates alone, one set of point pairs each
+    x, y = orb.mu.points, orb.nu.points
+    orbit_sets = {
+        frozenset((tuple(x[i][p]), tuple(y[j][p])) for p in group.elements)
+        for i in range(len(x)) for j in range(len(y))
+    }
+    assert orb.pair_reps.size == len(orbit_sets) == label.max() + 1
+    value = solve_invariant_ot(mu, nu, group).value
+    assert value == pytest.approx(brute_force_invariant_value(mu, nu, group), abs=1e-9)
 
 
 def test_reweighting_decouples_ring_blocks_exactly():

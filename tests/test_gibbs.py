@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from seqot.gibbs import (
+    EmpiricalMap,
     GibbsAssumptionError,
     GibbsParams,
     GibbsSpec,
@@ -248,6 +249,20 @@ class TestEquivariance:
         m = empirical_map_to_gaussian(s.states, 200, seed=3)
         rep = equivariance_check(m)
         assert rep.max_delta == pytest.approx(0.0, abs=1e-20)
+
+
+    def test_sample_smaller_than_two_batches(self):
+        # 40 points cannot fill two batches of the default 32
+        s = sample_periodic_gibbs(quartic_spec(0.0), 1, 40, seed=5)
+        m = empirical_map_to_gaussian(s.states, 40, seed=3)
+        rep = equivariance_check(m)
+        assert rep.delta.shape == rep.standard_error.shape == (3,)
+        assert np.all(np.isfinite(rep.standard_error))
+
+    def test_single_point_rejected(self):
+        m = EmpiricalMap(np.zeros((1, 3)), np.zeros((1, 3)), "lp")
+        with pytest.raises(ValueError, match="at least 2"):
+            equivariance_check(m)
 
 
 class TestEntropy:

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -122,6 +123,8 @@ class TestHaarProject:
         pts = np.array([[1.0, 2.0, 3.0]])
         with pytest.raises(ValueError):
             haar_project(np.array([1.0]), pts, g)
+        with pytest.raises(ValueError, match="dimension"):
+            haar_project(np.array([1.0]), pts[:, :2], g)
 
 
 class TestSymmetrize:
@@ -325,3 +328,19 @@ def test_merge_atoms():
     merged = merge_atoms(m)
     assert len(merged) == 2
     assert merged.weights.sum() == pytest.approx(1.0)
+
+
+def test_invariant_lp_meets_coupling_marginal_tolerance(tmp_path, monkeypatch):
+    # at HiGHS's default 1e-7 feasibility tolerance this C5 instance missed a
+    # row marginal by 9.9e-8, above the 1e-10 that Coupling enforces
+    from seqot.cli import main
+
+    monkeypatch.delenv("OUTPUT_DIR", raising=False)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "experiment": "invariant_duality", "seed": 1723191204,
+        "params": {"instance": "random", "group": "c5", "orbits": 7},
+        "output_dir": str(tmp_path / "out")}))
+    assert main(["run", str(cfg)]) == 0
+    results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    assert abs(results["primal"] - results["dual"]) <= 1e-8
