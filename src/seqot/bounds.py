@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (DiscreteMeasure, GaussianSpec, Grid1D, _distinct_rows,
-                       _find_rows, _invert_cdf)
+from .measures import (DiscreteMeasure, GaussianSpec, Grid1D, _coerce_grid,
+                       _distinct_rows, _find_rows, _invert_cdf)
 
 __all__ = [
     "EntropyEstimate",
@@ -132,6 +132,20 @@ def relative_entropy(mu, nu) -> EntropyEstimate:
 # uniform log-concavity certificates
 
 
+def _log_second_differences(g: Grid1D, min_density: float = 1e-12) -> np.ndarray:
+    """Finite-difference (-log density)'' at the interior nodes whose node and
+    both neighbours carry density above ``min_density``, in node order."""
+    x, rho = g.nodes, g.density
+    mask = rho > min_density
+    v = -np.log(np.where(mask, rho, 1.0))
+    h1 = x[1:-1] - x[:-2]
+    h2 = x[2:] - x[1:-1]
+    core = mask[:-2] & mask[1:-1] & mask[2:]
+    return 2.0 * (v[:-2][core] / (h1[core] * (h1[core] + h2[core]))
+                  - v[1:-1][core] / (h1[core] * h2[core])
+                  + v[2:][core] / (h2[core] * (h1[core] + h2[core])))
+
+
 def log_concavity_constant(target, min_density: float = 1e-12) -> float:
     """The largest K with (-log density)'' >= K, for the built-in families.
 
@@ -145,19 +159,7 @@ def log_concavity_constant(target, min_density: float = 1e-12) -> float:
             raise ValueError("1D targets only")
         return 1.0 / target.covariance[0, 0]
     if isinstance(target, Grid1D):
-        x, rho = target.nodes, target.density
-        mask = rho > min_density
-        v = np.full_like(rho, np.inf)
-        v[mask] = -np.log(rho[mask])
-        h1 = x[1:-1] - x[:-2]
-        h2 = x[2:] - x[1:-1]
-        core = mask[:-2] & mask[1:-1] & mask[2:]
-        second = np.full(x.size - 2, np.inf)
-        second[core] = 2.0 * (
-            v[:-2][core] / (h1[core] * (h1[core] + h2[core]))
-            - v[1:-1][core] / (h1[core] * h2[core])
-            + v[2:][core] / (h2[core] * (h1[core] + h2[core]))
-        )
+        second = _log_second_differences(target, min_density)
         finite = second[np.isfinite(second)]
         if finite.size == 0:
             raise ValueError("cannot certify log-concavity: no usable interior nodes")
@@ -202,17 +204,6 @@ def _transport_map_values(src: Grid1D, target: Grid1D, x: np.ndarray) -> np.ndar
     nodes, cdf = _grid_cdf(src)
     u = np.interp(x, nodes, cdf)
     return _quantile_eval(target, u)
-
-
-def _coerce_grid(obj, resolution=None) -> Grid1D:
-    from .measures import gaussian_grid
-
-    if isinstance(obj, Grid1D):
-        return obj
-    if isinstance(obj, GaussianSpec) and obj.dim == 1:
-        return gaussian_grid(float(obj.mean[0]), obj.sigma,
-                             resolution=resolution or 10_000)
-    raise TypeError(f"cannot use {type(obj).__name__} as a 1D law with density")
 
 
 def talagrand_gap(mu, nu, target, K: float, tolerance: float = 1e-8) -> TalagrandReport:

@@ -3,9 +3,9 @@
 Verbs: ``run <config.json>``, ``validate <config.json>``, ``list-experiments``.
 Each run writes report.json (all computed quantities and assertions), data.csv
 (tabular series) and plot.svg into the output directory, atomically.  Exit
-codes: 0 all assertions pass, 1 assertion failure, 2 config error, 3 runtime
-failure.  The same config and seed reproduce report.json byte-for-byte apart
-from its timestamp field.
+codes: 0 all assertions pass, 1 assertion failure, 2 config rejected by
+``validate`` or unparsable, 3 runtime failure.  The same config and seed
+reproduce report.json byte-for-byte apart from its timestamp field.
 """
 
 from __future__ import annotations
@@ -476,9 +476,6 @@ def validate_config(config: ExperimentConfig) -> list:
                 f"certified constant {cert:.6g}")
         except (ValueError, TypeError) as e:
             add("target uniformly log-concave", False, str(e))
-    elif name == "quasi_product":
-        add("source tilt bounded on the discretization", True)
-        add("target tilt log-concave with certified curvature", True)
     elif name == "mixture_entropy":
         w = params["mixture"]["weights"]
         add("mixture weights positive and normalized",
@@ -591,8 +588,12 @@ def main(argv=None) -> int:
         return 0 if ok else 2
 
     try:
+        failed = [c["check"] for c in validate_config(config) if not c["passed"]]
+        if failed:
+            print(f"config error: failed checks: {'; '.join(failed)}", file=sys.stderr)
+            return 2
         return run_experiment(config)
-    except (ConfigError, ValueError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure: distinct exit code per contract

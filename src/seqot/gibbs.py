@@ -23,7 +23,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.special import logsumexp
 
 from .measures import _find_rows, empirical_from_samples
-from .ot import barycentric_map, sinkhorn, solve_discrete_ot
+from .ot import _sq_dist_table, barycentric_map, sinkhorn, solve_discrete_ot
 
 __all__ = [
     "GibbsParams",
@@ -317,6 +317,14 @@ def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
     return states, acceptance, steps
 
 
+def _batch_means(x: np.ndarray, b: int):
+    """Means of the consecutive length-b batches along axis 0, a partial last
+    batch dropped, together with the rows those batches cover."""
+    nb = x.shape[0] // b
+    trimmed = x[: nb * b]
+    return trimmed.reshape((nb, b) + x.shape[1:]).mean(axis=1), trimmed
+
+
 def _ess_per_coordinate(states: np.ndarray, chains: int = None) -> np.ndarray:
     """Batch-means effective sample size per coordinate (batch size ~ sqrt(T)).
 
@@ -326,25 +334,15 @@ def _ess_per_coordinate(states: np.ndarray, chains: int = None) -> np.ndarray:
     """
     n, d = states.shape
     if chains and n % chains == 0 and n // chains >= 4:
-        keep = n // chains
-        series = states.reshape(keep, chains, d)
-        b = max(int(math.sqrt(keep)), 2)
-        nb = keep // b
-        if nb >= 2:
-            trimmed = series[: nb * b]
-            bm = trimmed.reshape(nb, b, chains, d).mean(axis=1)
-            var_bm = bm.var(axis=0, ddof=1).mean(axis=0)
-            var_x = trimmed.reshape(nb * b, chains, d).var(axis=0, ddof=1).mean(axis=0)
-            tau = np.where(var_x > 0, b * var_bm / np.maximum(var_x, 1e-300), 1.0)
-            return n / np.maximum(tau, 1.0)
-    b = max(int(math.sqrt(n)), 2)
-    nb = n // b
-    if nb < 2:
+        series = states.reshape(n // chains, chains, d)
+    else:
+        series = states[:, None, :]  # one pooled chain
+    b = max(int(math.sqrt(series.shape[0])), 2)
+    if series.shape[0] // b < 2:
         return np.full(d, float(n))
-    trimmed = states[: nb * b]
-    bm = trimmed.reshape(nb, b, d).mean(axis=1)
-    var_bm = bm.var(axis=0, ddof=1)
-    var_x = trimmed.var(axis=0, ddof=1)
+    bm, trimmed = _batch_means(series, b)
+    var_bm = bm.var(axis=0, ddof=1).mean(axis=0)
+    var_x = trimmed.var(axis=0, ddof=1).mean(axis=0)
     tau = np.where(var_x > 0, b * var_bm / np.maximum(var_x, 1e-300), 1.0)
     return n / np.maximum(tau, 1.0)
 
@@ -427,9 +425,7 @@ class EmpiricalMap:
         if self.method == "entropic":
             out = np.empty((x.shape[0], self.target_points.shape[1]))
             for lo in range(0, x.shape[0], chunk):
-                xs = x[lo:lo + chunk]
-                c = (np.sum(xs ** 2, 1)[:, None] + np.sum(self.target_points ** 2, 1)[None, :]
-                     - 2.0 * xs @ self.target_points.T)
+                c = _sq_dist_table(x[lo:lo + chunk], self.target_points)
                 logw = (self.g_potential[None, :] - c) / self.epsilon + self.log_b[None, :]
                 logw -= logsumexp(logw, axis=1, keepdims=True)
                 out[lo:lo + chunk] = np.exp(logw) @ self.target_points
@@ -437,9 +433,7 @@ class EmpiricalMap:
         # nearest-source extension for exact plans
         out = np.empty((x.shape[0], self.values.shape[1]))
         for lo in range(0, x.shape[0], chunk):
-            xs = x[lo:lo + chunk]
-            c = (np.sum(xs ** 2, 1)[:, None] + np.sum(self.source_points ** 2, 1)[None, :]
-                 - 2.0 * xs @ self.source_points.T)
+            c = _sq_dist_table(x[lo:lo + chunk], self.source_points)
             out[lo:lo + chunk] = self.values[np.argmin(c, axis=1)]
         return out
 
@@ -474,9 +468,7 @@ def empirical_map_to_gaussian(points, gaussian_samples, epsilon: float = None,
     if epsilon is None:
         sub = points[:: max(1, points.shape[0] // 400)]
         subt = target[:: max(1, target.shape[0] // 400)]
-        c = (np.sum(sub ** 2, 1)[:, None] + np.sum(subt ** 2, 1)[None, :]
-             - 2.0 * sub @ subt.T)
-        epsilon = 0.05 * float(np.median(c))
+        epsilon = 0.05 * float(np.median(_sq_dist_table(sub, subt)))
     mu = empirical_from_samples(points)
     nu = empirical_from_samples(target)
     if points.shape[0] <= lp_threshold:
@@ -531,10 +523,8 @@ def equivariance_check(emp_map: EmpiricalMap, batch: int = 32) -> EquivarianceRe
         t_shift = emp_map.evaluate(shifted)
     diff_sq = (t_shift - np.roll(emp_map.values, 1, axis=1)) ** 2
     delta = diff_sq.mean(axis=0)
-    batch = min(batch, n // 2)
-    nb = max(n // batch, 2)
-    bm = diff_sq[: nb * batch].reshape(nb, batch, d).mean(axis=1)
-    se = bm.std(axis=0, ddof=1) / math.sqrt(nb)
+    bm, _ = _batch_means(diff_sq, min(batch, n // 2))
+    se = bm.std(axis=0, ddof=1) / math.sqrt(bm.shape[0])
     return EquivarianceReport(delta, se, float(delta.max()), float(se.max()))
 
 

@@ -270,6 +270,20 @@ def _invert_cdf(nodes: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray
     return out
 
 
+def _sorted_cdf(m: DiscreteMeasure):
+    """Atoms of a 1D discrete measure in stable ascending order, with the
+    cumulative mass up to each."""
+    order = np.argsort(m.points[:, 0], kind="stable")
+    return m.points[order, 0], np.cumsum(m.weights[order])
+
+
+def _discrete_quantile_at(xs: np.ndarray, cum: np.ndarray, u) -> np.ndarray:
+    """Left-continuous generalized inverse of the step CDF (xs, cum) at u."""
+    idx = np.searchsorted(cum, u, side="left")
+    idx = np.clip(idx, 0, xs.size - 1)
+    return xs[idx]
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -331,14 +345,8 @@ def quantile_from_discrete(m: DiscreteMeasure, resolution: int = 10_000) -> Quan
     """Quantile representation of a 1D discrete measure (stable monotone order)."""
     if m.dim != 1:
         raise ValueError("1D measures only")
-    x = m.points[:, 0]
-    order = np.argsort(x, kind="stable")
-    xs, ws = x[order], m.weights[order]
-    cum = np.cumsum(ws)
     u = (np.arange(resolution) + 0.5) / resolution
-    idx = np.searchsorted(cum, u, side="left")
-    idx = np.clip(idx, 0, xs.size - 1)
-    return Quantile1D(u, xs[idx])
+    return Quantile1D(u, _discrete_quantile_at(*_sorted_cdf(m), u))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +366,16 @@ def gaussian_grid(mean: float, sigma: float, radius: float = DEFAULT_RADIUS,
     x = np.linspace(mean - radius * sigma, mean + radius * sigma, resolution)
     dens = np.exp(-0.5 * ((x - mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
     return Grid1D(x, dens)
+
+
+def _coerce_grid(obj, resolution: int = DEFAULT_RESOLUTION) -> Grid1D:
+    """A 1D law with a density as a Grid1D: grids pass through, 1D Gaussians
+    are tabulated by ``gaussian_grid``."""
+    if isinstance(obj, Grid1D):
+        return obj
+    if isinstance(obj, GaussianSpec) and obj.dim == 1:
+        return gaussian_grid(float(obj.mean[0]), obj.sigma, resolution=resolution)
+    raise TypeError(f"cannot use {type(obj).__name__} as a 1D law with density")
 
 
 def mixture_grid(weights, means, sigmas, lo: float = None, hi: float = None,

@@ -17,7 +17,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .measures import DiscreteMeasure, Grid1D, Quantile1D, quantile_from_grid
+from .measures import (DiscreteMeasure, Grid1D, Quantile1D, _discrete_quantile_at,
+                       _sorted_cdf, quantile_from_grid)
 
 MARGINAL_TOL = 1e-10
 DUAL_FEAS_TOL = 1e-9
@@ -145,6 +146,16 @@ class SinkhornResult:
     g: np.ndarray = field(repr=False, default=None)
 
 
+def _sq_dist_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """||x_i - y_j||^2 for every pair of rows, as |x|^2 + |y|^2 - 2<x, y>.
+
+    Rounding can leave small negatives; only ``cost_matrix`` clamps them, so
+    nearest-point ties and the entropic extension see the unclamped values.
+    """
+    return (np.sum(x ** 2, axis=1)[:, None] + np.sum(y ** 2, axis=1)[None, :]
+            - 2.0 * x @ y.T)
+
+
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> np.ndarray:
     """Evaluate a cost spec on the support product.
 
@@ -152,10 +163,7 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> np.ndarr
     callable c(X, Y) -> (n, m) table, or a precomputed (n, m) array.
     """
     if cost is None or (isinstance(cost, str) and cost == "sqeuclidean"):
-        x, y = mu.points, nu.points
-        c = (np.sum(x ** 2, axis=1)[:, None] + np.sum(y ** 2, axis=1)[None, :]
-             - 2.0 * x @ y.T)
-        return np.maximum(c, 0.0)
+        return np.maximum(_sq_dist_table(mu.points, nu.points), 0.0)
     if callable(cost):
         c = np.asarray(cost(mu.points, nu.points), dtype=float)
     else:
@@ -251,21 +259,12 @@ def _as_quantile_source(obj, resolution):
     if isinstance(obj, DiscreteMeasure):
         if obj.dim != 1:
             raise ValueError("quantile transport needs 1D measures")
-        order = np.argsort(obj.points[:, 0], kind="stable")
-        xs = obj.points[order, 0]
-        cum = np.cumsum(obj.weights[order])
-        return "discrete", (xs, cum)
+        return "discrete", _sorted_cdf(obj)
     if isinstance(obj, Grid1D):
         return "quantile", quantile_from_grid(obj, resolution)
     if isinstance(obj, Quantile1D):
         return "quantile", obj
     raise TypeError(f"cannot interpret {type(obj).__name__} as a 1D law")
-
-
-def _discrete_quantile_at(xs, cum, u):
-    idx = np.searchsorted(cum, u, side="left")
-    idx = np.clip(idx, 0, xs.size - 1)
-    return xs[idx]
 
 
 def quantile_transport_1d(mu, nu, resolution: int = 10_000,
@@ -347,8 +346,8 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
     reported, and non-convergence comes back as ``converged=False``, never
     silently.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     c = cost_matrix(mu, nu, cost)
     a, b = mu.weights, nu.weights
     if len(mu) == 1 or len(nu) == 1:
@@ -456,11 +455,8 @@ def check_cyclical_monotonicity(plan: Coupling, cycle_length_max: int = 3,
     if i_idx.size > max_support:
         order = np.argsort(plan.weights[i_idx, j_idx])[::-1][:max_support]
         i_idx, j_idx = i_idx[order], j_idx[order]
-    xs = plan.source.points[i_idx]
-    ys = plan.target.points[j_idx]
     k = i_idx.size
-    c = (np.sum(xs ** 2, axis=1)[:, None] + np.sum(ys ** 2, axis=1)[None, :]
-         - 2.0 * xs @ ys.T)
+    c = _sq_dist_table(plan.source.points[i_idx], plan.target.points[j_idx])
 
     checked = 0
     worst = np.inf

@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .bounds import log_concavity_constant
+from .bounds import _log_second_differences, log_concavity_constant
 from .measures import (
     DiscreteMeasure,
     GaussianSpec,
     Grid1D,
     Quantile1D,
-    gaussian_grid,
+    _coerce_grid,
     quantile_from_grid,
 )
 from .ot import (
@@ -49,19 +49,11 @@ __all__ = [
 ]
 
 
-def _coerce_1d(obj, resolution: int = 10_000) -> Grid1D:
-    if isinstance(obj, Grid1D):
-        return obj
-    if isinstance(obj, GaussianSpec) and obj.dim == 1:
-        return gaussian_grid(float(obj.mean[0]), obj.sigma, resolution=resolution)
-    raise TypeError(f"cannot use {type(obj).__name__} as a 1D factor with density")
-
-
 def _component_quantiles(obj, resolution: int) -> np.ndarray:
     u = (np.arange(resolution) + 0.5) / resolution
     if isinstance(obj, Quantile1D):
         return obj(u)
-    return quantile_from_grid(_coerce_1d(obj, resolution), resolution).values
+    return quantile_from_grid(_coerce_grid(obj, resolution), resolution).values
 
 
 def _component_to_dict(obj) -> dict:
@@ -94,7 +86,7 @@ class ProductSpec:
         if not factors:
             raise ValueError("at least one factor required")
         for f in factors:
-            _coerce_1d(f)  # validates the family
+            _coerce_grid(f)  # validates the family
         self.factors = factors
         self.dim = len(factors)
 
@@ -134,8 +126,8 @@ def diagonal_transport(p: ProductSpec, q: ProductSpec,
         raise ValueError("factor count mismatch")
     maps, costs = [], []
     for fp, fq in zip(p.factors, q.factors):
-        m = quantile_transport_1d(_coerce_1d(fp, resolution), _coerce_1d(fq, resolution),
-                                  resolution=resolution)
+        m = quantile_transport_1d(_coerce_grid(fp, resolution),
+                                  _coerce_grid(fq, resolution), resolution=resolution)
         maps.append(m)
         costs.append(m.w2sq)
     costs = np.array(costs)
@@ -186,9 +178,7 @@ class QuasiProductSpec:
 
 def _equal_mass_axis(factor, nodes: int) -> np.ndarray:
     """Equal-weight discretization of a 1D factor at quantile midpoints."""
-    u = (np.arange(nodes) + 0.5) / nodes
-    g = _coerce_1d(factor)
-    return quantile_from_grid(g, nodes).values
+    return quantile_from_grid(_coerce_grid(factor), nodes).values
 
 
 def _block_cloud(spec: QuasiProductSpec, width: int, nodes: int):
@@ -255,15 +245,16 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
 
     # hypothesis 1: uniform log-concavity of the target factors (+ tilt curvature)
     try:
-        factor_k = min(log_concavity_constant(_coerce_1d(f)) for f in nu_spec.base.factors)
+        factor_k = min(log_concavity_constant(_coerce_grid(f))
+                       for f in nu_spec.base.factors)
     except ValueError as e:
         raise HypothesisError(1, str(e))
     k_const = factor_k + min(0.0, nu_spec.tilt.log_curvature_bound)
     if k_const <= 0:
         raise HypothesisError(1, f"target log-concavity constant {k_const:.3g} <= 0")
     # hypothesis 2: contraction proxy for the inverse diagonal maps
-    c0 = min(log_concavity_constant(_coerce_1d(f)) for f in mu_spec.base.factors)
-    c1 = max(_max_log_curvature(_coerce_1d(f)) for f in nu_spec.base.factors)
+    c0 = min(log_concavity_constant(_coerce_grid(f)) for f in mu_spec.base.factors)
+    c1 = max(_max_log_curvature(_coerce_grid(f)) for f in nu_spec.base.factors)
     if c0 <= 0 or not np.isfinite(c1):
         raise HypothesisError(2, f"curvature bounds C0={c0:.3g}, C1={c1:.3g}")
     contraction = math.sqrt(c1 / c0)
@@ -286,8 +277,8 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
 
     # diagonal reference: per-axis monotone maps applied coordinatewise
     diag_maps = [
-        quantile_transport_1d(_coerce_1d(mu_spec.base.factors[k]),
-                              _coerce_1d(nu_spec.base.factors[k]))
+        quantile_transport_1d(_coerce_grid(mu_spec.base.factors[k]),
+                              _coerce_grid(nu_spec.base.factors[k]))
         for k in range(width)
     ]
     t_diag = np.stack([diag_maps[k](x_pts[:, k]) for k in range(width)], axis=1)
@@ -343,19 +334,9 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
                               diagonal_rows, pair_rows, passed)
 
 
-def _max_log_curvature(g: Grid1D, min_density: float = 1e-12) -> float:
-    x, rho = g.nodes, g.density
-    mask = rho > min_density
-    v = -np.log(np.where(mask, rho, 1.0))
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
-    core = mask[:-2] & mask[1:-1] & mask[2:]
-    if not np.any(core):
-        return np.inf
-    second = 2.0 * (v[:-2][core] / (h1[core] * (h1[core] + h2[core]))
-                    - v[1:-1][core] / (h1[core] * h2[core])
-                    + v[2:][core] / (h2[core] * (h1[core] + h2[core])))
-    return float(np.max(second))
+def _max_log_curvature(g: Grid1D) -> float:
+    second = _log_second_differences(g)
+    return float(np.max(second)) if second.size else np.inf
 
 
 def _sub_block_map(mu_spec, nu_spec, x_pts, mu_w, y_pts, nu_w, shape, axes, nodes):
@@ -429,7 +410,7 @@ class MixtureSpec:
         if isinstance(obj, Quantile1D):
             v = obj.values
             return np.array([v.mean(), (v ** 2).mean(), (v ** 3).mean()])
-        g = _coerce_1d(obj)
+        g = _coerce_grid(obj)
         return np.array([g.integrate(g.nodes ** p) for p in (1, 2, 3)])
 
     def _warn_if_indistinguishable(self):
@@ -538,7 +519,7 @@ def classify_component(path, mixture: MixtureSpec, test_functions) -> ClassifyRe
         if isinstance(c, Quantile1D):
             comp_moments.append([float(np.mean(f(c.values))) for f in fs])
         else:
-            g = _coerce_1d(c)
+            g = _coerce_grid(c)
             comp_moments.append([g.integrate(f(g.nodes)) for f in fs])
     comp_moments = np.array(comp_moments)
     dists = np.sqrt(np.sum((comp_moments - emp[None, :]) ** 2, axis=1))
@@ -568,7 +549,7 @@ def _log_density_table(component, x: np.ndarray) -> np.ndarray:
         s = component.sigma
         m = float(component.mean[0])
         return -0.5 * ((x - m) / s) ** 2 - math.log(s * math.sqrt(2 * math.pi))
-    g = _coerce_1d(component)
+    g = _coerce_grid(component)
     dens = g.pdf(x)
     out = np.full_like(dens, -np.inf)
     pos = dens > 0
@@ -603,7 +584,7 @@ def mixture_entropy_bound_check(mixture: MixtureSpec, m: int, n: int,
             draws[rows] = (float(comp.mean[0])
                            + comp.sigma * rng.standard_normal((count, n)))
         else:
-            g = _coerce_1d(comp)
+            g = _coerce_grid(comp)
             draws[rows] = g.sample((count, n), rng)
 
     log_lam = np.log(mixture.weights)

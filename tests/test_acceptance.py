@@ -15,7 +15,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from seqot.bounds import lemma21_check, talagrand_gap
-from seqot.cli import ExperimentConfig, run_experiment
+from seqot.cli import ExperimentConfig, _random_invariant_pair, run_experiment
 from seqot.gibbs import (
     MCMCConfig,
     cauchy_convergence_experiment,
@@ -48,21 +48,6 @@ def record(num: int, name: str, passed: bool, detail: str = ""):
     status = "PASS" if passed else "FAIL"
     print(f"\n[ACCEPTANCE {num:02d}] {name}: {status}  {detail}")
     assert passed, f"criterion {num} ({name}): {detail}"
-
-
-def random_invariant_measure(rng, group, n_orbits):
-    pts, ws = [], []
-    seen = set()
-    for _ in range(n_orbits):
-        x = np.round(rng.normal(size=group.dim), 3)
-        orbit = sorted({tuple(x[p]) for p in group.elements} - seen)
-        if not orbit:
-            continue
-        seen.update(orbit)
-        w = rng.random() + 0.1
-        pts.extend(orbit)
-        ws.extend([w] * len(orbit))
-    return DiscreteMeasure(np.array(pts), np.array(ws))
 
 
 def test_criterion_01_exact_solver_gap_and_runtime():
@@ -118,8 +103,7 @@ def test_criterion_03_invariant_duality_50_instances():
     for k in range(50):
         group = groups[k % len(groups)]
         n_orbits = int(rng.integers(2, max(3, 60 // len(group))))
-        mu = random_invariant_measure(rng, group, n_orbits)
-        nu = random_invariant_measure(rng, group, n_orbits)
+        mu, nu = _random_invariant_pair(group, rng, n_orbits)
         t0 = time.perf_counter()
         primal = solve_invariant_ot(mu, nu, group)
         dual = invariant_duality_value(mu, nu, group)
@@ -145,8 +129,7 @@ def test_criterion_04_transitive_identity_20_instances():
     worst_rel = rep.relative_difference
     for k in range(19):
         group = groups[k % len(groups)]
-        mu_k = random_invariant_measure(rng, group, 3)
-        nu_k = random_invariant_measure(rng, group, 3)
+        mu_k, nu_k = _random_invariant_pair(group, rng, 3)
         rep_k = transitive_identity_check(mu_k, nu_k, group)
         worst_rel = max(worst_rel, rep_k.relative_difference)
     record(4, "transitive-group cost identity on 20 instances",

@@ -119,6 +119,16 @@ class TestRun:
                            output_dir=str(tmp_path / "out"))
         assert main(["run", cfg]) == 3
 
+    def test_runtime_value_error_after_validation_exit_code(self, tmp_path, capsys):
+        # a config that validate accepts but whose run fails deep in the
+        # solver (a zero-mass row) is a runtime failure, not a config error
+        cfg = write_config(tmp_path, "quasi_product",
+                           params={"source_tilt_strength": 50}, seed=0,
+                           output_dir=str(tmp_path / "out"))
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg]) == 3
+        assert "runtime failure" in capsys.readouterr().err
+
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0
         out = capsys.readouterr().out

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
+from seqot.cli import _random_invariant_pair
 from seqot.gibbs import (
     MCMCConfig,
     _z_values,
@@ -29,7 +30,6 @@ from seqot.invariance import (
     solve_invariant_ot,
     symmetric_group,
 )
-from seqot.measures import DiscreteMeasure
 from seqot.ot import cost_matrix
 
 
@@ -74,26 +74,10 @@ def brute_force_invariant_value(mu, nu, group, cost=first_coordinate_cost):
     return float(res.fun)
 
 
-def random_invariant_measure(rng, group, n_orbits=3):
-    pts, ws = [], []
-    seen = set()
-    for _ in range(n_orbits):
-        x = np.round(rng.normal(size=group.dim), 3)
-        orbit = sorted({tuple(x[p]) for p in group.elements} - seen)
-        if not orbit:
-            continue
-        seen.update(orbit)
-        w = rng.random() + 0.1
-        pts.extend(orbit)
-        ws.extend([w] * len(orbit))
-    return DiscreteMeasure(np.array(pts), np.array(ws))
-
-
 def test_orbit_lp_matches_explicit_invariance_constraints():
     rng = np.random.default_rng(12)
     for group in (symmetric_group(2), cyclic_group(3)):
-        mu = random_invariant_measure(rng, group, 2)
-        nu = random_invariant_measure(rng, group, 2)
+        mu, nu = _random_invariant_pair(group, rng, 2)
         fast = solve_invariant_ot(mu, nu, group).value
         slow = brute_force_invariant_value(mu, nu, group)
         assert fast == pytest.approx(slow, abs=1e-9)
@@ -111,8 +95,7 @@ invariant_problems = st.builds(
 @given(invariant_problems)
 def test_orbit_structure_matches_enumerated_orbits(problem):
     group, rng, k = problem
-    mu = random_invariant_measure(rng, group, k)
-    nu = random_invariant_measure(rng, group, k)
+    mu, nu = _random_invariant_pair(group, rng, k)
     orb = _orbits(mu, nu, group)
     label = orb.pair_label
     for s, t in zip(orb.src_maps, orb.tgt_maps):

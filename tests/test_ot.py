@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqot.measures import (
     DiscreteMeasure,
@@ -10,9 +12,13 @@ from seqot.measures import (
     gaussian_w2,
 )
 from seqot.ot import (
+    DUAL_FEAS_TOL,
+    GAP_TOL,
+    MARGINAL_TOL,
     Coupling,
     barycentric_map,
     check_cyclical_monotonicity,
+    cost_matrix,
     graph_concentration,
     quantile_transport_1d,
     sinkhorn,
@@ -113,7 +119,44 @@ class TestQuantileTransport:
             assert got == pytest.approx(want, abs=1e-4)
 
 
+# small random weighted instances, up to 8 x 8 atoms in up to 3 dimensions
+small_instances = st.builds(
+    lambda seed: random_instance(np.random.default_rng(seed), max_atoms=8),
+    st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances)
+def test_exact_solver_certificates(instance):
+    mu, nu = instance
+    res = solve_discrete_ot(mu, nu)
+    w = res.plan.weights
+    assert np.max(np.abs(w.sum(axis=1) - mu.weights)) <= MARGINAL_TOL
+    assert np.max(np.abs(w.sum(axis=0) - nu.weights)) <= MARGINAL_TOL
+    assert res.dual.feasibility_violation(cost_matrix(mu, nu)) <= DUAL_FEAS_TOL
+    assert res.gap <= GAP_TOL * (1 + abs(res.value))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_instances, st.sampled_from([1e-3, 1e-2]))
+def test_sinkhorn_cost_within_entropic_bound_of_lp(instance, epsilon):
+    mu, nu = instance
+    lp = solve_discrete_ot(mu, nu).value
+    res = sinkhorn(mu, nu, epsilon=epsilon)
+    c = cost_matrix(mu, nu)
+    assert lp <= res.value + 1e-9
+    assert res.value <= (lp + epsilon * np.log(len(mu) * len(nu))
+                         + 2 * np.max(c) * res.marginal_violation)
+
+
 class TestSinkhorn:
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_nonpositive_or_nonfinite_epsilon(self, epsilon):
+        mu = DiscreteMeasure([[0.0], [1.0]])
+        nu = DiscreteMeasure([[0.5], [2.0]])
+        with pytest.raises(ValueError, match="epsilon"):
+            sinkhorn(mu, nu, epsilon=epsilon)
+
     def test_identical_measures_near_zero(self):
         rng = np.random.default_rng(5)
         mu = DiscreteMeasure(rng.normal(size=(10, 2)))
