@@ -45,10 +45,6 @@ class EntropyEstimate:
         if self.method == "monte_carlo" and self.n_samples <= 0:
             raise ValueError("monte_carlo estimates must record a sample count")
 
-    def to_dict(self) -> dict:
-        return {"value": self.value, "standard_error": self.standard_error,
-                "method": self.method, "n_samples": self.n_samples}
-
 
 def _kl_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     # masses of coincident atoms are pooled; terms summed in first-seen order
@@ -183,11 +179,6 @@ class TalagrandReport:
     passed: bool
     resolution: int = 0  # quadrature nodes; 0 for the closed-form path
 
-    def to_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "slack": self.slack,
-                "K": self.K, "method": self.method, "passed": self.passed,
-                "resolution": self.resolution}
-
 
 def _grid_cdf(g: Grid1D):
     cdf = g.cdf_table()
@@ -252,8 +243,8 @@ def _check_conjugate(p: float, q: float):
         raise ValueError(f"(p, q)=({p}, {q}) are not conjugate exponents")
 
 
-def _shift_ratio_powers(g: Grid1D, s: float, q: float, min_density: float):
-    """(x window, integrand of ||e^{beta_s}||_q^q and of ||e^{beta_s}-1||_q^q)."""
+def _shift_ratio_powers(g: Grid1D, s: float, min_density: float):
+    """(x window, density on it, density ratio rho(x - s) / rho(x) = e^{beta_s})."""
     x, rho = g.nodes, g.density
     window = x >= x[0] + s
     xs = x[window]
@@ -275,18 +266,6 @@ class ShiftEstimateReport:
     slack_linearization: float
     passed: bool
     resolution: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs_increment": self.lhs_increment,
-            "rhs_increment": self.rhs_increment,
-            "lhs_linearization": self.lhs_linearization,
-            "rhs_linearization": self.rhs_linearization,
-            "slack_increment": self.slack_increment,
-            "slack_linearization": self.slack_linearization,
-            "passed": self.passed,
-            "resolution": self.resolution,
-        }
 
 
 def lemma21_check(mu: Grid1D, nu: Grid1D, t: float, epsilon: float,
@@ -332,7 +311,7 @@ def lemma21_check(mu: Grid1D, nu: Grid1D, t: float, epsilon: float,
     sup_ratio = 0.0
     sup_dist = 0.0
     for s in np.linspace(0.0, t, n_sup):
-        xw, rho_w, ratio = _shift_ratio_powers(mu, s, q, min_density)
+        xw, rho_w, ratio = _shift_ratio_powers(mu, s, min_density)
         sup_ratio = max(sup_ratio, float(np.trapezoid(ratio ** q * rho_w, xw)) ** (1.0 / q))
         sup_dist = max(sup_dist, float(np.trapezoid(np.abs(ratio - 1.0) ** q * rho_w, xw)) ** (1.0 / q))
 
@@ -352,15 +331,6 @@ class ShiftDecayReport:
     moment: float              # int |x|^{(1+eps)p} dnu
     moment_finite: bool
     decays_to_zero: bool       # heuristic: p(t_min) < 0.01 p(t_max)
-
-    def to_dict(self) -> dict:
-        return {
-            "t_grid": self.t_grid.tolist(),
-            "p_values": self.p_values.tolist(),
-            "moment": self.moment,
-            "moment_finite": self.moment_finite,
-            "decays_to_zero": self.decays_to_zero,
-        }
 
 
 def assumption_A_probe(mu: Grid1D, nu: Grid1D, p: float, q: float, epsilon: float,
@@ -382,7 +352,7 @@ def assumption_A_probe(mu: Grid1D, nu: Grid1D, p: float, q: float, epsilon: floa
     for k, t in enumerate(t_grid):
         sup = 0.0
         for s in np.linspace(0.0, t, n_sup) if t > 0 else [0.0]:
-            xw, rho_w, ratio = _shift_ratio_powers(mu, s, q, min_density)
+            xw, rho_w, ratio = _shift_ratio_powers(mu, s, min_density)
             val = float(np.trapezoid(np.abs(ratio - 1.0) ** q * rho_w, xw))
             if not np.isfinite(val):
                 raise ValueError("shift-density moment overflow on the given grid")

@@ -17,7 +17,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -80,7 +80,8 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (results, series, assertions)
+# experiment runners: each returns (results, series, assertions); results is a
+# dict or a result dataclass, which _to_jsonable writes out field by field
 
 
 def _group_by_name(spec, dim: int = None) -> _inv.GroupAction:
@@ -90,6 +91,8 @@ def _group_by_name(spec, dim: int = None) -> _inv.GroupAction:
             spec["dim"], spec["generators"],
             max_size=spec.get("max_size", _inv.MAX_GROUP_SIZE))
     name = spec
+    if not isinstance(name, str):
+        raise ConfigError(f"group must be a name or a generator dict, got {name!r}")
     if name == "trivial":
         return _inv.trivial_group(dim or 2)
     if name.startswith("s"):
@@ -184,7 +187,6 @@ def run_transitive_identity(params, seed):
         rng = np.random.default_rng(seed)
         mu, nu = _random_invariant_pair(group, rng, params["orbits"])
     rep = _inv.transitive_identity_check(mu, nu, group)
-    results = rep.to_dict()
     assertions = [
         {"name": "identity_relative_difference",
          "passed": bool(rep.relative_difference <= 1e-8),
@@ -201,7 +203,7 @@ def run_transitive_identity(params, seed):
             "detail": f"full={rep.full_value:.12g} single={rep.invariant_single_value:.12g}"})
     series = {"coordinate": list(range(len(rep.per_coordinate_costs))),
               "per_coordinate_cost": rep.per_coordinate_costs.tolist()}
-    return results, series, assertions
+    return rep, series, assertions
 
 
 def _measure_1d(spec: dict) -> DiscreteMeasure:
@@ -215,7 +217,6 @@ def run_no_map(params, seed):
     d = params["d"]
     group = _group_by_name(params["group"] or f"s{d}", dim=d)
     rep = _inv.no_map_counterexample(a, b, d, group)
-    results = rep.to_dict()
     if rep.components_identical:
         assertions = [{"name": "identical_components_give_a_map",
                        "passed": bool(rep.concentration >= 1.0 - 1e-12),
@@ -226,7 +227,7 @@ def run_no_map(params, seed):
                        "detail": f"concentration={rep.concentration}"}]
     series = {"quantity": ["value", "concentration"],
               "value": [rep.value, rep.concentration]}
-    return results, series, assertions
+    return rep, series, assertions
 
 
 def run_quasi_product(params, seed):
@@ -239,7 +240,6 @@ def run_quasi_product(params, seed):
     rep = _proc.quasi_product_approx(
         _proc.QuasiProductSpec(base, f), _proc.QuasiProductSpec(base, g),
         n_list=params["n_list"], nodes=params["nodes"])
-    results = rep.to_dict()
     assertions = []
     for row in rep.diagonal_rows:
         if "skipped" in row:
@@ -256,7 +256,7 @@ def run_quasi_product(params, seed):
     pairs = [r for r in rep.pair_rows if "D" in r]
     series = {"m": [r["m"] for r in pairs], "D": [r["D"] for r in pairs],
               "bound": [r["bound"] for r in pairs]}
-    return results, series, assertions
+    return rep, series, assertions
 
 
 def _mixture_from(spec: dict) -> _proc.MixtureSpec:
@@ -268,7 +268,8 @@ def run_definetti(params, seed):
     pi_mu = _mixture_from(params["mu"])
     pi_nu = _mixture_from(params["nu"])
     res = _proc.definetti_ot(pi_mu, pi_nu, resolution=params["resolution"])
-    results = res.to_dict()
+    results = {"value": res.value, "assignment": res.assignment,
+               "ground_cost": res.ground_cost, "concentration": res.concentration}
     assertions = [{"name": "outer_value_nonnegative", "passed": bool(res.value >= 0),
                    "detail": f"value={res.value:.6g}"}]
     k = len(pi_mu)
@@ -288,14 +289,13 @@ def run_mixture_entropy(params, seed):
     mix = _mixture_from(params["mixture"])
     rep = _proc.mixture_entropy_bound_check(mix, params["m"], params["n"],
                                             params["samples"], seed)
-    results = rep.to_dict()
     assertions = [{"name": "entropy_below_log_inverse_min_weight",
                    "passed": rep.passed,
                    "detail": f"estimate={rep.estimate:.5f} bound={rep.bound:.5f} "
                              f"se={rep.standard_error:.5f}"}]
     series = {"quantity": ["estimate", "bound"],
               "value": [rep.estimate, rep.bound]}
-    return results, series, assertions
+    return rep, series, assertions
 
 
 def _law_1d(spec: dict):
@@ -308,13 +308,12 @@ def _law_1d(spec: dict):
 def run_talagrand(params, seed):
     rep = _bounds.talagrand_gap(_law_1d(params["mu"]), _law_1d(params["nu"]),
                                 _law_1d(params["target"]), K=params["K"])
-    results = rep.to_dict()
     assertions = [{"name": "entropy_dominates_map_gap",
                    "passed": bool(rep.slack >= -1e-8),
                    "detail": f"lhs={rep.lhs:.6g} rhs={rep.rhs:.6g}"}]
     series = {"quantity": ["lhs", "rhs", "slack"],
               "value": [rep.lhs, rep.rhs, rep.slack]}
-    return results, series, assertions
+    return rep, series, assertions
 
 
 def run_lemma21(params, seed):
@@ -327,7 +326,6 @@ def run_lemma21(params, seed):
     rep = _bounds.lemma21_check(grid_of(params["mu"]), grid_of(params["nu"]),
                                 t=params["t"], epsilon=params["epsilon"],
                                 p=params["p"], q=params["q"])
-    results = rep.to_dict()
     assertions = [
         {"name": "increment_estimate", "passed":
          bool(rep.lhs_increment <= rep.rhs_increment * (1 + 1e-6) + 1e-300),
@@ -340,7 +338,7 @@ def run_lemma21(params, seed):
                            "lhs_linearization", "rhs_linearization"],
               "value": [rep.lhs_increment, rep.rhs_increment,
                         rep.lhs_linearization, rep.rhs_linearization]}
-    return results, series, assertions
+    return rep, series, assertions
 
 
 def _gibbs_spec_from(params) -> _gibbs.GibbsSpec:
@@ -356,7 +354,6 @@ def run_gibbs_cauchy(params, seed):
         spec, m_list=params["m_list"], n=params["n"], samples=params["samples"],
         epsilon=params["epsilon"], seed=seed, ot_points=params["ot_points"],
         replicates=params["replicates"])
-    results = rep.to_dict()
     assertions = [{"name": f"entropy_transport_bound_m{row.m}", "passed": row.passed,
                    "detail": f"D_corr={row.d_corrected:.4e} bound={row.bound:.4e} "
                              f"se={row.se_d:.4e}"}
@@ -366,7 +363,7 @@ def run_gibbs_cauchy(params, seed):
               "bound": [r.bound for r in rep.rows],
               "D_raw": [r.d_raw for r in rep.rows],
               "D_null": [r.d_null for r in rep.rows]}
-    return results, series, assertions
+    return rep, series, assertions
 
 
 @dataclass(frozen=True)
@@ -449,6 +446,8 @@ def validate_config(config: ExperimentConfig) -> list:
 
     name = config.experiment
     params = config.params
+    # a malformed nested param fails the check that reads it; it never raises
+    malformed = (KeyError, TypeError, ValueError)
     if name == "gibbs_cauchy":
         try:
             spec = _gibbs_spec_from(params)
@@ -456,10 +455,13 @@ def validate_config(config: ExperimentConfig) -> list:
                 add(label, True)
         except _gibbs.GibbsAssumptionError as e:
             add(e.name, False, str(e))
-        except (TypeError, KeyError, ValueError) as e:
+        except malformed as e:
             add("potential specification well formed", False, str(e))
-        ok_sizes = params["replicates"] * params["ot_points"] <= params["samples"]
-        add("replicate blocks fit in the sample", ok_sizes)
+        try:
+            add("replicate blocks fit in the sample",
+                params["replicates"] * params["ot_points"] <= params["samples"])
+        except malformed as e:
+            add("replicate blocks fit in the sample", False, str(e))
     elif name in ("invariant_duality", "transitive_identity"):
         try:
             group = (_inv.symmetric_group(2) if params.get("instance") == "worked_s2"
@@ -467,23 +469,32 @@ def validate_config(config: ExperimentConfig) -> list:
             add("group closure within cap", True, f"order {len(group)}")
             if name == "transitive_identity":
                 add("group acts transitively", group.transitive)
-        except ValueError as e:
+        except malformed as e:
             add("group closure within cap", False, str(e))
     elif name == "talagrand":
         try:
             cert = _bounds.log_concavity_constant(_law_1d(params["target"]))
             add("target uniformly log-concave", params["K"] <= cert + 1e-9,
                 f"certified constant {cert:.6g}")
-        except (ValueError, TypeError) as e:
+        except malformed as e:
             add("target uniformly log-concave", False, str(e))
     elif name == "mixture_entropy":
-        w = params["mixture"]["weights"]
-        add("mixture weights positive and normalized",
-            all(x > 0 for x in w) and abs(sum(w) - 1.0) < 1e-12)
-        add("block split valid", 0 < params["m"] < params["n"])
+        try:
+            w = params["mixture"]["weights"]
+            add("mixture weights positive and normalized",
+                all(x > 0 for x in w) and abs(sum(w) - 1.0) < 1e-12)
+        except malformed as e:
+            add("mixture weights positive and normalized", False, str(e))
+        try:
+            add("block split valid", 0 < params["m"] < params["n"])
+        except malformed as e:
+            add("block split valid", False, str(e))
     elif name == "no_map":
-        add("components are 1D with matching weights",
-            len(params["a"]["points"]) == len(params["a"]["weights"]))
+        try:
+            add("components are 1D with matching weights",
+                len(params["a"]["points"]) == len(params["a"]["weights"]))
+        except malformed as e:
+            add("components are 1D with matching weights", False, str(e))
     return checks
 
 
@@ -505,6 +516,10 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def _to_jsonable(obj):
+    """The one conversion of results to JSON: a result dataclass becomes a
+    dict of all its fields, numpy values become Python scalars and lists."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -195,9 +195,6 @@ class MCMCConfig:
     adapt_interval: int = 25     # sweeps per adaptation window during burn-in
     target_accept: float = 0.44
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class LatticeSample:
@@ -220,7 +217,7 @@ class LatticeSample:
         np.save(path_prefix + ".npy", self.states)
         sidecar = {
             "n": self.n, "seed": self.seed, "burn_in": self.burn_in,
-            "thinning": self.thinning, "config": config.to_dict(),
+            "thinning": self.thinning, "config": asdict(config),
             "spec_hash": spec.content_hash(),
             "acceptance": self.acceptance.tolist(),
             "ess": self.ess.tolist(), "tuning_ok": self.tuning_ok,
@@ -490,12 +487,6 @@ class EquivarianceReport:
     max_delta: float
     max_standard_error: float
 
-    def to_dict(self) -> dict:
-        return {"delta": self.delta.tolist(),
-                "standard_error": self.standard_error.tolist(),
-                "max_delta": self.max_delta,
-                "max_standard_error": self.max_standard_error}
-
 
 def equivariance_check(emp_map: EmpiricalMap, batch: int = 32) -> EquivarianceReport:
     """Empirical check that the map intertwines the cyclic shift.
@@ -640,11 +631,6 @@ class CauchyRow:
     per_site: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("m", "d_raw", "d_null", "d_corrected", "se_d", "entropy",
-                 "entropy_se", "bound", "per_site", "passed")}
-
 
 @dataclass(frozen=True)
 class CauchyReport:
@@ -654,11 +640,6 @@ class CauchyReport:
     ot_points: int
     epsilon: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "rows": [r.to_dict() for r in self.rows],
-                "replicates": self.replicates, "ot_points": self.ot_points,
-                "epsilon": self.epsilon, "passed": self.passed}
 
 
 def _replicate_d(spec: GibbsSpec, states: np.ndarray, n: int, m_list, ot_points: int,

@@ -12,7 +12,6 @@ by the least flat index in its orbit, one vectorized pass per group element.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +79,10 @@ class GroupAction:
         self.dim = dim
         self.elements = els
         self.elements.flags.writeable = False
-        # reachable[i, j]: some element sends coordinate i to slot j
+        # reach[i, j]: some element sends coordinate i to slot j
         reach = np.zeros((dim, dim), dtype=bool)
         for p in els:
             reach[p, np.arange(dim)] = True
-        self.reachable = reach
         self.transitive = bool(reach.all())
 
     def __len__(self):
@@ -93,14 +91,8 @@ class GroupAction:
     def __repr__(self):
         return f"GroupAction(dim={self.dim}, order={len(self)}, transitive={self.transitive})"
 
-    def act_points(self, p: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return points[:, p]
-
     def to_dict(self) -> dict:
         return {"dim": self.dim, "generators": self.elements.tolist()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroupAction":
@@ -371,16 +363,6 @@ class TransitiveIdentityReport:
     per_coordinate_costs: np.ndarray
     per_coordinate_spread: float
 
-    def to_dict(self) -> dict:
-        return {
-            "full_value": self.full_value,
-            "invariant_single_value": self.invariant_single_value,
-            "dim_times_invariant": self.dim_times_invariant,
-            "relative_difference": self.relative_difference,
-            "per_coordinate_costs": self.per_coordinate_costs.tolist(),
-            "per_coordinate_spread": self.per_coordinate_spread,
-        }
-
 
 def transitive_identity_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
                               group: GroupAction) -> TransitiveIdentityReport:
@@ -436,14 +418,6 @@ class NoMapReport:
     concentration: float
     is_map: bool
     components_identical: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "concentration": self.concentration,
-            "is_map": self.is_map,
-            "components_identical": self.components_identical,
-        }
 
 
 def no_map_counterexample(component_a: DiscreteMeasure, component_b: DiscreteMeasure,

@@ -166,9 +166,6 @@ class GaussianSpec:
             raise ValueError("sigma is defined for 1D Gaussians")
         return math.sqrt(self.covariance[0, 0])
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "covariance": self.covariance.tolist()}
-
 
 class Grid1D:
     """A 1D density tabulated on a strictly increasing node grid.

@@ -9,7 +9,6 @@ cycles, graph concentration, barycentric map extraction.
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -82,9 +81,6 @@ class Coupling:
             "triplets": [[int(a), int(b), float(self.weights[a, b])]
                          for a, b in zip(i, j)],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Coupling":
@@ -267,8 +263,7 @@ def _as_quantile_source(obj, resolution):
     raise TypeError(f"cannot interpret {type(obj).__name__} as a 1D law")
 
 
-def quantile_transport_1d(mu, nu, resolution: int = 10_000,
-                          resample: bool = True) -> Monotone1DMap:
+def quantile_transport_1d(mu, nu, resolution: int = 10_000) -> Monotone1DMap:
     """Optimal 1D transport T = Q_nu o F_mu with its quadratic cost.
 
     For a pair of discrete measures the shared grid is the merged set of
@@ -294,21 +289,9 @@ def quantile_transport_1d(mu, nu, resolution: int = 10_000,
         w2sq = float(mass @ (y - x) ** 2)
         return Monotone1DMap(mid, x, y, mass, w2sq)
 
-    if kind_a != kind_b and not resample:
-        raise ValueError("mixed representations need resampling enabled")
     u = (np.arange(resolution) + 0.5) / resolution
-    if kind_a == "discrete":
-        x = _discrete_quantile_at(*qa, u)
-    else:
-        if not resample and not np.array_equal(qa.quantile_grid, u):
-            raise ValueError("resolution mismatch with resampling disabled")
-        x = qa(u)
-    if kind_b == "discrete":
-        y = _discrete_quantile_at(*qb, u)
-    else:
-        if not resample and not np.array_equal(qb.quantile_grid, u):
-            raise ValueError("resolution mismatch with resampling disabled")
-        y = qb(u)
+    x = _discrete_quantile_at(*qa, u) if kind_a == "discrete" else qa(u)
+    y = _discrete_quantile_at(*qb, u) if kind_b == "discrete" else qb(u)
     mass = np.full(resolution, 1.0 / resolution)
     w2sq = float(np.mean((y - x) ** 2))
     return Monotone1DMap(u, x, y, mass, w2sq)
@@ -375,15 +358,6 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
         kernel = np.exp((f[:, None] + g[None, :] - c) / eps)
         u = np.ones(len(mu))
         v = np.ones(len(nu))
-
-        def absorb():
-            nonlocal f, g, kernel, u, v
-            f = f + eps * np.log(u)
-            g = g + eps * np.log(v)
-            kernel = np.exp((f[:, None] + g[None, :] - c) / eps)
-            u = np.ones(len(mu))
-            v = np.ones(len(nu))
-
         for it in range(stage_iters):
             ku = kernel @ (v * b)
             u = 1.0 / np.maximum(ku, 1e-300)
@@ -392,7 +366,11 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
             total_iter += 1
             logs = max(np.max(np.abs(np.log(u))), np.max(np.abs(np.log(v))))
             if logs > absorb_cap:
-                absorb()
+                f = f + eps * np.log(u)
+                g = g + eps * np.log(v)
+                kernel = np.exp((f[:, None] + g[None, :] - c) / eps)
+                u = np.ones(len(mu))
+                v = np.ones(len(nu))
                 continue
             if last_stage and (it % 10 == 9 or it == stage_iters - 1):
                 # columns are exact right after the v-update; the total
@@ -401,7 +379,8 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
                 violation = 0.5 * float(np.abs(row - a).sum())
                 if violation <= tol:
                     break
-        absorb()
+        f = f + eps * np.log(u)
+        g = g + eps * np.log(v)
         if last_stage:
             break
     converged = violation <= tol
@@ -431,14 +410,6 @@ class CycleReport:
     cycles_checked: int
     worst_slack: float
     violating_cycle: tuple | None
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "cycles_checked": self.cycles_checked,
-            "worst_slack": self.worst_slack,
-            "violating_cycle": list(self.violating_cycle) if self.violating_cycle else None,
-        }
 
 
 def check_cyclical_monotonicity(plan: Coupling, cycle_length_max: int = 3,

@@ -109,10 +109,6 @@ class DiagonalTransportReport:
     tail_cost: float  # cost of the last coordinate; nonvanishing tail means
                       # the full-sequence cost diverges with the dimension
 
-    def to_dict(self) -> dict:
-        return {"costs": self.costs.tolist(), "total_cost": self.total_cost,
-                "tail_cost": self.tail_cost}
-
 
 def diagonal_transport(p: ProductSpec, q: ProductSpec,
                        resolution: int = 10_000) -> DiagonalTransportReport:
@@ -209,17 +205,6 @@ class QuasiProductReport:
     diagonal_rows: list      # per n: the diagonal-vs-optimal entropy control
     pair_rows: list          # per (m, n): D(n, m) against (2/K) Ent
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "k_constant": self.k_constant,
-            "contraction_bound": self.contraction_bound,
-            "tilt_bounds": list(self.tilt_bounds),
-            "f_log_f": self.f_log_f,
-            "diagonal_rows": self.diagonal_rows,
-            "pair_rows": self.pair_rows,
-            "passed": self.passed,
-        }
 
 
 def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
@@ -443,14 +428,6 @@ class DeFinettiResult:
     ground_cost: np.ndarray
     concentration: float
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "assignment": None if self.assignment is None else self.assignment.tolist(),
-            "ground_cost": self.ground_cost.tolist(),
-            "concentration": self.concentration,
-        }
-
 
 def definetti_ot(pi_mu: MixtureSpec, pi_nu: MixtureSpec,
                  resolution: int = 10_000) -> DeFinettiResult:
@@ -495,12 +472,6 @@ class ClassifyResult:
     empirical_averages: np.ndarray
     ambiguous: bool
 
-    def to_dict(self) -> dict:
-        return {"component": int(self.component), "margin": self.margin,
-                "distances": self.distances.tolist(),
-                "empirical_averages": self.empirical_averages.tolist(),
-                "ambiguous": self.ambiguous}
-
 
 def classify_component(path, mixture: MixtureSpec, test_functions) -> ClassifyResult:
     """Nearest mixture component in the test-function moment metric.
@@ -537,11 +508,6 @@ class MixtureEntropyReport:
     n_samples: int
     n_skipped: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"estimate": self.estimate, "standard_error": self.standard_error,
-                "bound": self.bound, "n_samples": self.n_samples,
-                "n_skipped": self.n_skipped, "passed": self.passed}
 
 
 def _log_density_table(component, x: np.ndarray) -> np.ndarray:

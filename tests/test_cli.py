@@ -94,9 +94,41 @@ class TestRun:
                            output_dir=str(tmp_path / "out"))
         assert main(["run", cfg]) == 0
         report = load_report(str(tmp_path / "out"))
-        row = report["results"]["rows"][0]
+        results = report["results"]
+        assert set(results) == {"n", "rows", "replicates", "ot_points", "epsilon",
+                                "passed"}
+        row = results["rows"][0]
+        assert set(row) == {"m", "d_raw", "d_null", "d_corrected", "se_d", "entropy",
+                            "entropy_se", "bound", "per_site", "passed"}
         assert row["entropy"] == 0.0
         assert row["passed"]
+
+    # the exact keys of report["results"]: every field of the result object
+    # (definetti names its four; its plan and component maps stay out)
+    @pytest.mark.parametrize("name,keys", [
+        ("ot_basic", {"values", "gaps", "max_gap", "sizes"}),
+        ("invariant_duality", {"primal", "dual", "gap", "orbits", "group_order"}),
+        ("transitive_identity", {"full_value", "invariant_single_value",
+                                 "dim_times_invariant", "relative_difference",
+                                 "per_coordinate_costs", "per_coordinate_spread"}),
+        ("no_map", {"value", "concentration", "is_map", "components_identical"}),
+        ("quasi_product", {"k_constant", "contraction_bound", "tilt_bounds",
+                           "f_log_f", "diagonal_rows", "pair_rows", "passed"}),
+        ("definetti", {"value", "assignment", "ground_cost", "concentration"}),
+        ("mixture_entropy", {"estimate", "standard_error", "bound", "n_samples",
+                             "n_skipped", "passed"}),
+        ("talagrand", {"lhs", "rhs", "slack", "K", "method", "passed",
+                       "resolution"}),
+        ("lemma21", {"lhs_increment", "rhs_increment", "lhs_linearization",
+                     "rhs_linearization", "slack_increment", "slack_linearization",
+                     "passed", "resolution"}),
+    ])
+    def test_results_keys_at_default_config(self, tmp_path, name, keys):
+        raw = {"experiment": name, "output_dir": str(tmp_path)}
+        if EXPERIMENTS[name].stochastic:
+            raw["seed"] = 1
+        assert run_experiment(ExperimentConfig.from_dict(raw)) == 0
+        assert set(load_report(str(tmp_path))["results"]) == keys
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -182,6 +214,25 @@ class TestValidate:
         failing = [c for c in out["checks"] if not c["passed"]]
         assert any("closure" in c["check"] for c in failing)
 
+
+    @pytest.mark.parametrize("name,raw", [
+        ("talagrand", {"params": {"target": {"bogus": 1}}}),
+        ("gibbs_cauchy", {"seed": 1, "params": {"replicates": "x"}}),
+        ("mixture_entropy", {"seed": 1, "params": {"mixture": {"bogus": 1}}}),
+        ("no_map", {"params": {"a": {"points": [0.0]}}}),
+        ("invariant_duality",
+         {"seed": 1, "params": {"instance": "random", "group": {"dim": 2}}}),
+        ("transitive_identity",
+         {"seed": 1, "params": {"instance": "random", "group": 5}}),
+    ])
+    def test_malformed_nested_param_is_a_failed_check(self, tmp_path, capsys,
+                                                      name, raw):
+        cfg = write_config(tmp_path, name, output_dir=str(tmp_path / "out"), **raw)
+        assert main(["validate", cfg]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] is False
+        assert main(["run", cfg]) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
 
 class TestReproducibility:
     @staticmethod
