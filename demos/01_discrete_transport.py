@@ -22,7 +22,7 @@ nu = DiscreteMeasure(rng.normal(size=(55, 2)) + [1.0, 0.5], rng.random(55) + 0.1
 res = solve_discrete_ot(mu, nu)
 print(f"optimal value      {res.value:.6f}")
 print(f"dual value         {res.dual.value(mu, nu):.6f}")
-print(f"duality gap        {res.gap:.2e}   (certified <= 1e-9 (1+|value|))")
+print(f"duality gap        {abs(res.gap):.2e}   (certified <= 1e-9 (1+|value|))")
 print(f"solver time        {res.wall_time*1e3:.1f} ms")
 
 cyc = check_cyclical_monotonicity(res.plan, cycle_length_max=3)

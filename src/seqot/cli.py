@@ -131,13 +131,14 @@ def run_ot_basic(params, seed):
         mu = DiscreteMeasure(rng.normal(size=(n, d)), rng.random(n) + 1e-3)
         nu = DiscreteMeasure(rng.normal(size=(m, d)), rng.random(m) + 1e-3)
         res = solve_discrete_ot(mu, nu)
+        gap = abs(res.gap)
         values.append(res.value)
-        gaps.append(res.gap)
+        gaps.append(gap)
         sizes.append(n * m)
         assertions.append({
             "name": f"duality_gap_instance_{k}",
-            "passed": bool(res.gap <= 1e-9 * (1 + abs(res.value))),
-            "detail": f"gap={res.gap:.3e}",
+            "passed": bool(gap <= 1e-9 * (1 + abs(res.value))),
+            "detail": f"gap={gap:.3e}",
         })
     results = {"values": values, "gaps": gaps, "max_gap": max(gaps),
                "sizes": sizes}
@@ -437,6 +438,10 @@ EXPERIMENTS = {
 # validate: precondition checks without running
 
 
+def _int_at_least(value, low: int) -> bool:
+    return isinstance(value, int) and value >= low
+
+
 def validate_config(config: ExperimentConfig) -> list:
     """Hypothesis/precondition diagnostics for a parsed config."""
     checks = []
@@ -489,6 +494,18 @@ def validate_config(config: ExperimentConfig) -> list:
             add("block split valid", 0 < params["m"] < params["n"])
         except malformed as e:
             add("block split valid", False, str(e))
+    elif name == "ot_basic":
+        add("at least one instance", _int_at_least(params["num_instances"], 1))
+        add("atom and dimension bounds valid",
+            _int_at_least(params["max_atoms"], 2) and _int_at_least(params["max_dim"], 1),
+            "max_atoms >= 2 and max_dim >= 1, as integers")
+    elif name == "definetti":
+        for key in ("mu", "nu"):
+            try:
+                _mixture_from(params[key])
+                add(f"{key} mixture well formed", True)
+            except malformed as e:
+                add(f"{key} mixture well formed", False, str(e))
     elif name == "no_map":
         try:
             add("components are 1D with matching weights",

@@ -1,9 +1,13 @@
 """Discrete Kantorovich solvers and transport-plan diagnostics.
 
-Exact plans come from the transportation LP (HiGHS), entropic plans from a
-stabilized Sinkhorn with epsilon-annealing.  1D transport is closed form via
-quantile functions.  Plan diagnostics: cyclical monotonicity over short
-cycles, graph concentration, barycentric map extraction.
+Exact plans come from the transportation LP (HiGHS), or, between two uniform
+measures of equal size, from an assignment solve whose dual potentials are
+recovered by Bellman-Ford sweeps over the difference constraints that
+complementary slackness leaves; both carry a feasible dual pair and a
+certified gap.  Entropic plans come from a stabilized Sinkhorn with
+epsilon-annealing.  1D transport is closed form via quantile functions.  Plan
+diagnostics: cyclical monotonicity over short cycles, graph concentration,
+barycentric map extraction.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .measures import (DiscreteMeasure, Grid1D, Quantile1D, _discrete_quantile_at,
                        _sorted_cdf, quantile_from_grid)
@@ -122,12 +126,21 @@ class DualPair:
 
 @dataclass(frozen=True)
 class OTResult:
+    """An exact plan with its certificate.
+
+    ``gap`` is the signed value minus dual value.  ``method`` names the
+    branch that solved the instance, and ``iterations`` counts its work:
+    0 for "product", Bellman-Ford sweeps for "assignment", HiGHS iterations
+    for "lp" (-1 when HiGHS reports none).
+    """
+
     plan: Coupling
     dual: DualPair
     value: float
     gap: float
     iterations: int
     wall_time: float
+    method: str
 
 
 @dataclass(frozen=True)
@@ -182,27 +195,53 @@ def _product_plan_result(mu, nu, c, t0) -> OTResult:
     dual = DualPair(phi, psi)
     gap = value - dual.value(mu, nu)
     plan = Coupling(mu, nu, w)
-    return OTResult(plan, dual, value, abs(gap), 0, time.perf_counter() - t0)
+    return OTResult(plan, dual, value, gap, 0, time.perf_counter() - t0, "product")
 
 
-def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OTResult:
-    """Exact solution of the discrete Monge-Kantorovich problem.
+def _assignment_result(mu, nu, c, t0) -> OTResult | None:
+    """Uniform n x n instance: an optimal permutation with recovered duals.
 
-    Solves min sum_ij c_ij pi_ij over couplings of (mu, nu) as a
-    transportation LP and returns the optimal plan, a feasible dual pair and
-    the optimal value with certified primal-dual gap <= 1e-9 * (1 + |value|).
+    Complementary slackness phi_i + psi_sigma(i) = c_i,sigma(i) turns dual
+    feasibility into the difference constraints
+    psi_j <= psi_sigma(i) + c_ij - c_i,sigma(i), whose shortest-path solution
+    vectorized Bellman-Ford sweeps find; optimality of sigma rules out
+    negative cycles, so they settle within n sweeps.  Returns None when they
+    do not or the certified gap is over tolerance.
     """
-    t0 = time.perf_counter()
-    n, m = len(mu), len(nu)
-    if n * m > MAX_LP_CELLS:
-        raise ValueError(f"instance {n}x{m} over the exact-solver size limit")
-    if abs(mu.weights.sum() - nu.weights.sum()) > 1e-9:
-        raise ValueError("infeasible marginals: mass mismatch")
-    c = cost_matrix(mu, nu, cost)
-    if n == 1 or m == 1:
-        return _product_plan_result(mu, nu, c, t0)
+    n = len(mu)
+    rows, sigma = linear_sum_assignment(c)
+    # reduced costs: edge sigma(i) -> j has length c_ij - c_i,sigma(i); the
+    # edge sigma(i) -> sigma(i) is exactly 0, so rounding cannot shorten it
+    reduced = c - c[rows, sigma][:, None]
+    # around a zero-length cycle (duplicate atoms) rounding still shaves an
+    # ulp or two off psi each sweep: drops this small are not shorter paths,
+    # and the gap check below bounds what stopping on them costs
+    settle = 1e-13 * (1.0 + np.max(np.abs(c)))
+    psi = np.zeros(n)
+    for sweep in range(1, n + 1):
+        relaxed = np.minimum(psi, np.min(reduced + psi[sigma][:, None], axis=0))
+        drop = np.max(psi - relaxed)
+        psi = relaxed
+        if drop <= settle:
+            break
+    else:
+        return None
+    phi = np.min(c - psi[None, :], axis=1)
+    dual = DualPair(phi, psi)
+    w = np.zeros((n, n))
+    w[rows, sigma] = mu.weights
+    value = float(np.sum(w * c))
+    gap = value - dual.value(mu, nu)
+    if abs(gap) > GAP_TOL * (1 + abs(value)):
+        return None
+    plan = Coupling(mu, nu, w)
+    return OTResult(plan, dual, value, gap, sweep, time.perf_counter() - t0,
+                    "assignment")
 
+
+def _lp_result(mu, nu, c, t0) -> OTResult:
     # row-sum and column-sum equality constraints over vectorized pi
+    n, m = c.shape
     rows_i = np.repeat(np.arange(n), m)
     cols_j = np.tile(np.arange(m), n)
     var = np.arange(n * m)
@@ -219,7 +258,6 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OT
     plan_w = res.x.reshape(n, m)
     # clean tiny negatives / marginal drift from the solver
     plan_w = np.maximum(plan_w, 0.0)
-    phi = np.asarray(res.eqlin.marginals[:n], dtype=float)
     psi = np.asarray(res.eqlin.marginals[n:], dtype=float)
     # one c-transform pass makes the duals exactly feasible
     phi = np.min(c - psi[None, :], axis=1)
@@ -228,7 +266,38 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OT
     gap = value - dual.value(mu, nu)
     plan = Coupling(mu, nu, plan_w)
     it = int(res.nit) if res.nit is not None else -1
-    return OTResult(plan, dual, value, abs(gap), it, time.perf_counter() - t0)
+    return OTResult(plan, dual, value, gap, it, time.perf_counter() - t0, "lp")
+
+
+def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OTResult:
+    """Exact solution of the discrete Monge-Kantorovich problem.
+
+    Solves min sum_ij c_ij pi_ij over couplings of (mu, nu) and returns the
+    optimal plan, a feasible dual pair and the optimal value with certified
+    signed primal-dual gap |value - dual value| <= 1e-9 * (1 + |value|).
+    A single-atom marginal gives the product plan.  Two uniform measures of
+    equal size give an assignment problem (Birkhoff-von Neumann): a
+    permutation from ``linear_sum_assignment``, with duals recovered from
+    its difference constraints; should the recovered certificate miss the
+    gap tolerance, the instance goes to the LP instead.  Everything else is
+    the transportation LP (HiGHS) with its duals made feasible by one
+    c-transform.
+    """
+    t0 = time.perf_counter()
+    n, m = len(mu), len(nu)
+    if n * m > MAX_LP_CELLS:
+        raise ValueError(f"instance {n}x{m} over the exact-solver size limit")
+    if abs(mu.weights.sum() - nu.weights.sum()) > 1e-9:
+        raise ValueError("infeasible marginals: mass mismatch")
+    c = cost_matrix(mu, nu, cost)
+    if n == 1 or m == 1:
+        return _product_plan_result(mu, nu, c, t0)
+    if (n == m and np.all(mu.weights == mu.weights[0])
+            and np.all(nu.weights == nu.weights[0])):
+        res = _assignment_result(mu, nu, c, t0)
+        if res is not None:
+            return res
+    return _lp_result(mu, nu, c, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,8 @@ class TestValidate:
          {"seed": 1, "params": {"instance": "random", "group": {"dim": 2}}}),
         ("transitive_identity",
          {"seed": 1, "params": {"instance": "random", "group": 5}}),
+        ("ot_basic", {"seed": 1, "params": {"max_atoms": 1}}),
+        ("definetti", {"params": {"mu": {"weights": [1.0]}}}),
     ])
     def test_malformed_nested_param_is_a_failed_check(self, tmp_path, capsys,
                                                       name, raw):

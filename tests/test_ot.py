@@ -16,6 +16,7 @@ from seqot.ot import (
     GAP_TOL,
     MARGINAL_TOL,
     Coupling,
+    _lp_result,
     barycentric_map,
     check_cyclical_monotonicity,
     cost_matrix,
@@ -52,7 +53,7 @@ class TestExactSolver:
         res = solve_discrete_ot(mu, nu)
         assert res.value == pytest.approx(1.0)
         assert np.allclose(res.plan.weights, [[0.5, 0.5]])
-        assert res.gap <= 1e-9 * (1 + abs(res.value))
+        assert abs(res.gap) <= 1e-9 * (1 + abs(res.value))
 
     def test_forced_merge(self):
         mu = DiscreteMeasure([[0.0], [2.0]], [0.5, 0.5])
@@ -66,7 +67,7 @@ class TestExactSolver:
             res = solve_discrete_ot(mu, nu)
             dual_value = res.dual.value(mu, nu)
             assert res.value >= dual_value - 1e-9 * (1 + abs(res.value))
-            assert res.gap <= 1e-9 * (1 + abs(res.value))
+            assert abs(res.gap) <= 1e-9 * (1 + abs(res.value))
             c = (np.sum(mu.points**2, 1)[:, None] + np.sum(nu.points**2, 1)[None, :]
                  - 2 * mu.points @ nu.points.T)
             assert res.dual.feasibility_violation(c) <= 1e-9
@@ -125,16 +126,90 @@ small_instances = st.builds(
     st.integers(0, 2 ** 32 - 1))
 
 
+def assert_exact_certificates(mu, nu, res):
+    c = cost_matrix(mu, nu)
+    w = res.plan.weights
+    tol = GAP_TOL * (1 + abs(res.value))
+    assert np.max(np.abs(w.sum(axis=1) - mu.weights)) <= MARGINAL_TOL
+    assert np.max(np.abs(w.sum(axis=0) - nu.weights)) <= MARGINAL_TOL
+    assert res.dual.feasibility_violation(c) <= DUAL_FEAS_TOL
+    assert abs(res.gap) <= tol
+    assert res.gap == res.value - res.dual.value(mu, nu)  # signed, not |gap|
+    # the value equals a direct HiGHS solve of the same cost
+    assert abs(res.value - _lp_result(mu, nu, c, 0.0).value) <= tol
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_instances)
 def test_exact_solver_certificates(instance):
     mu, nu = instance
+    assert_exact_certificates(mu, nu, solve_discrete_ot(mu, nu))
+
+
+def uniform_clouds(seed, n, d, kind):
+    """Two n-point uniform clouds: Gaussian, integer-valued (ties in cost) or
+    with duplicate atoms (zero-length cycles among the recovered duals)."""
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        x, y = rng.integers(0, 3, size=(2, n, d)).astype(float)
+    elif kind == "duplicates":
+        pool = rng.normal(size=(max(1, n // 3), d))
+        x, y = pool[rng.integers(0, len(pool), size=(2, n))]
+    else:
+        x, y = rng.normal(size=(2, n, d))
+    return empirical_from_samples(x), empirical_from_samples(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.integers(1, 3),
+       st.sampled_from(["gaussian", "integer", "duplicates"]))
+def test_assignment_path_matches_lp_with_certificates(seed, n, d, kind):
+    mu, nu = uniform_clouds(seed, n, d, kind)
     res = solve_discrete_ot(mu, nu)
-    w = res.plan.weights
-    assert np.max(np.abs(w.sum(axis=1) - mu.weights)) <= MARGINAL_TOL
-    assert np.max(np.abs(w.sum(axis=0) - nu.weights)) <= MARGINAL_TOL
-    assert res.dual.feasibility_violation(cost_matrix(mu, nu)) <= DUAL_FEAS_TOL
-    assert res.gap <= GAP_TOL * (1 + abs(res.value))
+    assert res.method == "assignment"
+    assert 1 <= res.iterations <= n
+    assert_exact_certificates(mu, nu, res)
+
+
+class TestAssignmentPath:
+    def test_identical_clouds_identity_plan(self):
+        mu = DiscreteMeasure(np.random.default_rng(8).normal(size=(30, 2)))
+        res = solve_discrete_ot(mu, mu)
+        assert res.method == "assignment"
+        assert res.value == 0.0
+        assert np.array_equal(res.plan.weights, np.diag(mu.weights))
+        assert_exact_certificates(mu, mu, res)
+
+    def test_all_equal_source_points(self):
+        # every permutation is optimal; the duals still certify the value
+        rng = np.random.default_rng(9)
+        mu = empirical_from_samples(np.ones((20, 2)))
+        nu = empirical_from_samples(rng.normal(size=(20, 2)))
+        res = solve_discrete_ot(mu, nu)
+        assert res.method == "assignment"
+        assert res.value == pytest.approx(np.mean(np.sum((nu.points - 1.0) ** 2, axis=1)))
+        assert_exact_certificates(mu, nu, res)
+
+    def test_worked_s2_pair(self):
+        mu = DiscreteMeasure([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+        nu = DiscreteMeasure([[0.0, 2.0], [2.0, 0.0]], [0.5, 0.5])
+        res = solve_discrete_ot(mu, nu)
+        assert res.method == "assignment"
+        assert res.value == 1.0
+        assert np.array_equal(res.plan.weights, np.diag([0.5, 0.5]))
+        assert_exact_certificates(mu, nu, res)
+
+    def test_weighted_or_unequal_sizes_take_the_lp(self):
+        rng = np.random.default_rng(10)
+        pts = rng.normal(size=(6, 2))
+        weighted = DiscreteMeasure(pts, rng.random(6) + 0.1)
+        uniform = DiscreteMeasure(rng.normal(size=(6, 2)))
+        smaller = DiscreteMeasure(rng.normal(size=(5, 2)))
+        for mu, nu in ((weighted, uniform), (uniform, weighted), (uniform, smaller)):
+            res = solve_discrete_ot(mu, nu)
+            assert res.method == "lp"
+            assert_exact_certificates(mu, nu, res)
+        assert solve_discrete_ot(delta(0.0, 0.0), uniform).method == "product"
 
 
 @settings(max_examples=40, deadline=None)
