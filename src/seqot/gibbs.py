@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.special import logsumexp
 
-from .measures import _find_rows, empirical_from_samples
+from .measures import _distinct_rows, _find_rows, empirical_from_samples
 from .ot import _sq_dist_table, barycentric_map, sinkhorn, solve_discrete_ot
 
 __all__ = [
@@ -438,12 +438,27 @@ class EmpiricalMap:
         return self.values[:, i]
 
 
+def _merged_barycenters(points: np.ndarray, plan) -> np.ndarray:
+    """Barycentric map of the plan with equal source atoms merged, at every row.
+
+    An optimal plan may split the targets of a repeated point among its
+    copies in any way; the merged plan's row is the same for all of them, so
+    every copy gets the same value and the nearest-source extension no
+    longer depends on which copy ``argmin`` picks.
+    """
+    first, group = _distinct_rows(points)
+    merged = np.zeros((first.size, plan.weights.shape[1]))
+    np.add.at(merged, group, plan.weights)
+    return (merged @ plan.target.points / merged.sum(axis=1)[:, None])[group]
+
+
 def empirical_map_to_gaussian(points, gaussian_samples, epsilon: float = None,
                               seed: int = 0, lp_threshold: int = 300,
                               tol: float = 1e-6, max_iter: int = 4000) -> EmpiricalMap:
     """Estimate the transport map from an empirical cloud onto the standard
-    Gaussian (entropic plan + barycentric projection; exact LP below the size
-    threshold).  ``gaussian_samples`` is either a target draw count or an
+    Gaussian (entropic plan + barycentric projection; exact plan below the
+    size threshold, its map averaged over the copies of each repeated source
+    point).  ``gaussian_samples`` is either a target draw count or an
     explicit cloud; unequal counts are equalized by seeded subsampling.
     """
     if hasattr(points, "states"):
@@ -470,7 +485,7 @@ def empirical_map_to_gaussian(points, gaussian_samples, epsilon: float = None,
     nu = empirical_from_samples(target)
     if points.shape[0] <= lp_threshold:
         res = solve_discrete_ot(mu, nu)
-        return EmpiricalMap(points, barycentric_map(res.plan), "lp")
+        return EmpiricalMap(points, _merged_barycenters(points, res.plan), "lp")
     res = sinkhorn(mu, nu, epsilon=epsilon, max_iter=max_iter, tol=tol)
     if not res.converged:
         raise RuntimeError(

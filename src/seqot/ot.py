@@ -27,9 +27,16 @@ MARGINAL_TOL = 1e-10
 DUAL_FEAS_TOL = 1e-9
 GAP_TOL = 1e-9
 MAX_LP_CELLS = 1_000_000  # n*m cap for the exact solver
-# HiGHS feasibility tolerances for every transport LP: its 1e-7 defaults let a
-# solution miss the marginals by more than MARGINAL_TOL
-_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+# HiGHS options for every transport LP.  Feasibility tolerances: the 1e-7
+# defaults let a solution miss the marginals by more than MARGINAL_TOL.
+# Presolve off: on a dense transportation LP it removes only the one redundant
+# equality row and no column, yet it and the postsolve re-solve cost about as
+# much as the simplex itself.  Without it, on a 2-core x86 box with scipy
+# 1.17.1, the 200 criterion-01 LPs take 12.8 s instead of 18.9 s and the
+# benchmark's exact_lp and invariant_orbits rounds 1.34 and 0.63 s instead of
+# 2.01 and 1.06 s, with the same optimal values
+_HIGHS_OPTIONS = {"presolve": False,
+                  "primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10}
 
 __all__ = [

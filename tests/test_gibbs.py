@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
+from seqot import gibbs
 from seqot.gibbs import (
     EmpiricalMap,
     GibbsAssumptionError,
@@ -23,8 +25,8 @@ from seqot.gibbs import (
     sample_decoupled_product,
     sample_periodic_gibbs,
 )
-from seqot.measures import Grid1D, gaussian_grid
-from seqot.ot import quantile_transport_1d
+from seqot.measures import Grid1D, _distinct_rows, gaussian_grid
+from seqot.ot import Coupling, _lp_result, cost_matrix, quantile_transport_1d
 
 
 def quartic_second_moment_oracle():
@@ -203,26 +205,84 @@ class TestEmpiricalMap:
         s = sample_periodic_gibbs(quartic_spec(0.0), 0, 250, seed=7)
         m = empirical_map_to_gaussian(s.states, 250, seed=13)
         assert m.method == "lp"
-        # sorted matching: the map's value multiset is the target cloud and
-        # the pairing is monotone wherever source points strictly increase
-        # (MCMC rejections duplicate states; ties may be assigned either way)
+        # sorted matching, with each state the MCMC repeats (rejections) sent
+        # to the mean of the sorted targets at its ranks
         target = np.random.default_rng(np.random.SeedSequence((13, 0x9a))).standard_normal((250, 1))
-        assert np.allclose(np.sort(m.values[:, 0]), np.sort(target[:, 0]), atol=1e-12)
-        order = np.argsort(m.source_points[:, 0], kind="stable")
-        src_sorted = m.source_points[order, 0]
-        val_sorted = m.values[order, 0]
-        strict = np.diff(src_sorted) > 0
-        assert np.all(np.diff(val_sorted)[strict] >= -1e-12)
         xs = np.sort(s.states[:, 0])
         ys = np.sort(target[:, 0])
-        assert np.mean((m.values[:, 0] - m.source_points[:, 0]) ** 2) == pytest.approx(
-            np.mean((xs - ys) ** 2), abs=1e-10)
+        distinct, first, counts = np.unique(xs, return_index=True, return_counts=True)
+        assert np.any(counts > 1)
+        means = np.add.reduceat(ys, first) / counts
+        oracle = means[np.searchsorted(distinct, m.source_points[:, 0])]
+        assert np.allclose(m.values[:, 0], oracle, atol=1e-12)
 
     def test_out_of_sample_extension_continuity(self):
         s = sample_periodic_gibbs(quartic_spec(0.0), 1, 400, seed=9)
         m = empirical_map_to_gaussian(s.states, 400, epsilon=0.2, seed=3, tol=1e-6)
         inside = m.evaluate(m.source_points[:5])
         assert np.allclose(inside, m.values[:5], atol=0.05)
+
+
+def rotate_copies(res):
+    """The same optimal plan with each repeated source point's rows handed
+    round among its copies: another tie-break of the solver."""
+    _, group = _distinct_rows(res.plan.source.points)
+    w = res.plan.weights.copy()
+    for k in np.flatnonzero(np.bincount(group) > 1):
+        rows = np.flatnonzero(group == k)
+        w[rows] = w[np.roll(rows, 1)]
+    return replace(res, plan=Coupling(res.plan.source, res.plan.target, w))
+
+
+class TestTieBreakIndependence:
+    """The exact-plan map is a function of the optimal plan's mass per
+    distinct source point, not of how a solver splits it among copies."""
+
+    def cloud(self):
+        s = sample_periodic_gibbs(quartic_spec(0.1), 1, 200, seed=17)
+        assert len(_distinct_rows(s.states)[0]) < 200
+        return s.states
+
+    def rotated_solver(self, monkeypatch):
+        solve = gibbs.solve_discrete_ot
+        rotated = []
+
+        def solve_rotated(mu, nu):
+            res = solve(mu, nu)
+            other = rotate_copies(res)
+            rotated.append(not np.array_equal(other.plan.weights, res.plan.weights))
+            return other
+        monkeypatch.setattr(gibbs, "solve_discrete_ot", solve_rotated)
+        return rotated
+
+    def test_values_identical_under_rotated_copies(self, monkeypatch):
+        pts = self.cloud()
+        base = empirical_map_to_gaussian(pts, 200, seed=5)
+        rotated = self.rotated_solver(monkeypatch)
+        other = empirical_map_to_gaussian(pts, 200, seed=5)
+        assert rotated == [True]
+        assert np.array_equal(other.values, base.values)
+        # every copy of a point gets the value its nearest-source lookup returns
+        assert np.array_equal(other.evaluate(pts), other.values)
+
+    def test_lp_plan_gives_the_same_values(self, monkeypatch):
+        pts = self.cloud()
+        base = empirical_map_to_gaussian(pts, 200, seed=5)
+        assert base.method == "lp"
+        monkeypatch.setattr(gibbs, "solve_discrete_ot",
+                            lambda mu, nu: _lp_result(mu, nu, cost_matrix(mu, nu), 0.0))
+        other = empirical_map_to_gaussian(pts, 200, seed=5)
+        # HiGHS masses are 1/n only to within an ulp, so not bit-identical
+        assert np.allclose(other.values, base.values, rtol=0, atol=1e-12)
+        assert np.array_equal(other.evaluate(pts), other.values)
+
+    def test_d_estimate_identical_under_rotated_copies(self, monkeypatch):
+        args = dict(spec=quartic_spec(0.1), m_list=[1], n=2, samples=600,
+                    epsilon=0.1, seed=3, ot_points=200, replicates=3)
+        base = cauchy_convergence_experiment(**args)
+        rotated = self.rotated_solver(monkeypatch)
+        assert cauchy_convergence_experiment(**args) == base
+        assert any(rotated)
 
 
 class TestEquivariance:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ from seqot.ot import (
     GAP_TOL,
     MARGINAL_TOL,
     Coupling,
-    _lp_result,
+    _HIGHS_OPTIONS,
     barycentric_map,
     check_cyclical_monotonicity,
     cost_matrix,
@@ -126,6 +127,45 @@ small_instances = st.builds(
     st.integers(0, 2 ** 32 - 1))
 
 
+def degenerate_instance(seed, kind):
+    """A weighted instance of up to 8 x 8 atoms with degenerate structure:
+    integer-grid points (many tied costs), duplicate atoms carrying different
+    weights, or weights spread over 1e-6..1."""
+    rng = np.random.default_rng(seed)
+    n, m = (int(k) for k in rng.integers(2, 9, size=2))
+    d = int(rng.integers(1, 4))
+    if kind == "integer":
+        x, y = rng.integers(0, 3, size=(n, d)), rng.integers(0, 3, size=(m, d))
+    elif kind == "duplicates":
+        pool = rng.normal(size=(3, d))
+        x, y = pool[rng.integers(0, 3, size=n)], pool[rng.integers(0, 3, size=m)]
+    else:
+        x, y = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    if kind == "spread":
+        a, b = 10.0 ** rng.uniform(-6, 0, size=n), 10.0 ** rng.uniform(-6, 0, size=m)
+    else:
+        a, b = rng.random(n) + 1e-3, rng.random(m) + 1e-3
+    return DiscreteMeasure(x, a), DiscreteMeasure(y, b)
+
+
+weighted_instances = st.one_of(
+    small_instances,
+    st.builds(degenerate_instance, st.integers(0, 2 ** 32 - 1),
+              st.sampled_from(["integer", "duplicates", "spread"])))
+
+
+def highs_value(mu, nu, c):
+    """Optimal value of the transportation LP from a separate HiGHS solve, with
+    its presolve on."""
+    n, m = c.shape
+    a_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+    res = linprog(c.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.weights, nu.weights]),
+                  bounds=(0, None), method="highs",
+                  options={**_HIGHS_OPTIONS, "presolve": True})
+    assert res.status == 0
+    return res.fun
+
+
 def assert_exact_certificates(mu, nu, res):
     c = cost_matrix(mu, nu)
     w = res.plan.weights
@@ -136,11 +176,11 @@ def assert_exact_certificates(mu, nu, res):
     assert abs(res.gap) <= tol
     assert res.gap == res.value - res.dual.value(mu, nu)  # signed, not |gap|
     # the value equals a direct HiGHS solve of the same cost
-    assert abs(res.value - _lp_result(mu, nu, c, 0.0).value) <= tol
+    assert abs(res.value - highs_value(mu, nu, c)) <= tol
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_instances)
+@settings(max_examples=120, deadline=None)
+@given(weighted_instances)
 def test_exact_solver_certificates(instance):
     mu, nu = instance
     assert_exact_certificates(mu, nu, solve_discrete_ot(mu, nu))
