@@ -462,6 +462,16 @@ def validate_config(config: ExperimentConfig) -> list:
             add(e.name, False, str(e))
         except malformed as e:
             add("potential specification well formed", False, str(e))
+        add("ring half-width n is an integer >= 1", _int_at_least(params["n"], 1))
+        try:
+            add("block half-widths satisfy 0 <= m < n",
+                all(_int_at_least(m, 0) and m < params["n"] for m in params["m_list"]))
+        except malformed as e:
+            add("block half-widths satisfy 0 <= m < n", False, str(e))
+        add("at least one transport point per replicate",
+            _int_at_least(params["ot_points"], 1))
+        add("at least two replicates for a standard error",
+            _int_at_least(params["replicates"], 2))
         try:
             add("replicate blocks fit in the sample",
                 params["replicates"] * params["ot_points"] <= params["samples"])

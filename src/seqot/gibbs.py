@@ -71,6 +71,28 @@ class GibbsParams:
             raise ValueError("need N >= 2 and L >= 1")
 
 
+def _horner(c: np.ndarray, x, y=None):
+    """sum_k c[k] x^k, or sum_kl c[k, l] x^k y^l with x broadcast against y.
+
+    Horner's rule in numpy.polynomial's operation order (``c[-1] + x*0``,
+    then ``c[k] + r*x``; for two variables the pass in x over the rows of c,
+    then the pass in y), so every value equals ``polyval``/``polyval2d``'s
+    bit for bit, without their per-call dispatch.
+    """
+    x = np.asarray(x)
+    c = c.reshape(c.shape + (1,) * x.ndim)
+    r = c[-1] + x * 0
+    for k in range(len(c) - 2, -1, -1):
+        r = c[k] + r * x
+    if y is None:
+        return r
+    y = np.asarray(y)
+    s = r[-1] + y * 0
+    for k in range(len(r) - 2, -1, -1):
+        s = r[k] + s * y
+    return s
+
+
 class GibbsSpec:
     """Polynomial site potential V and symmetric polynomial pair potential W.
 
@@ -97,16 +119,16 @@ class GibbsSpec:
 
     # potential evaluation -------------------------------------------------
     def v(self, x):
-        return npoly.polyval(x, self.v_coeffs)
+        return _horner(self.v_coeffs, x)
 
     def vp(self, x):
-        return npoly.polyval(x, self._vp_coeffs)
+        return _horner(self._vp_coeffs, x)
 
     def w(self, x, y):
-        return npoly.polyval2d(x, y, self.w_coeffs)
+        return _horner(self.w_coeffs, x, y)
 
     def wx(self, x, y):
-        return npoly.polyval2d(x, y, self._wx_coeffs)
+        return _horner(self._wx_coeffs, x, y)
 
     @property
     def coupled(self) -> bool:
@@ -264,38 +286,49 @@ def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
     """Metropolis sampler for exp(-sum V(x_i) - sum_bonds W) on a bond graph.
 
     Vectorized across independent chains; site sweeps are sequential so the
-    output is bitwise reproducible from the seed.
+    output is bitwise reproducible from the seed.  The state is held
+    site-major, and each site update evaluates V once on the stacked
+    [proposal; current] rows and W once on them against all the site's
+    neighbours.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     nbrs = _site_neighbors(num_sites, bonds)
+    others = [np.array([j for j, _ in nb if j != i], dtype=np.intp)
+              for i, nb in enumerate(nbrs)]
     chains = config.num_chains
     keep_per_chain = -(-num_samples // chains)  # ceil
     steps = np.full(num_sites, config.step_init)
-    x = rng.standard_normal((chains, num_sites)) * 0.5
+    x = np.ascontiguousarray(rng.standard_normal((chains, num_sites)).T) * 0.5
+    pair = np.empty((2, chains))  # [proposal; current]; x is (sites, chains)
 
     use_w = spec.coupled
+    # acceptance is summed sweep by sweep as the fraction k / chains, which
+    # fixes its rounding whatever the chain count
     accept_count = np.zeros(num_sites)
     accept_total = np.zeros(num_sites)
-    window = np.zeros(num_sites)
 
     def sweep(adapting: bool):
-        nonlocal x
         for i in range(num_sites):
-            prop = x[:, i] + steps[i] * rng.standard_normal(chains)
-            delta = spec.v(prop) - spec.v(x[:, i])
+            pair[0] = x[i] + steps[i] * rng.standard_normal(chains)
+            pair[1] = x[i]
+            v = spec.v(pair)
+            delta = v[0] - v[1]
             if use_w:
+                w_nb = iter(spec.w(pair[:, None], x[others[i]]).swapaxes(0, 1))
                 for j, mult in nbrs[i]:
                     if j == i:
-                        delta += mult / 2.0 * (spec.w(prop, prop) - spec.w(x[:, i], x[:, i]))
+                        w_self = spec.w(pair, pair)
+                        delta += mult / 2.0 * (w_self[0] - w_self[1])
                     else:
-                        delta += mult * (spec.w(prop, x[:, j]) - spec.w(x[:, i], x[:, j]))
+                        w_j = next(w_nb)
+                        delta += mult * (w_j[0] - w_j[1])
             acc = rng.random(chains) < np.exp(np.minimum(-delta, 0.0))
-            x[:, i] = np.where(acc, prop, x[:, i])
+            np.copyto(x[i], pair[0], where=acc)
+            frac = np.count_nonzero(acc) / chains
             if adapting:
-                accept_count[i] += acc.mean()
+                accept_count[i] += frac
             else:
-                accept_total[i] += acc.mean()
-                window[i] += 1.0
+                accept_total[i] += frac
 
     for s in range(config.burn_in):
         sweep(adapting=True)
@@ -308,9 +341,9 @@ def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
     for k in range(keep_per_chain):
         for _ in range(config.thinning):
             sweep(adapting=False)
-        kept[k] = x
+        kept[k] = x.T
     states = kept.reshape(keep_per_chain * chains, num_sites)[:num_samples]
-    acceptance = accept_total / np.maximum(window, 1.0)
+    acceptance = accept_total / max(keep_per_chain * config.thinning, 1)
     return states, acceptance, steps
 
 

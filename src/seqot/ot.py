@@ -434,11 +434,14 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
         kernel = np.exp((f[:, None] + g[None, :] - c) / eps)
         u = np.ones(len(mu))
         v = np.ones(len(nu))
+        ku = None  # K (v b) from the last row check, reused by the u-update
         for it in range(stage_iters):
-            ku = kernel @ (v * b)
+            if ku is None:
+                ku = kernel @ (v * b)
             u = 1.0 / np.maximum(ku, 1e-300)
             kv = kernel.T @ (u * a)
             v = 1.0 / np.maximum(kv, 1e-300)
+            ku = None
             total_iter += 1
             logs = max(np.max(np.abs(np.log(u))), np.max(np.abs(np.log(v))))
             if logs > absorb_cap:
@@ -451,7 +454,8 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
             if last_stage and (it % 10 == 9 or it == stage_iters - 1):
                 # columns are exact right after the v-update; the total
                 # variation drift lives in the rows
-                row = a * u * (kernel @ (v * b))
+                ku = kernel @ (v * b)
+                row = a * u * ku
                 violation = 0.5 * float(np.abs(row - a).sum())
                 if violation <= tol:
                     break

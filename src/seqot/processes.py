@@ -285,6 +285,7 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
     # pairwise comparison: block map vs decoupled (T_m, T_{m,n}) with the
     # exact discrete decoupling entropy
     shape = (nodes,) * width
+    split_terms = {}  # split -> (D, entropy); pairs with the same split share it
     pair_rows = []
     for mi, m in enumerate(n_list):
         for n in n_list[mi + 1:]:
@@ -299,6 +300,8 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
             split = min(m, width)
             if split == width:
                 d_val, ent = 0.0, 0.0
+            elif split in split_terms:
+                d_val, ent = split_terms[split]
             else:
                 axes_a = tuple(range(split))
                 axes_b = tuple(range(split, width))
@@ -309,6 +312,7 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
                 t_split = np.concatenate([t_a, t_b], axis=1)
                 d_val = float(np.sum(mu_w * np.sum((t_split - t_block) ** 2, axis=1)))
                 ent = _decoupling_entropy(mu_w, shape, axes_a)
+                split_terms[split] = d_val, ent
             bound = 2.0 / k_const * ent
             pair_rows.append({
                 "m": m, "n": n, "D": d_val, "entropy": ent, "bound": bound,

@@ -236,6 +236,19 @@ class TestValidate:
         assert main(["run", cfg]) == 2
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("params", [
+        {"n": 0}, {"m_list": [5]}, {"ot_points": 0}, {"replicates": 1},
+    ])
+    def test_gibbs_cauchy_range_errors_exit_2(self, tmp_path, capsys, params):
+        cfg = write_config(tmp_path, "gibbs_cauchy", seed=1, params=params,
+                           output_dir=str(tmp_path / "out"))
+        assert main(["validate", cfg]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] is False
+        assert main(["run", cfg]) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
 class TestReproducibility:
     @staticmethod
     def canonical(report_path):

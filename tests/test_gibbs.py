@@ -1,8 +1,13 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.polynomial import polynomial as npoly
 from scipy.special import gamma as gamma_fn
 
 from seqot import gibbs
@@ -81,7 +86,67 @@ class TestGibbsSpec:
         assert not clone.coupled
 
 
+finite = st.floats(-3.0, 3.0, allow_nan=False, width=64)
+
+
+@st.composite
+def potentials_and_points(draw):
+    v = draw(hnp.arrays(float, st.integers(1, 6), elements=finite))
+    k = draw(st.integers(1, 4))
+    upper = draw(hnp.arrays(float, (k, k), elements=finite))
+    w = np.triu(upper) + np.triu(upper, 1).T  # symmetric
+    size = draw(st.integers(1, 9))
+    x = draw(hnp.arrays(float, size, elements=finite))
+    y = draw(hnp.arrays(float, size, elements=finite))
+    return v, w, x, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(potentials_and_points())
+def test_potentials_equal_numpy_polynomial_bitwise(args):
+    v, w, x, y = args
+    # bypass the growth probes: only the evaluation order is under test
+    spec = GibbsSpec.__new__(GibbsSpec)
+    spec.v_coeffs, spec.w_coeffs = v, w
+    spec._vp_coeffs = npoly.polyder(v)
+    spec._wx_coeffs = npoly.polyder(w, axis=0)
+    gx, gy = np.meshgrid(x, y, indexing="ij")
+    for a, b in ((x, y), (gx, gy)):
+        assert np.array_equal(spec.v(a), npoly.polyval(a, v))
+        assert np.array_equal(spec.vp(a), npoly.polyval(a, spec._vp_coeffs))
+        assert np.array_equal(spec.w(a, b), npoly.polyval2d(a, b, w))
+        assert np.array_equal(spec.wx(a, b), npoly.polyval2d(a, b, spec._wx_coeffs))
+
+
 class TestSampler:
+    # sha256 of the states, acceptance and step bytes, recorded with the
+    # numpy.polynomial evaluation and chain-major state (numpy 2.4, x86-64)
+    SHORT = MCMCConfig(burn_in=50, thinning=2, adapt_interval=25)
+    PINNED = {
+        "coupled ring": (
+            0.1, 5, gibbs.ring_bonds(5), SHORT,
+            "8dec6de5b668c1a98c8737b2ab09c30a92e7e5efac215a2de610d762a86ed401"),
+        "coupled path": (
+            0.1, 3, gibbs.path_bonds(3), SHORT,
+            "e05662cf9ab4b553e5bb5f70a10ea3aa3f38946702912cddfa0c316834000273"),
+        "self-bonded site": (
+            0.1, 1, gibbs.ring_bonds(1), SHORT,
+            "d6d8b3be84e0accbfb5d421834898808ce0575a8c9b4ec9d811f63c846b87d79"),
+        "uncoupled ring": (
+            0.0, 5, gibbs.ring_bonds(5), SHORT,
+            "167e1b2764489927fc3e2952cba09ad729ec51fff24ea640ae0fc8ef56bc759a"),
+        "24 chains": (
+            0.5, 5, gibbs.ring_bonds(5), replace(SHORT, num_chains=24),
+            "4f8fc79dcf9c32ea4a7faa096eb9ede7056fa32b7d1fa2c8e1ee1823b0c5e24e"),
+    }
+
+    @pytest.mark.parametrize("case", PINNED)
+    def test_sampler_output_bits_pinned(self, case):
+        coupling, sites, bonds, config, digest = self.PINNED[case]
+        out = gibbs._sample_sites(quartic_spec(coupling), sites, bonds, 300, 77, config)
+        data = b"".join(np.ascontiguousarray(a).tobytes() for a in out)
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_bitwise_reproducibility(self):
         a = sample_periodic_gibbs(quartic_spec(0.1), 2, 500, seed=99)
         b = sample_periodic_gibbs(quartic_spec(0.1), 2, 500, seed=99)

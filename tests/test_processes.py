@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from seqot import processes
+from seqot.cli import EXPERIMENTS, run_quasi_product
 from seqot.measures import gaussian1d, gaussian_grid, mixture_grid
 from seqot.processes import (
     HypothesisError,
@@ -256,3 +258,16 @@ def test_spec_serialization_round_trips():
     prod2 = ProductSpec.from_dict(json.loads(json.dumps(prod.to_dict())))
     assert prod2.dim == 2
     assert np.allclose(prod2.factors[1].density, prod.factors[1].density)
+
+
+def test_quasi_product_solves_each_split_once(monkeypatch):
+    # default run: the block LP plus both sub-block LPs of split 1, which the
+    # pairs (1, 2) and (1, 3) share; the pair (2, 3) needs no split
+    calls = []
+    solve = processes.solve_discrete_ot
+    monkeypatch.setattr(processes, "solve_discrete_ot",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    rep, _, _ = run_quasi_product(EXPERIMENTS["quasi_product"].defaults, None)
+    assert len(calls) == 3
+    first, second = rep.pair_rows[:2]
+    assert (first["D"], first["entropy"]) == (second["D"], second["entropy"])
