@@ -504,6 +504,8 @@ def validate_config(config: ExperimentConfig) -> list:
             add("block split valid", 0 < params["m"] < params["n"])
         except malformed as e:
             add("block split valid", False, str(e))
+        add("at least two samples for a standard error",
+            _int_at_least(params["samples"], 2))
     elif name == "ot_basic":
         add("at least one instance", _int_at_least(params["num_instances"], 1))
         add("atom and dimension bounds valid",
@@ -517,11 +519,34 @@ def validate_config(config: ExperimentConfig) -> list:
             except malformed as e:
                 add(f"{key} mixture well formed", False, str(e))
     elif name == "no_map":
+        for key in ("a", "b"):
+            try:
+                _measure_1d(params[key])
+                add(f"component {key} is a nonempty 1D law with matching weights", True)
+            except malformed as e:
+                add(f"component {key} is a nonempty 1D law with matching weights",
+                    False, str(e))
+    elif name == "quasi_product":
+        # the source tilt reads the first two coordinates
+        add("dimension covers the tilt width (an integer >= 2)",
+            _int_at_least(params["dim"], 2))
+        add("at least two nodes per axis", _int_at_least(params["nodes"], 2))
+    elif name == "lemma21":
+        for key in ("mu", "nu"):
+            try:
+                _law_1d(params[key])
+                add(f"{key} law well formed", True)
+            except malformed as e:
+                add(f"{key} law well formed", False, str(e))
         try:
-            add("components are 1D with matching weights",
-                len(params["a"]["points"]) == len(params["a"]["weights"]))
+            add("shift t is nonnegative", params["t"] >= 0)
         except malformed as e:
-            add("components are 1D with matching weights", False, str(e))
+            add("shift t is nonnegative", False, str(e))
+        try:
+            _bounds._check_conjugate(params["p"], params["q"])
+            add("p and q are conjugate exponents", True)
+        except malformed as e:
+            add("p and q are conjugate exponents", False, str(e))
     return checks
 
 

@@ -282,35 +282,58 @@ def _site_neighbors(num_sites: int, bonds) -> list:
 
 
 def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
-                  seed: int, config: MCMCConfig):
-    """Metropolis sampler for exp(-sum V(x_i) - sum_bonds W) on a bond graph.
+                  seeds, config: MCMCConfig) -> list:
+    """Metropolis samplers for exp(-sum V(x_i) - sum_bonds W) on a bond graph,
+    one per seed, run in lockstep; returns one (states, acceptance, steps)
+    per seed.
 
-    Vectorized across independent chains; site sweeps are sequential so the
-    output is bitwise reproducible from the seed.  The state is held
-    site-major, and each site update evaluates V once on the stacked
-    [proposal; current] rows and W once on them against all the site's
-    neighbours.
+    Each seed owns a lane of ``config.num_chains`` independent chains and its
+    own random stream, drawn in the order a sampler run alone draws it, so
+    every lane is bitwise the output of its seed alone.  Site sweeps are
+    sequential.  The state is held site-major, ``(sites, lanes * chains)``,
+    and each site update evaluates V once on the stacked [proposal; current]
+    rows and W once on them against all the site's neighbours, for all lanes
+    at once.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in seeds]
+    lanes = len(rngs)
     nbrs = _site_neighbors(num_sites, bonds)
     others = [np.array([j for j, _ in nb if j != i], dtype=np.intp)
               for i, nb in enumerate(nbrs)]
     chains = config.num_chains
+    width = lanes * chains
     keep_per_chain = -(-num_samples // chains)  # ceil
-    steps = np.full(num_sites, config.step_init)
-    x = np.ascontiguousarray(rng.standard_normal((chains, num_sites)).T) * 0.5
-    pair = np.empty((2, chains))  # [proposal; current]; x is (sites, chains)
+    steps = np.full((num_sites, lanes), config.step_init)
+    chain_steps = np.repeat(steps, chains, axis=1)  # refreshed at each adaptation
+    x = np.empty((num_sites, width))  # site-major; lane k is the k-th column block
+    for rng, lane in zip(rngs, np.split(x, lanes, axis=1)):
+        lane[:] = rng.standard_normal((chains, num_sites)).T
+    x *= 0.5
+    pair = np.empty((2, width))  # [proposal; current]
+    proposal, current = pair
+    rows, step_rows = list(x), list(chain_steps)  # views, updated in place
+    noise = np.empty(width)
+    unif = np.empty(width)
+    acc = np.empty(width, dtype=bool)
+    normals = list(zip([rng.standard_normal for rng in rngs], np.split(noise, lanes)))
+    uniforms = list(zip([rng.random for rng in rngs], np.split(unif, lanes)))
+    lane_acc = np.split(acc, lanes)
 
     use_w = spec.coupled
     # acceptance is summed sweep by sweep as the fraction k / chains, which
     # fixes its rounding whatever the chain count
-    accept_count = np.zeros(num_sites)
-    accept_total = np.zeros(num_sites)
+    accept_count = np.zeros((num_sites, lanes))
+    accept_total = np.zeros((num_sites, lanes))
 
     def sweep(adapting: bool):
+        tally = accept_count if adapting else accept_total
         for i in range(num_sites):
-            pair[0] = x[i] + steps[i] * rng.standard_normal(chains)
-            pair[1] = x[i]
+            for normal, z in normals:
+                normal(out=z)
+            # step * z + x, the bits of x + step * z
+            np.multiply(step_rows[i], noise, out=proposal)
+            np.add(proposal, rows[i], out=proposal)
+            current[:] = rows[i]
             v = spec.v(pair)
             delta = v[0] - v[1]
             if use_w:
@@ -322,29 +345,30 @@ def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
                     else:
                         w_j = next(w_nb)
                         delta += mult * (w_j[0] - w_j[1])
-            acc = rng.random(chains) < np.exp(np.minimum(-delta, 0.0))
-            np.copyto(x[i], pair[0], where=acc)
-            frac = np.count_nonzero(acc) / chains
-            if adapting:
-                accept_count[i] += frac
-            else:
-                accept_total[i] += frac
+            for uniform, u in uniforms:
+                uniform(out=u)
+            np.less(unif, np.exp(np.minimum(-delta, 0.0)), out=acc)
+            np.copyto(rows[i], proposal, where=acc)
+            row = tally[i]
+            for k, a in enumerate(lane_acc):
+                row[k] += np.count_nonzero(a) / chains
 
     for s in range(config.burn_in):
         sweep(adapting=True)
         if (s + 1) % config.adapt_interval == 0:
             rate = accept_count / config.adapt_interval
             steps *= np.exp(0.8 * (rate - config.target_accept))
+            chain_steps[:] = np.repeat(steps, chains, axis=1)
             accept_count[:] = 0.0
 
-    kept = np.empty((keep_per_chain, chains, num_sites))
+    kept = np.empty((lanes, keep_per_chain, chains, num_sites))
     for k in range(keep_per_chain):
         for _ in range(config.thinning):
             sweep(adapting=False)
-        kept[k] = x.T
-    states = kept.reshape(keep_per_chain * chains, num_sites)[:num_samples]
+        kept[:, k] = x.T.reshape(lanes, chains, num_sites)
     acceptance = accept_total / max(keep_per_chain * config.thinning, 1)
-    return states, acceptance, steps
+    return [(kept[k].reshape(keep_per_chain * chains, num_sites)[:num_samples],
+             acceptance[:, k].copy(), steps[:, k].copy()) for k in range(lanes)]
 
 
 def _batch_means(x: np.ndarray, b: int):
@@ -390,8 +414,8 @@ def sample_periodic_gibbs(spec: GibbsSpec, n: int, num_samples: int, seed: int,
     if n < 0:
         raise ValueError("n must be >= 0")
     num_sites = 2 * n + 1
-    states, acceptance, steps = _sample_sites(
-        spec, num_sites, ring_bonds(num_sites), num_samples, seed, config)
+    [(states, acceptance, steps)] = _sample_sites(
+        spec, num_sites, ring_bonds(num_sites), num_samples, [seed], config)
     tuning_ok = bool(np.all((acceptance >= 0.05) & (acceptance <= 0.95)))
     if not tuning_ok:
         warnings.warn(f"MCMC tuning failure: acceptance rates {acceptance}",
@@ -637,14 +661,14 @@ def sample_decoupled_product(spec: GibbsSpec, n: int, m: int, num_samples: int,
     complementary open chain (bonds along m+1..n, the wrap to -n, up to -m-1)."""
     d = 2 * n + 1
     dm = 2 * m + 1
-    ring, _, _ = _sample_sites(spec, dm, ring_bonds(dm), num_samples,
-                               seed, config)
+    [(ring, _, _)] = _sample_sites(spec, dm, ring_bonds(dm), num_samples,
+                                   [seed], config)
     block_size = d - dm
     states = np.empty((num_samples, d))
     states[:, n - m: n + m + 1] = ring
     if block_size > 0:
-        block, _, _ = _sample_sites(spec, block_size, path_bonds(block_size),
-                                    num_samples, seed + 1, config)
+        [(block, _, _)] = _sample_sites(spec, block_size, path_bonds(block_size),
+                                        num_samples, [seed + 1], config)
         # path order: lattice m+1..n then -n..-m-1
         right = block[:, : n - m]
         left = block[:, n - m:]
@@ -696,22 +720,27 @@ def _replicate_d(spec: GibbsSpec, states: np.ndarray, n: int, m_list, ot_points:
     """Per-replicate estimates of D(m) = E || T_n - (T_m ⊕ T_{m,n}) ||^2."""
     d = 2 * n + 1
     out = {m: [] for m in m_list}
+    # every replicate's ring blocks, then its path blocks, run as lanes of
+    # one sampler per m
+    rings = {m: _sample_sites(spec, 2 * m + 1, ring_bonds(2 * m + 1), ot_points,
+                              [seed + 7919 * r + 13 * m for r in range(replicates)],
+                              config)
+             for m in m_list}
+    paths = {m: _sample_sites(spec, d - (2 * m + 1), path_bonds(d - (2 * m + 1)),
+                              ot_points,
+                              [seed + 15485863 * r + 19 * m for r in range(replicates)],
+                              config)
+             for m in m_list}
     for r in range(replicates):
         block = states[r * ot_points: (r + 1) * ot_points]
         t_n = empirical_map_to_gaussian(block, ot_points, epsilon=epsilon,
                                         seed=seed + 101 * r, tol=tol)
         for m in m_list:
             inner, outer = _block_slots(n, m)
-            ring_states, _, _ = _sample_sites(
-                spec, 2 * m + 1, ring_bonds(2 * m + 1), ot_points,
-                seed + 7919 * r + 13 * m, config)
-            t_inner = empirical_map_to_gaussian(ring_states, ot_points,
+            t_inner = empirical_map_to_gaussian(rings[m][r][0], ot_points,
                                                 epsilon=epsilon, tol=tol,
                                                 seed=seed + 104729 * r + 17 * m)
-            block_states, _, _ = _sample_sites(
-                spec, d - (2 * m + 1), path_bonds(d - (2 * m + 1)), ot_points,
-                seed + 15485863 * r + 19 * m, config)
-            t_outer = empirical_map_to_gaussian(block_states, ot_points,
+            t_outer = empirical_map_to_gaussian(paths[m][r][0], ot_points,
                                                 epsilon=epsilon, tol=tol,
                                                 seed=seed + 32452843 * r + 23 * m)
             tilde = np.empty((block.shape[0], d))

@@ -378,17 +378,26 @@ def quantile_transport_1d(mu, nu, resolution: int = 10_000) -> Monotone1DMap:
 
 
 def _round_to_marginals(p, a, b):
-    """Project an almost-feasible plan onto the transportation polytope."""
+    """Project an almost-feasible plan onto the transportation polytope, in
+    place."""
     r = p.sum(axis=1)
-    p = p * np.minimum(a / np.where(r > 0, r, 1.0), 1.0)[:, None]
+    p *= np.minimum(a / np.where(r > 0, r, 1.0), 1.0)[:, None]
     col = p.sum(axis=0)
-    p = p * np.minimum(b / np.where(col > 0, col, 1.0), 1.0)[None, :]
+    p *= np.minimum(b / np.where(col > 0, col, 1.0), 1.0)[None, :]
     ea = a - p.sum(axis=1)
     eb = b - p.sum(axis=0)
     s = ea.sum()
     if s > 1e-300:
-        p = p + np.outer(ea, eb) / s
+        p += np.outer(ea, eb) / s
     return p
+
+
+def _exponent(f, g, c, eps, out):
+    """(f_i + g_j - c_ij) / eps, written into ``out``."""
+    np.add.outer(f, g, out=out)
+    out -= c
+    out /= eps
+    return out
 
 
 def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float = 0.1,
@@ -428,10 +437,11 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
     violation = np.inf
     absorb_cap = 25.0  # |log scaling| beyond this is folded into the potentials
 
+    kernel = np.empty_like(c)  # every kernel, then the plan, in one buffer
     for stage, eps in enumerate(ladder):
         last_stage = stage == len(ladder) - 1
         stage_iters = max_iter if last_stage else 12
-        kernel = np.exp((f[:, None] + g[None, :] - c) / eps)
+        np.exp(_exponent(f, g, c, eps, kernel), out=kernel)
         u = np.ones(len(mu))
         v = np.ones(len(nu))
         ku = None  # K (v b) from the last row check, reused by the u-update
@@ -447,7 +457,7 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
             if logs > absorb_cap:
                 f = f + eps * np.log(u)
                 g = g + eps * np.log(v)
-                kernel = np.exp((f[:, None] + g[None, :] - c) / eps)
+                np.exp(_exponent(f, g, c, eps, kernel), out=kernel)
                 u = np.ones(len(mu))
                 v = np.ones(len(nu))
                 continue
@@ -464,9 +474,10 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
         if last_stage:
             break
     converged = violation <= tol
-    p = np.exp((f[:, None] + g[None, :] - c) / epsilon
-               + log_a[:, None] + log_b[None, :])
-    p = _round_to_marginals(p, a, b)
+    _exponent(f, g, c, epsilon, kernel)
+    kernel += log_a[:, None]
+    kernel += log_b[None, :]
+    p = _round_to_marginals(np.exp(kernel, out=kernel), a, b)
     plan = Coupling(mu, nu, p)
     return SinkhornResult(plan, float(np.sum(p * c)), converged, total_iter,
                           float(violation), epsilon, f, g)

@@ -226,6 +226,12 @@ class TestValidate:
          {"seed": 1, "params": {"instance": "random", "group": 5}}),
         ("ot_basic", {"seed": 1, "params": {"max_atoms": 1}}),
         ("definetti", {"params": {"mu": {"weights": [1.0]}}}),
+        ("quasi_product", {"params": {"dim": 0}}),
+        ("quasi_product", {"params": {"nodes": "x"}}),
+        ("lemma21", {"params": {"t": -1}}),
+        ("lemma21", {"params": {"mu": {"mean": 0}}}),
+        ("mixture_entropy", {"seed": 1, "params": {"samples": 0}}),
+        ("no_map", {"params": {"a": {"points": [], "weights": []}}}),
     ])
     def test_malformed_nested_param_is_a_failed_check(self, tmp_path, capsys,
                                                       name, raw):

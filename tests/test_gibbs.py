@@ -143,9 +143,32 @@ class TestSampler:
     @pytest.mark.parametrize("case", PINNED)
     def test_sampler_output_bits_pinned(self, case):
         coupling, sites, bonds, config, digest = self.PINNED[case]
-        out = gibbs._sample_sites(quartic_spec(coupling), sites, bonds, 300, 77, config)
+        [out] = gibbs._sample_sites(quartic_spec(coupling), sites, bonds, 300, [77],
+                                    config)
         data = b"".join(np.ascontiguousarray(a).tobytes() for a in out)
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @settings(max_examples=30, deadline=None)
+    @given(chains=st.integers(1, 64), sites=st.integers(1, 5),
+           ring=st.booleans(), coupling=st.sampled_from([0.0, 0.1, 0.5]),
+           seeds=st.lists(st.integers(0, 2 ** 40), min_size=2, max_size=4),
+           extra=st.integers(0, 63))
+    def test_each_lane_is_its_seed_run_alone(self, chains, sites, ring, coupling,
+                                             seeds, extra):
+        # burn-in spans two adaptations; the sample size leaves a partial
+        # last row of chains
+        config = MCMCConfig(num_chains=chains, burn_in=10, thinning=2,
+                            adapt_interval=5)
+        bonds = gibbs.ring_bonds(sites) if ring else gibbs.path_bonds(sites)
+        spec = quartic_spec(coupling)
+        num_samples = 2 * chains + extra % chains + 1
+        lanes = gibbs._sample_sites(spec, sites, bonds, num_samples, seeds, config)
+        assert len(lanes) == len(seeds)
+        for seed, lane in zip(seeds, lanes):
+            [alone] = gibbs._sample_sites(spec, sites, bonds, num_samples, [seed],
+                                          config)
+            for a, b in zip(lane, alone):
+                assert a.shape == b.shape and np.array_equal(a, b)
 
     def test_bitwise_reproducibility(self):
         a = sample_periodic_gibbs(quartic_spec(0.1), 2, 500, seed=99)

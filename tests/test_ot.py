@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -302,6 +304,36 @@ class TestSinkhorn:
         res = sinkhorn(mu, nu, epsilon=0.05)
         assert np.max(np.abs(res.plan.weights.sum(1) - mu.weights)) < 1e-12
         assert np.max(np.abs(res.plan.weights.sum(0) - nu.weights)) < 1e-12
+
+    # sha256 of the plan, f and g bytes and the iteration count, recorded
+    # before the kernels were built in place (numpy 2.4, x86-64); "shifted"
+    # absorbs twice and "1d" five times, the latter without converging
+    @staticmethod
+    def _pinned_instances():
+        rng = np.random.default_rng(3)
+        yield ("weighted", DiscreteMeasure(rng.normal(size=(15, 2)), rng.random(15) + 0.1),
+               DiscreteMeasure(rng.normal(size=(11, 2)), rng.random(11) + 0.1), 0.05,
+               "1112f27b501ca90f5a8432278e0b040e66f7887f7c13f58a6529de22803569bb")
+        rng = np.random.default_rng(5)
+        mu = DiscreteMeasure(rng.normal(size=(10, 2)))
+        yield ("identical", mu, mu, 1e-3,
+               "6c99db479c065ec56b8b63dfcd94501d2dc7ab600b9b2973b747fe5067d7e49b")
+        rng = np.random.default_rng(19)
+        yield ("shifted", DiscreteMeasure(rng.normal(size=(12, 2))),
+               DiscreteMeasure(rng.normal(size=(14, 2)) + 0.5), 0.01,
+               "22eb031ea82049326e43c6b5496921226ccb04a1f725858885e596d98132d019")
+        rng = np.random.default_rng(41)
+        yield ("1d", DiscreteMeasure(rng.normal(size=(60, 1)), rng.random(60) + 0.05),
+               DiscreteMeasure(2.0 * rng.normal(size=(50, 1))), 1e-4,
+               "74e35063b477d373275b9ccee1fc68c96b0283eb769a81b2e9d12f576222644f")
+
+    def test_output_bits_pinned(self):
+        for name, mu, nu, eps, digest in self._pinned_instances():
+            res = sinkhorn(mu, nu, epsilon=eps)
+            data = b"".join(np.ascontiguousarray(a).tobytes()
+                            for a in (res.plan.weights, res.f, res.g))
+            data += str(res.iterations).encode()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
     def test_nonconvergence_is_flagged(self):
         rng = np.random.default_rng(4)
