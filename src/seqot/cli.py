@@ -6,6 +6,12 @@ Each run writes report.json (all computed quantities and assertions), data.csv
 codes: 0 all assertions pass, 1 assertion failure, 2 config rejected by
 ``validate`` or unparsable, 3 runtime failure.  The same config and seed
 reproduce report.json byte-for-byte apart from its timestamp field.
+
+Every param is declared once, in ``EXPERIMENTS``: its default and the parser
+that turns its JSON value into what the runner reads, plus a few named cross
+checks over several params.  ``validate`` reports one check per param and
+one per cross check; ``run`` applies the same checks first and hands the
+parsed values to the runner.
 """
 
 from __future__ import annotations
@@ -13,11 +19,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, fields, is_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +53,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config is a JSON object, got {raw!r}")
         allowed = {"experiment", "params", "seed", "output_dir"}
         unknown = set(raw) - allowed
         if unknown:
@@ -56,7 +66,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {name!r}; "
                               f"known: {sorted(EXPERIMENTS)}")
         entry = EXPERIMENTS[name]
-        params = dict(raw.get("params", {}))
+        params = raw.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"params must be an object, got {params!r}")
         bad = set(params) - set(entry.defaults)
         if bad:
             raise ConfigError(f"unknown params for {name}: {sorted(bad)}")
@@ -64,9 +76,15 @@ class ExperimentConfig:
         seed = raw.get("seed")
         if entry.stochastic and seed is None:
             raise ConfigError(f"experiment {name} is stochastic: a seed is required")
-        if seed is not None and not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
-        out = os.environ.get("OUTPUT_DIR", raw.get("output_dir", "."))
+        if seed is not None:
+            try:
+                _integer(0)(seed)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"seed: {e}")
+        # an empty OUTPUT_DIR counts as unset
+        out = os.environ.get("OUTPUT_DIR") or raw.get("output_dir", ".")
+        if not isinstance(out, str) or not out:
+            raise ConfigError(f"output_dir must be a nonempty path, got {out!r}")
         return cls(name, merged, seed, out)
 
     @classmethod
@@ -80,26 +98,115 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (results, series, assertions); results is a
-# dict or a result dataclass, which _to_jsonable writes out field by field
+# param parsers: each takes a param's JSON value and returns what the runner
+# reads, raising KeyError, TypeError or ValueError on a malformed value
+
+
+def _real(low: float = -math.inf, strict: bool = False, kind=(int, float)):
+    """A finite number of ``kind``, never a bool, >= low (> low when strict)."""
+    def parse(value):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "an integer" if kind is int else "a real number"
+            raise TypeError(f"expected {noun}, got {value!r}")
+        if (isinstance(value, float) and not math.isfinite(value)) or value < low \
+                or (strict and value == low):
+            raise ValueError(f"expected a finite value {'>' if strict else '>='} {low}, "
+                             f"got {value}")
+        return value
+    return parse
+
+
+def _integer(low: int):
+    return _real(low, kind=int)
+
+
+def _list_of(item):
+    """A nonempty list, each entry parsed by ``item``."""
+    def parse(value):
+        if not isinstance(value, list) or not value:
+            raise TypeError(f"expected a nonempty list, got {value!r}")
+        return [item(v) for v in value]
+    return parse
+
+
+def _one_of(*names):
+    def parse(value):
+        if value not in names:
+            raise ValueError(f"expected one of {names}, got {value!r}")
+        return value
+    return parse
+
+
+def _optional(parse):
+    return lambda value: None if value is None else parse(value)
+
+
+def _need(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+_positive = _real(0, strict=True)
+_reals, _positives = _list_of(_real()), _list_of(_positive)
+
+
+def _group_spec(value):
+    """A group name (trivial, sN, cN) or {dim, generators[, max_size]}; a
+    cross check resolves it with ``_group_by_name``."""
+    if not isinstance(value, (str, dict)):
+        raise TypeError(f"group must be a name or a generator dict, got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# cross checks: conditions over several parsed params.  Each raises ValueError
+# when it fails and may return derived values (a resolved group, a built
+# potential) that the runner reads under new names.
+
+
+class Check(NamedTuple):
+    name: str
+    reads: tuple            # params that must parse before the check runs
+    test: callable          # parsed params -> derived values or None
+    validate_only: bool = False  # run repeats it where the work is done
+
+
+def _invariant_group(p) -> dict:
+    if p["instance"] == "worked_s2":
+        return {"action": _inv.symmetric_group(2)}
+    return {"action": _group_by_name(p["group"])}
+
+
+def _no_map_group(p) -> dict:
+    group = _group_by_name(p["group"] or f"s{p['d']}", dim=p["d"])
+    _need(group.dim == p["d"], f"group acts on {group.dim} coordinates, d is {p['d']}")
+    return {"action": group}
+
+
+def _certified_k(p) -> None:
+    cert = _bounds.log_concavity_constant(p["target"])
+    _need(p["K"] <= cert + 1e-9, f"K={p['K']} exceeds the certified constant {cert:.6g}")
+
+
+# ---------------------------------------------------------------------------
+# experiment runners, each after the nested parsers of its params: a runner
+# takes the parsed params and the seed and returns (results, series,
+# assertions); results is a dict or a result dataclass, which _to_jsonable
+# writes out field by field
 
 
 def _group_by_name(spec, dim: int = None) -> _inv.GroupAction:
     """Resolve a group param: a short name or {dim, generators[, max_size]}."""
     if isinstance(spec, dict):
         return _inv.closure_from_generators(
-            spec["dim"], spec["generators"],
+            _integer(1)(spec["dim"]), spec["generators"],
             max_size=spec.get("max_size", _inv.MAX_GROUP_SIZE))
-    name = spec
-    if not isinstance(name, str):
-        raise ConfigError(f"group must be a name or a generator dict, got {name!r}")
-    if name == "trivial":
+    if spec == "trivial":
         return _inv.trivial_group(dim or 2)
-    if name.startswith("s"):
-        return _inv.symmetric_group(int(name[1:]))
-    if name.startswith("c"):
-        return _inv.cyclic_group(int(name[1:]))
-    raise ConfigError(f"unknown group name {name!r}")
+    if spec[:1] in ("s", "c"):
+        order = _integer(1)(int(spec[1:]))
+        return (_inv.symmetric_group if spec[0] == "s" else _inv.cyclic_group)(order)
+    raise ConfigError(f"unknown group name {spec!r}")
 
 
 def _random_invariant_pair(group, rng, n_orbits):
@@ -146,19 +253,19 @@ def run_ot_basic(params, seed):
     return results, series, assertions
 
 
-def _worked_s2_instance():
-    mu = DiscreteMeasure([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
-    nu = DiscreteMeasure([[0.0, 2.0], [2.0, 0.0]], [0.5, 0.5])
-    return mu, nu, _inv.symmetric_group(2)
+def _invariant_pair(params, seed):
+    """The measure pair of an invariant experiment: the worked S2 instance or
+    random invariant orbits."""
+    if params["instance"] == "worked_s2":
+        return (DiscreteMeasure([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5]),
+                DiscreteMeasure([[0.0, 2.0], [2.0, 0.0]], [0.5, 0.5]))
+    return _random_invariant_pair(params["action"], np.random.default_rng(seed),
+                                  params["orbits"])
 
 
 def run_invariant_duality(params, seed):
-    if params["instance"] == "worked_s2":
-        mu, nu, group = _worked_s2_instance()
-    else:
-        group = _group_by_name(params["group"])
-        rng = np.random.default_rng(seed)
-        mu, nu = _random_invariant_pair(group, rng, params["orbits"])
+    group = params["action"]
+    mu, nu = _invariant_pair(params, seed)
     primal = _inv.solve_invariant_ot(mu, nu, group)
     dual = _inv.invariant_duality_value(mu, nu, group)
     gap = abs(primal.value - dual.value)
@@ -179,15 +286,8 @@ def run_invariant_duality(params, seed):
 
 
 def run_transitive_identity(params, seed):
-    if params["instance"] == "worked_s2":
-        mu, nu, group = _worked_s2_instance()
-    else:
-        group = _group_by_name(params["group"])
-        if not group.transitive:
-            raise ConfigError("transitive_identity needs a transitive group")
-        rng = np.random.default_rng(seed)
-        mu, nu = _random_invariant_pair(group, rng, params["orbits"])
-    rep = _inv.transitive_identity_check(mu, nu, group)
+    mu, nu = _invariant_pair(params, seed)
+    rep = _inv.transitive_identity_check(mu, nu, params["action"])
     assertions = [
         {"name": "identity_relative_difference",
          "passed": bool(rep.relative_difference <= 1e-8),
@@ -208,16 +308,13 @@ def run_transitive_identity(params, seed):
 
 
 def _measure_1d(spec: dict) -> DiscreteMeasure:
-    return DiscreteMeasure(np.asarray(spec["points"], dtype=float)[:, None],
-                           np.asarray(spec["weights"], dtype=float))
+    return DiscreteMeasure(np.asarray(_reals(spec["points"]), dtype=float)[:, None],
+                           np.asarray(_list_of(_real(0))(spec["weights"]), dtype=float))
 
 
 def run_no_map(params, seed):
-    a = _measure_1d(params["a"])
-    b = _measure_1d(params["b"])
-    d = params["d"]
-    group = _group_by_name(params["group"] or f"s{d}", dim=d)
-    rep = _inv.no_map_counterexample(a, b, d, group)
+    rep = _inv.no_map_counterexample(params["a"], params["b"], params["d"],
+                                     params["action"])
     if rep.components_identical:
         assertions = [{"name": "identical_components_give_a_map",
                        "passed": bool(rep.concentration >= 1.0 - 1e-12),
@@ -260,14 +357,21 @@ def run_quasi_product(params, seed):
     return rep, series, assertions
 
 
+def _components(spec: dict):
+    """Weights, means and sigmas of a Gaussian mixture, one each per component."""
+    w, m = _positives(spec["weights"]), _reals(spec["means"])
+    s = _positives(spec["sigmas"])
+    _need(len(w) == len(m) == len(s), "weights, means and sigmas differ in length")
+    return w, m, s
+
+
 def _mixture_from(spec: dict) -> _proc.MixtureSpec:
-    comps = [gaussian1d(m, s) for m, s in zip(spec["means"], spec["sigmas"])]
-    return _proc.MixtureSpec(spec["weights"], comps)
+    weights, means, sigmas = _components(spec)
+    return _proc.MixtureSpec(weights, [gaussian1d(m, s) for m, s in zip(means, sigmas)])
 
 
 def run_definetti(params, seed):
-    pi_mu = _mixture_from(params["mu"])
-    pi_nu = _mixture_from(params["nu"])
+    pi_mu, pi_nu = params["mu"], params["nu"]
     res = _proc.definetti_ot(pi_mu, pi_nu, resolution=params["resolution"])
     results = {"value": res.value, "assignment": res.assignment,
                "ground_cost": res.ground_cost, "concentration": res.concentration}
@@ -287,8 +391,7 @@ def run_definetti(params, seed):
 
 
 def run_mixture_entropy(params, seed):
-    mix = _mixture_from(params["mixture"])
-    rep = _proc.mixture_entropy_bound_check(mix, params["m"], params["n"],
+    rep = _proc.mixture_entropy_bound_check(params["mixture"], params["m"], params["n"],
                                             params["samples"], seed)
     assertions = [{"name": "entropy_below_log_inverse_min_weight",
                    "passed": rep.passed,
@@ -301,14 +404,14 @@ def run_mixture_entropy(params, seed):
 
 def _law_1d(spec: dict):
     if "sigma" in spec:
-        return gaussian1d(spec["mean"], spec["sigma"])
-    return mixture_grid(spec["weights"], spec["means"], spec["sigmas"],
-                        lo=spec.get("lo", -14.0), hi=spec.get("hi", 14.0))
+        return gaussian1d(_real()(spec["mean"]), _positive(spec["sigma"]))
+    return mixture_grid(*_components(spec), lo=spec.get("lo", -14.0),
+                        hi=spec.get("hi", 14.0))
 
 
 def run_talagrand(params, seed):
-    rep = _bounds.talagrand_gap(_law_1d(params["mu"]), _law_1d(params["nu"]),
-                                _law_1d(params["target"]), K=params["K"])
+    rep = _bounds.talagrand_gap(params["mu"], params["nu"], params["target"],
+                                K=params["K"])
     assertions = [{"name": "entropy_dominates_map_gap",
                    "passed": bool(rep.slack >= -1e-8),
                    "detail": f"lhs={rep.lhs:.6g} rhs={rep.rhs:.6g}"}]
@@ -317,14 +420,15 @@ def run_talagrand(params, seed):
     return rep, series, assertions
 
 
-def run_lemma21(params, seed):
-    def grid_of(spec):
-        law = _law_1d(spec)
-        if hasattr(law, "nodes"):
-            return law
-        return mixture_grid([1.0], [spec["mean"]], [spec["sigma"]], lo=-14, hi=14)
+def _grid_1d(spec: dict):
+    """A 1D law on a grid: a Gaussian is a one-component mixture on [-14, 14]."""
+    if "sigma" in spec:
+        spec = {"weights": [1.0], "means": [spec["mean"]], "sigmas": [spec["sigma"]]}
+    return _law_1d(spec)
 
-    rep = _bounds.lemma21_check(grid_of(params["mu"]), grid_of(params["nu"]),
+
+def run_lemma21(params, seed):
+    rep = _bounds.lemma21_check(params["mu"], params["nu"],
                                 t=params["t"], epsilon=params["epsilon"],
                                 p=params["p"], q=params["q"])
     assertions = [
@@ -342,19 +446,21 @@ def run_lemma21(params, seed):
     return rep, series, assertions
 
 
-def _gibbs_spec_from(params) -> _gibbs.GibbsSpec:
-    if params["V_coeffs"] is not None:
-        return _gibbs.GibbsSpec(params["V_coeffs"], params["W_coeffs"],
-                                _gibbs.GibbsParams(**params["gibbs_params"]))
-    return _gibbs.quartic_spec(params["coupling"])
+def _gibbs_spec_from(p) -> dict:
+    """The quartic potential with the given coupling, or V_coeffs, W_coeffs and
+    gibbs_params; a failed probe raises GibbsAssumptionError naming it."""
+    if p["V_coeffs"] is None:
+        return {"spec": _gibbs.quartic_spec(p["coupling"])}
+    _need(None not in (p["W_coeffs"], p["gibbs_params"]),
+          "V_coeffs needs W_coeffs and gibbs_params")
+    return {"spec": _gibbs.GibbsSpec(p["V_coeffs"], p["W_coeffs"], p["gibbs_params"])}
 
 
 def run_gibbs_cauchy(params, seed):
-    spec = _gibbs_spec_from(params)
     rep = _gibbs.cauchy_convergence_experiment(
-        spec, m_list=params["m_list"], n=params["n"], samples=params["samples"],
-        epsilon=params["epsilon"], seed=seed, ot_points=params["ot_points"],
-        replicates=params["replicates"])
+        params["spec"], m_list=params["m_list"], n=params["n"],
+        samples=params["samples"], epsilon=params["epsilon"], seed=seed,
+        ot_points=params["ot_points"], replicates=params["replicates"])
     assertions = [{"name": f"entropy_transport_bound_m{row.m}", "passed": row.passed,
                    "detail": f"D_corr={row.d_corrected:.4e} bound={row.bound:.4e} "
                              f"se={row.se_d:.4e}"}
@@ -371,183 +477,162 @@ def run_gibbs_cauchy(params, seed):
 class ExperimentEntry:
     runner: callable
     stochastic: bool
-    defaults: dict
+    params: dict  # name -> (default, parse)
     backed_by: tuple  # dotted paths of the module operations this exercises
+    checks: tuple = ()  # cross checks, run in order
 
+    @property
+    def defaults(self) -> dict:
+        return {name: default for name, (default, _) in self.params.items()}
+
+
+_INSTANCE = ("worked_s2", _one_of("worked_s2", "random"))
+_GROUP_CLOSURE = Check("group closure within cap", ("instance", "group"),
+                       _invariant_group)
 
 EXPERIMENTS = {
     "ot_basic": ExperimentEntry(
         run_ot_basic, True,
-        {"num_instances": 20, "max_atoms": 50, "max_dim": 3},
+        {"num_instances": (20, _integer(1)), "max_atoms": (50, _integer(2)),
+         "max_dim": (3, _integer(1))},
         ("seqot.ot.solve_discrete_ot",)),
     "invariant_duality": ExperimentEntry(
         run_invariant_duality, True,
-        {"instance": "worked_s2", "group": "s2", "orbits": 3},
+        {"instance": _INSTANCE, "group": ("s2", _group_spec),
+         "orbits": (3, _integer(1))},
         ("seqot.invariance.solve_invariant_ot",
-         "seqot.invariance.invariant_duality_value")),
+         "seqot.invariance.invariant_duality_value"), (_GROUP_CLOSURE,)),
     "transitive_identity": ExperimentEntry(
         run_transitive_identity, True,
-        {"instance": "worked_s2", "group": "c3", "orbits": 3},
-        ("seqot.invariance.transitive_identity_check",)),
+        {"instance": _INSTANCE, "group": ("c3", _group_spec),
+         "orbits": (3, _integer(1))},
+        ("seqot.invariance.transitive_identity_check",),
+        (_GROUP_CLOSURE,
+         Check("group acts transitively", ("action",),
+               lambda p: _need(p["action"].transitive, "the group is not transitive")))),
     "no_map": ExperimentEntry(
         run_no_map, False,
-        {"a": {"points": [0.0, 1.0], "weights": [0.5, 0.5]},
-         "b": {"points": [0.0, 2.0], "weights": [0.5, 0.5]},
-         "d": 2, "group": "s2"},
-        ("seqot.invariance.no_map_counterexample",)),
+        {"a": ({"points": [0.0, 1.0], "weights": [0.5, 0.5]}, _measure_1d),
+         "b": ({"points": [0.0, 2.0], "weights": [0.5, 0.5]}, _measure_1d),
+         "d": (2, _integer(1)), "group": ("s2", _optional(_group_spec))},
+        ("seqot.invariance.no_map_counterexample",),
+        (Check("group closure within cap", ("group", "d"), _no_map_group),)),
     "quasi_product": ExperimentEntry(
         run_quasi_product, False,
-        {"dim": 3, "source_tilt_strength": 0.3, "target_tilt_strength": 0.2,
-         "n_list": [1, 2, 3], "nodes": 16},
+        # the source tilt reads two coordinates; the target tilt's curvature
+        # bound 0 holds for a strength >= 0
+        {"dim": (3, _integer(2)), "source_tilt_strength": (0.3, _real()),
+         "target_tilt_strength": (0.2, _real(0)),
+         "n_list": ([1, 2, 3], _list_of(_integer(1))), "nodes": (16, _integer(2))},
         ("seqot.processes.quasi_product_approx",
          "seqot.processes.diagonal_transport")),
     "definetti": ExperimentEntry(
         run_definetti, False,
-        {"mu": {"weights": [0.5, 0.5], "means": [0.0, 4.0], "sigmas": [1.0, 1.0]},
-         "nu": {"weights": [0.5, 0.5], "means": [1.0, 5.0], "sigmas": [1.0, 1.0]},
-         "resolution": 10_000},
+        {"mu": ({"weights": [0.5, 0.5], "means": [0.0, 4.0], "sigmas": [1.0, 1.0]},
+                _mixture_from),
+         "nu": ({"weights": [0.5, 0.5], "means": [1.0, 5.0], "sigmas": [1.0, 1.0]},
+                _mixture_from),
+         "resolution": (10_000, _integer(2))},
         ("seqot.processes.definetti_ot",)),
     "mixture_entropy": ExperimentEntry(
         run_mixture_entropy, True,
-        {"mixture": {"weights": [0.5, 0.5], "means": [0.0, 3.0],
-                     "sigmas": [1.0, 1.0]},
-         "m": 2, "n": 4, "samples": 100_000},
-        ("seqot.processes.mixture_entropy_bound_check",)),
+        {"mixture": ({"weights": [0.5, 0.5], "means": [0.0, 3.0],
+                      "sigmas": [1.0, 1.0]}, _mixture_from),
+         "m": (2, _integer(1)), "n": (4, _integer(1)),
+         "samples": (100_000, _integer(2))},
+        ("seqot.processes.mixture_entropy_bound_check",),
+        (Check("block split valid", ("m", "n"),
+               lambda p: _need(p["m"] < p["n"], "need 0 < m < n")),)),
     "talagrand": ExperimentEntry(
         run_talagrand, False,
-        {"mu": {"mean": 1.0, "sigma": 1.0}, "nu": {"mean": 0.0, "sigma": 1.0},
-         "target": {"mean": 0.0, "sigma": 1.0}, "K": 1.0},
-        ("seqot.bounds.talagrand_gap", "seqot.bounds.relative_entropy")),
+        {"mu": ({"mean": 1.0, "sigma": 1.0}, _law_1d),
+         "nu": ({"mean": 0.0, "sigma": 1.0}, _law_1d),
+         "target": ({"mean": 0.0, "sigma": 1.0}, _law_1d), "K": (1.0, _real(0))},
+        ("seqot.bounds.talagrand_gap", "seqot.bounds.relative_entropy"),
+        # talagrand_gap certifies K itself when it runs
+        (Check("target uniformly log-concave", ("target", "K"), _certified_k,
+               validate_only=True),)),
     "lemma21": ExperimentEntry(
         run_lemma21, False,
-        {"mu": {"mean": 0.0, "sigma": 1.0}, "nu": {"mean": 0.0, "sigma": 1.0},
-         "t": 0.1, "epsilon": 1.0, "p": 2.0, "q": 2.0},
-        ("seqot.bounds.lemma21_check", "seqot.bounds.assumption_A_probe")),
+        # the increment estimate raises |.| to the power 1 + epsilon > 0
+        {"mu": ({"mean": 0.0, "sigma": 1.0}, _grid_1d),
+         "nu": ({"mean": 0.0, "sigma": 1.0}, _grid_1d),
+         "t": (0.1, _real(0)), "epsilon": (1.0, _real(-1, strict=True)),
+         "p": (2.0, _real(1)), "q": (2.0, _real(1))},
+        ("seqot.bounds.lemma21_check", "seqot.bounds.assumption_A_probe"),
+        (Check("p and q are conjugate exponents", ("p", "q"),
+               lambda p: _bounds._check_conjugate(p["p"], p["q"])),)),
     "gibbs_cauchy": ExperimentEntry(
         run_gibbs_cauchy, True,
-        {"coupling": 0.0, "n": 2, "m_list": [1], "samples": 1500,
-         "ot_points": 300, "epsilon": 0.1, "replicates": 3,
-         "V_coeffs": None, "W_coeffs": None, "gibbs_params": None},
+        {"coupling": (0.0, _real()), "n": (2, _integer(1)),
+         "m_list": ([1], _list_of(_integer(0))), "samples": (1500, _integer(1)),
+         "ot_points": (300, _integer(1)), "epsilon": (0.1, _positive),
+         "replicates": (3, _integer(2)),  # two at least for a standard error
+         "V_coeffs": (None, _optional(_reals)),
+         "W_coeffs": (None, _optional(_list_of(_reals))),
+         "gibbs_params": (None, _optional(lambda spec: _gibbs.GibbsParams(**spec)))},
         ("seqot.gibbs.cauchy_convergence_experiment",
          "seqot.gibbs.sample_periodic_gibbs",
-         "seqot.gibbs.entropy_mn_estimate")),
+         "seqot.gibbs.entropy_mn_estimate"),
+        (Check("block half-widths satisfy 0 <= m < n", ("n", "m_list"),
+               lambda p: _need(max(p["m_list"]) < p["n"], "some m is >= n")),
+         Check("replicate blocks fit in the sample",
+               ("replicates", "ot_points", "samples"),
+               lambda p: _need(p["replicates"] * p["ot_points"] <= p["samples"],
+                               "need replicates * ot_points <= samples")),
+         Check("Gibbs assumption checklist", ("coupling", "V_coeffs", "W_coeffs",
+                                              "gibbs_params"), _gibbs_spec_from))),
 }
 
 
 # ---------------------------------------------------------------------------
-# validate: precondition checks without running
+# one parse for validate and run
+
+_MALFORMED = (KeyError, TypeError, ValueError)
 
 
-def _int_at_least(value, low: int) -> bool:
-    return isinstance(value, int) and value >= low
+def _parse(config: ExperimentConfig, validate: bool = False):
+    """Parse the params through the experiment's spec, then run the cross
+    checks whose params all parsed (validate-only ones only when
+    ``validate``).  Returns the parsed and derived values, and one check per
+    param and per cross check run."""
+    entry = EXPERIMENTS[config.experiment]
+    parsed, checks = {}, []
+
+    def record(name, error=None):
+        checks.append({"check": name, "passed": error is None,
+                       "detail": "" if error is None else str(error)})
+
+    for name, (_, parse) in entry.params.items():
+        try:
+            parsed[name] = parse(config.params[name])
+            record(f"param {name}")
+        except _MALFORMED as e:
+            record(f"param {name}", e)
+    for check in entry.checks:
+        if check.validate_only and not validate or not set(check.reads) <= parsed.keys():
+            continue
+        try:
+            parsed.update(check.test(parsed) or {})
+            record(check.name)
+        except _MALFORMED as e:
+            # a Gibbs probe names the assumption that failed
+            record(getattr(e, "name", check.name), e)
+    return parsed, checks
 
 
 def validate_config(config: ExperimentConfig) -> list:
-    """Hypothesis/precondition diagnostics for a parsed config."""
-    checks = []
+    """One check per param and per cross check; never raises."""
+    return _parse(config, validate=True)[1]
 
-    def add(name, passed, detail=""):
-        checks.append({"check": name, "passed": bool(passed), "detail": detail})
 
-    name = config.experiment
-    params = config.params
-    # a malformed nested param fails the check that reads it; it never raises
-    malformed = (KeyError, TypeError, ValueError)
-    if name == "gibbs_cauchy":
-        try:
-            spec = _gibbs_spec_from(params)
-            for label in spec.assumption_checklist():
-                add(label, True)
-        except _gibbs.GibbsAssumptionError as e:
-            add(e.name, False, str(e))
-        except malformed as e:
-            add("potential specification well formed", False, str(e))
-        add("ring half-width n is an integer >= 1", _int_at_least(params["n"], 1))
-        try:
-            add("block half-widths satisfy 0 <= m < n",
-                all(_int_at_least(m, 0) and m < params["n"] for m in params["m_list"]))
-        except malformed as e:
-            add("block half-widths satisfy 0 <= m < n", False, str(e))
-        add("at least one transport point per replicate",
-            _int_at_least(params["ot_points"], 1))
-        add("at least two replicates for a standard error",
-            _int_at_least(params["replicates"], 2))
-        try:
-            add("replicate blocks fit in the sample",
-                params["replicates"] * params["ot_points"] <= params["samples"])
-        except malformed as e:
-            add("replicate blocks fit in the sample", False, str(e))
-    elif name in ("invariant_duality", "transitive_identity"):
-        try:
-            group = (_inv.symmetric_group(2) if params.get("instance") == "worked_s2"
-                     else _group_by_name(params["group"]))
-            add("group closure within cap", True, f"order {len(group)}")
-            if name == "transitive_identity":
-                add("group acts transitively", group.transitive)
-        except malformed as e:
-            add("group closure within cap", False, str(e))
-    elif name == "talagrand":
-        try:
-            cert = _bounds.log_concavity_constant(_law_1d(params["target"]))
-            add("target uniformly log-concave", params["K"] <= cert + 1e-9,
-                f"certified constant {cert:.6g}")
-        except malformed as e:
-            add("target uniformly log-concave", False, str(e))
-    elif name == "mixture_entropy":
-        try:
-            w = params["mixture"]["weights"]
-            add("mixture weights positive and normalized",
-                all(x > 0 for x in w) and abs(sum(w) - 1.0) < 1e-12)
-        except malformed as e:
-            add("mixture weights positive and normalized", False, str(e))
-        try:
-            add("block split valid", 0 < params["m"] < params["n"])
-        except malformed as e:
-            add("block split valid", False, str(e))
-        add("at least two samples for a standard error",
-            _int_at_least(params["samples"], 2))
-    elif name == "ot_basic":
-        add("at least one instance", _int_at_least(params["num_instances"], 1))
-        add("atom and dimension bounds valid",
-            _int_at_least(params["max_atoms"], 2) and _int_at_least(params["max_dim"], 1),
-            "max_atoms >= 2 and max_dim >= 1, as integers")
-    elif name == "definetti":
-        for key in ("mu", "nu"):
-            try:
-                _mixture_from(params[key])
-                add(f"{key} mixture well formed", True)
-            except malformed as e:
-                add(f"{key} mixture well formed", False, str(e))
-    elif name == "no_map":
-        for key in ("a", "b"):
-            try:
-                _measure_1d(params[key])
-                add(f"component {key} is a nonempty 1D law with matching weights", True)
-            except malformed as e:
-                add(f"component {key} is a nonempty 1D law with matching weights",
-                    False, str(e))
-    elif name == "quasi_product":
-        # the source tilt reads the first two coordinates
-        add("dimension covers the tilt width (an integer >= 2)",
-            _int_at_least(params["dim"], 2))
-        add("at least two nodes per axis", _int_at_least(params["nodes"], 2))
-    elif name == "lemma21":
-        for key in ("mu", "nu"):
-            try:
-                _law_1d(params[key])
-                add(f"{key} law well formed", True)
-            except malformed as e:
-                add(f"{key} law well formed", False, str(e))
-        try:
-            add("shift t is nonnegative", params["t"] >= 0)
-        except malformed as e:
-            add("shift t is nonnegative", False, str(e))
-        try:
-            _bounds._check_conjugate(params["p"], params["q"])
-            add("p and q are conjugate exponents", True)
-        except malformed as e:
-            add("p and q are conjugate exponents", False, str(e))
-    return checks
+def parse_params(config: ExperimentConfig, validate: bool = False) -> dict:
+    """The parsed params a runner takes; ConfigError when a check fails."""
+    parsed, checks = _parse(config, validate)
+    failed = [f"{c['check']} ({c['detail']})" for c in checks if not c["passed"]]
+    if failed:
+        raise ConfigError(f"failed checks: {'; '.join(failed)}")
+    return parsed
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +681,10 @@ def _write_csv(path: str, series: dict) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> int:
+    params = parse_params(config)
     os.makedirs(config.output_dir, exist_ok=True)
-    entry = EXPERIMENTS[config.experiment]
-    results, series, assertions = entry.runner(config.params, config.seed)
+    runner = EXPERIMENTS[config.experiment].runner
+    results, series, assertions = runner(params, config.seed)
     passed = all(a["passed"] for a in assertions)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -655,10 +741,7 @@ def main(argv=None) -> int:
         return 0 if ok else 2
 
     try:
-        failed = [c["check"] for c in validate_config(config) if not c["passed"]]
-        if failed:
-            print(f"config error: failed checks: {'; '.join(failed)}", file=sys.stderr)
-            return 2
+        parse_params(config, validate=True)
         return run_experiment(config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -1,14 +1,20 @@
+import copy
 import importlib
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from seqot.cli import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     main,
+    parse_params,
     run_experiment,
     validate_config,
 )
@@ -44,6 +50,14 @@ class TestConfigParsing:
             ExperimentConfig.from_dict({"experiment": "ot_basic"})
         cfg = ExperimentConfig.from_dict({"experiment": "ot_basic", "seed": 3})
         assert cfg.seed == 3
+
+    @pytest.mark.parametrize("raw", [
+        {"seed": True}, {"seed": -1}, {"output_dir": 5}, {"output_dir": ""},
+        {"params": 5},
+    ])
+    def test_malformed_top_level_value_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"experiment": "talagrand", **raw})
 
     def test_defaults_merged(self):
         cfg = ExperimentConfig.from_dict({"experiment": "talagrand"})
@@ -134,6 +148,8 @@ class TestRun:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["run", str(path)]) == 2
+        path.write_text("5")  # JSON, but not an object
+        assert main(["validate", str(path)]) == 2
         cfg = write_config(tmp_path, "talagrand", params={"bogus": 2})
         assert main(["run", cfg]) == 2
 
@@ -143,13 +159,6 @@ class TestRun:
                            params={"target": {"mean": 0.0, "sigma": 2.0}, "K": 1.0},
                            output_dir=str(tmp_path / "out"))
         assert main(["run", cfg]) == 2
-
-    def test_runtime_failure_exit_code(self, tmp_path):
-        # malformed nested param surfaces as a runtime failure, not a crash
-        cfg = write_config(tmp_path, "talagrand",
-                           params={"mu": {"bogus_inner": 1.0}},
-                           output_dir=str(tmp_path / "out"))
-        assert main(["run", cfg]) == 3
 
     def test_runtime_value_error_after_validation_exit_code(self, tmp_path, capsys):
         # a config that validate accepts but whose run fails deep in the
@@ -232,6 +241,25 @@ class TestValidate:
         ("lemma21", {"params": {"mu": {"mean": 0}}}),
         ("mixture_entropy", {"seed": 1, "params": {"samples": 0}}),
         ("no_map", {"params": {"a": {"points": [], "weights": []}}}),
+        ("no_map", {"params": {"d": 0}}),
+        ("no_map", {"params": {"d": "x"}}),
+        ("no_map", {"params": {"d": 3}}),  # the group s2 acts on 2 coordinates
+        ("quasi_product", {"params": {"n_list": ["x"]}}),
+        ("quasi_product", {"params": {"n_list": 3}}),
+        ("quasi_product", {"params": {"source_tilt_strength": "x"}}),
+        ("quasi_product", {"params": {"target_tilt_strength": -1}}),
+        ("definetti", {"params": {"resolution": 1}}),
+        ("definetti", {"params": {"resolution": "x"}}),
+        ("invariant_duality", {"seed": 1, "params": {"instance": "random", "orbits": 0}}),
+        ("invariant_duality", {"seed": 1, "params": {"instance": "random", "group": "c0"}}),
+        ("transitive_identity",
+         {"seed": 1, "params": {"instance": "random", "orbits": "x"}}),
+        ("talagrand", {"params": {"mu": {"bogus_inner": 1.0}}}),
+        ("mixture_entropy", {"seed": 1, "params": {"m": 2.5, "n": 4}}),
+        ("invariant_duality", {"seed": 1, "params": {"instance": "bogus"}}),
+        ("lemma21", {"params": {"epsilon": -1}}),
+        ("gibbs_cauchy", {"seed": 1, "params": {"n": True, "m_list": [0]}}),
+        ("gibbs_cauchy", {"seed": 1, "params": {"epsilon": -1}}),
     ])
     def test_malformed_nested_param_is_a_failed_check(self, tmp_path, capsys,
                                                       name, raw):
@@ -241,6 +269,16 @@ class TestValidate:
         assert out["ok"] is False
         assert main(["run", cfg]) == 2
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_readme_example_config_validates(self, tmp_path, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("Example config:")[1].split("```json")[1].split("```")[0]
+        raw = json.loads(example)
+        assert raw["experiment"] == "gibbs_cauchy"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
 
     @pytest.mark.parametrize("params", [
         {"n": 0}, {"m_list": [5]}, {"ot_points": 0}, {"replicates": 1},
@@ -279,8 +317,97 @@ class TestReproducibility:
                     open(os.path.join(out2, "data.csv")) as f2:
                 assert f1.read() == f2.read()
 
+    def test_empty_output_dir_env_counts_as_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OUTPUT_DIR", "")
+        cfg = write_config(tmp_path, "talagrand", output_dir=str(tmp_path / "out"))
+        assert main(["run", cfg]) == 0
+        assert (tmp_path / "out" / "report.json").exists()
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("OUTPUT_DIR", str(target))
         cfg = ExperimentConfig.from_dict({"experiment": "talagrand"})
         assert cfg.output_dir == str(target)
+
+
+def _default_config(name, params=None):
+    raw = {"experiment": name, "params": params or {}}
+    if EXPERIMENTS[name].stochastic:
+        raw["seed"] = 1
+    return raw
+
+
+def _paths(value, path=()):
+    """Every path into a JSON value, the value itself first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw, names):
+    """A default config with one change at one path: a dropped key or list
+    entry, a value of another type, a number pushed out of range, or a bool
+    in place of a number."""
+    name = draw(st.sampled_from(names))
+    params = copy.deepcopy(EXPERIMENTS[name].defaults)
+    path = draw(st.sampled_from([p for p in _paths(params) if p]))
+    parent = params
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = draw(st.sampled_from(["drop", "swap", "range", "bool"]))
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(st.sampled_from({
+            "swap": ["x", None, [], {}, 1.5, [1.0], {"x": 1}],
+            "range": [-1, 0, -0.5, float("nan")],
+            "bool": [True, False]}[kind]))
+    return _default_config(name, params)
+
+
+VALIDATE_ONLY = {c.name for e in EXPERIMENTS.values() for c in e.checks if c.validate_only}
+CHEAP = ["talagrand", "lemma21", "no_map", "invariant_duality", "transitive_identity"]
+
+
+# a mutated mixture may repeat a component, which MixtureSpec warns about
+@pytest.mark.filterwarnings("ignore:mixture components")
+class TestParamSpec:
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_default_config_validates_with_one_check_per_param(self, name):
+        checks = validate_config(ExperimentConfig.from_dict(_default_config(name)))
+        assert all(c["passed"] for c in checks), checks
+        names = [c["check"] for c in checks]
+        assert [n for n in names if n.startswith("param ")] == [
+            f"param {p}" for p in EXPERIMENTS[name].params]
+        # every cross check reads params that exist, so each one runs
+        assert [n for n in names if not n.startswith("param ")] == [
+            c.name for c in EXPERIMENTS[name].checks]
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_configs(sorted(EXPERIMENTS)))
+    def test_validate_agrees_with_the_parse_of_run(self, raw):
+        config = ExperimentConfig.from_dict(raw)
+        checks = validate_config(config)  # never raises
+        failed = {c["check"] for c in checks if not c["passed"]}
+        try:
+            parse_params(config)
+            parsed = True
+        except ConfigError:
+            parsed = False
+        # a validate-only check (the log-concavity certificate) is repeated by
+        # the run itself, not by its parse
+        assert parsed == (not failed - VALIDATE_ONLY), checks
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated_configs(CHEAP))
+    def test_accepted_config_never_exits_2_from_run(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump({**raw, "output_dir": os.path.join(tmp, "out")}, fh)
+            if all(c["passed"] for c in validate_config(ExperimentConfig.from_file(path))):
+                assert main(["run", path]) != 2
