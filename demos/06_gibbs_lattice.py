@@ -17,11 +17,9 @@ from seqot import (
     sample_periodic_gibbs,
 )
 
-spec = quartic_spec(coupling=0.1)
-print("potential probes passed:", ", ".join(spec.assumption_checklist()))
-
+spec = quartic_spec(coupling=0.1)  # raises GibbsAssumptionError on a failed probe
 sample = sample_periodic_gibbs(spec, n=3, num_samples=8000, seed=42)
-print(f"\nring of {sample.num_sites} sites, {sample.states.shape[0]} states; "
+print(f"ring of {sample.num_sites} sites, {sample.states.shape[0]} states; "
       f"acceptance {np.round(sample.acceptance, 2)}")
 print(f"per-site second moments {np.round((sample.states ** 2).mean(axis=0), 4)}")
 

@@ -17,6 +17,15 @@ import numpy as np
 from .measures import (DiscreteMeasure, GaussianSpec, Grid1D, _coerce_grid,
                        _distinct_rows, _find_rows, _invert_cdf)
 
+# log-concavity certificate: grid nodes whose density is at most this are left out
+CERT_MIN_DENSITY = 1e-12
+# shift estimates: densities at most this count as vanishing
+SHIFT_MIN_DENSITY = 1e-300
+TALAGRAND_TOL = 1e-8      # slack below -TALAGRAND_TOL fails the inequality
+LEMMA21_SUP_POINTS = 33   # s-grid of the suprema in lemma21_check
+LEMMA21_REL_TOL = 1e-6    # relative slack allowed on each lemma-2.1 estimate
+PROBE_SUP_POINTS = 17     # s-grid of the suprema in assumption_A_probe
+
 __all__ = [
     "EntropyEstimate",
     "relative_entropy",
@@ -128,11 +137,11 @@ def relative_entropy(mu, nu) -> EntropyEstimate:
 # uniform log-concavity certificates
 
 
-def _log_second_differences(g: Grid1D, min_density: float = 1e-12) -> np.ndarray:
+def _log_second_differences(g: Grid1D) -> np.ndarray:
     """Finite-difference (-log density)'' at the interior nodes whose node and
-    both neighbours carry density above ``min_density``, in node order."""
+    both neighbours carry density above CERT_MIN_DENSITY, in node order."""
     x, rho = g.nodes, g.density
-    mask = rho > min_density
+    mask = rho > CERT_MIN_DENSITY
     v = -np.log(np.where(mask, rho, 1.0))
     h1 = x[1:-1] - x[:-2]
     h2 = x[2:] - x[1:-1]
@@ -142,12 +151,12 @@ def _log_second_differences(g: Grid1D, min_density: float = 1e-12) -> np.ndarray
                   + v[2:][core] / (h2[core] * (h1[core] + h2[core])))
 
 
-def log_concavity_constant(target, min_density: float = 1e-12) -> float:
+def log_concavity_constant(target) -> float:
     """The largest K with (-log density)'' >= K, for the built-in families.
 
     Gaussians: K = 1/sigma^2 exactly.  Grid densities: finite-difference
     second derivative of -log(density) over interior nodes where the density
-    is above ``min_density``.  Anything else is rejected rather than silently
+    is above CERT_MIN_DENSITY.  Anything else is rejected rather than silently
     accepted.
     """
     if isinstance(target, GaussianSpec):
@@ -155,7 +164,7 @@ def log_concavity_constant(target, min_density: float = 1e-12) -> float:
             raise ValueError("1D targets only")
         return 1.0 / target.covariance[0, 0]
     if isinstance(target, Grid1D):
-        second = _log_second_differences(target, min_density)
+        second = _log_second_differences(target)
         finite = second[np.isfinite(second)]
         if finite.size == 0:
             raise ValueError("cannot certify log-concavity: no usable interior nodes")
@@ -197,7 +206,7 @@ def _transport_map_values(src: Grid1D, target: Grid1D, x: np.ndarray) -> np.ndar
     return _quantile_eval(target, u)
 
 
-def talagrand_gap(mu, nu, target, K: float, tolerance: float = 1e-8) -> TalagrandReport:
+def talagrand_gap(mu, nu, target, K: float) -> TalagrandReport:
     """Check Ent_nu(mu/nu) >= (K/2) int (T_mu - T_nu)^2 dmu for a K-uniformly
     log-concave 1D target, T_mu and T_nu the monotone maps onto the target.
 
@@ -230,7 +239,7 @@ def talagrand_gap(mu, nu, target, K: float, tolerance: float = 1e-8) -> Talagran
         method = "quadrature"
         resolution = int(x.size)
     slack = lhs - rhs
-    return TalagrandReport(lhs, rhs, slack, K, method, slack >= -tolerance,
+    return TalagrandReport(lhs, rhs, slack, K, method, slack >= -TALAGRAND_TOL,
                            resolution)
 
 
@@ -243,14 +252,14 @@ def _check_conjugate(p: float, q: float):
         raise ValueError(f"(p, q)=({p}, {q}) are not conjugate exponents")
 
 
-def _shift_ratio_powers(g: Grid1D, s: float, min_density: float):
+def _shift_ratio_powers(g: Grid1D, s: float):
     """(x window, density on it, density ratio rho(x - s) / rho(x) = e^{beta_s})."""
     x, rho = g.nodes, g.density
     window = x >= x[0] + s
     xs = x[window]
     rho_x = rho[window]
     rho_shift = g.pdf(xs - s)
-    if np.any(rho_x <= min_density):
+    if np.any(rho_x <= SHIFT_MIN_DENSITY):
         raise ValueError("density vanishes on the shift window")
     ratio = rho_shift / rho_x
     return xs, rho_x, ratio
@@ -269,9 +278,7 @@ class ShiftEstimateReport:
 
 
 def lemma21_check(mu: Grid1D, nu: Grid1D, t: float, epsilon: float,
-                  p: float, q: float, n_sup: int = 33,
-                  min_density: float = 1e-300,
-                  rel_tolerance: float = 1e-6) -> ShiftEstimateReport:
+                  p: float, q: float) -> ShiftEstimateReport:
     """Evaluate both shift-increment estimates for the transport potential.
 
     The potential is the antiderivative of the monotone map T of mu onto nu,
@@ -284,7 +291,8 @@ def lemma21_check(mu: Grid1D, nu: Grid1D, t: float, epsilon: float,
         <= t || y ||_{L^p(nu)} sup_s || e^{beta_s} - 1 ||_{L^q(mu)}
 
     are computed by trapezoid quadrature, with the shift window clipped to the
-    grid interior and the suprema taken over an s-grid of ``n_sup`` points.
+    grid interior and the suprema taken over an s-grid of LEMMA21_SUP_POINTS
+    points.
     """
     _check_conjugate(p, q)
     if t < 0:
@@ -310,15 +318,15 @@ def lemma21_check(mu: Grid1D, nu: Grid1D, t: float, epsilon: float,
 
     sup_ratio = 0.0
     sup_dist = 0.0
-    for s in np.linspace(0.0, t, n_sup):
-        xw, rho_w, ratio = _shift_ratio_powers(mu, s, min_density)
+    for s in np.linspace(0.0, t, LEMMA21_SUP_POINTS):
+        xw, rho_w, ratio = _shift_ratio_powers(mu, s)
         sup_ratio = max(sup_ratio, float(np.trapezoid(ratio ** q * rho_w, xw)) ** (1.0 / q))
         sup_dist = max(sup_dist, float(np.trapezoid(np.abs(ratio - 1.0) ** q * rho_w, xw)) ** (1.0 / q))
 
     rhs1 = t ** (1.0 + epsilon) * m1 * sup_ratio
     rhs2 = t * m2 * sup_dist
-    ok1 = lhs1 <= rhs1 * (1.0 + rel_tolerance) + 1e-300
-    ok2 = lhs2 <= rhs2 * (1.0 + rel_tolerance) + 1e-15
+    ok1 = lhs1 <= rhs1 * (1.0 + LEMMA21_REL_TOL) + 1e-300
+    ok2 = lhs2 <= rhs2 * (1.0 + LEMMA21_REL_TOL) + 1e-15
     return ShiftEstimateReport(lhs1, rhs1, lhs2, rhs2,
                                rhs1 - lhs1, rhs2 - lhs2, ok1 and ok2,
                                int(x.size))
@@ -334,8 +342,7 @@ class ShiftDecayReport:
 
 
 def assumption_A_probe(mu: Grid1D, nu: Grid1D, p: float, q: float, epsilon: float,
-                       t_grid, n_sup: int = 17,
-                       min_density: float = 1e-300) -> ShiftDecayReport:
+                       t_grid) -> ShiftDecayReport:
     """Tabulate p(t) = sup_{0<=s<=t} int |e^{beta_s} - 1|^q dmu over the given
     shifts, together with the moment int |x|^{(1+eps)p} dnu, and report whether
     p(t) decays to zero numerically.  Report-only; divergence is flagged."""
@@ -351,8 +358,8 @@ def assumption_A_probe(mu: Grid1D, nu: Grid1D, p: float, q: float, epsilon: floa
     values = np.empty(t_grid.size)
     for k, t in enumerate(t_grid):
         sup = 0.0
-        for s in np.linspace(0.0, t, n_sup) if t > 0 else [0.0]:
-            xw, rho_w, ratio = _shift_ratio_powers(mu, s, min_density)
+        for s in np.linspace(0.0, t, PROBE_SUP_POINTS) if t > 0 else [0.0]:
+            xw, rho_w, ratio = _shift_ratio_powers(mu, s)
             val = float(np.trapezoid(np.abs(ratio - 1.0) ** q * rho_w, xw))
             if not np.isfinite(val):
                 raise ValueError("shift-density moment overflow on the given grid")

@@ -168,7 +168,6 @@ class Check(NamedTuple):
     name: str
     reads: tuple            # params that must parse before the check runs
     test: callable          # parsed params -> derived values or None
-    validate_only: bool = False  # run repeats it where the work is done
 
 
 def _invariant_group(p) -> dict:
@@ -549,9 +548,7 @@ EXPERIMENTS = {
          "nu": ({"mean": 0.0, "sigma": 1.0}, _law_1d),
          "target": ({"mean": 0.0, "sigma": 1.0}, _law_1d), "K": (1.0, _real(0))},
         ("seqot.bounds.talagrand_gap", "seqot.bounds.relative_entropy"),
-        # talagrand_gap certifies K itself when it runs
-        (Check("target uniformly log-concave", ("target", "K"), _certified_k,
-               validate_only=True),)),
+        (Check("target uniformly log-concave", ("target", "K"), _certified_k),)),
     "lemma21": ExperimentEntry(
         run_lemma21, False,
         # the increment estimate raises |.| to the power 1 + epsilon > 0
@@ -591,11 +588,10 @@ EXPERIMENTS = {
 _MALFORMED = (KeyError, TypeError, ValueError)
 
 
-def _parse(config: ExperimentConfig, validate: bool = False):
+def _parse(config: ExperimentConfig):
     """Parse the params through the experiment's spec, then run the cross
-    checks whose params all parsed (validate-only ones only when
-    ``validate``).  Returns the parsed and derived values, and one check per
-    param and per cross check run."""
+    checks whose params all parsed.  Returns the parsed and derived values,
+    and one check per param and per cross check run."""
     entry = EXPERIMENTS[config.experiment]
     parsed, checks = {}, []
 
@@ -610,7 +606,7 @@ def _parse(config: ExperimentConfig, validate: bool = False):
         except _MALFORMED as e:
             record(f"param {name}", e)
     for check in entry.checks:
-        if check.validate_only and not validate or not set(check.reads) <= parsed.keys():
+        if not set(check.reads) <= parsed.keys():
             continue
         try:
             parsed.update(check.test(parsed) or {})
@@ -623,12 +619,12 @@ def _parse(config: ExperimentConfig, validate: bool = False):
 
 def validate_config(config: ExperimentConfig) -> list:
     """One check per param and per cross check; never raises."""
-    return _parse(config, validate=True)[1]
+    return _parse(config)[1]
 
 
-def parse_params(config: ExperimentConfig, validate: bool = False) -> dict:
+def parse_params(config: ExperimentConfig) -> dict:
     """The parsed params a runner takes; ConfigError when a check fails."""
-    parsed, checks = _parse(config, validate)
+    parsed, checks = _parse(config)
     failed = [f"{c['check']} ({c['detail']})" for c in checks if not c["passed"]]
     if failed:
         raise ConfigError(f"failed checks: {'; '.join(failed)}")
@@ -741,7 +737,6 @@ def main(argv=None) -> int:
         return 0 if ok else 2
 
     try:
-        parse_params(config, validate=True)
         return run_experiment(config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -12,11 +12,9 @@ for the estimator bias.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -24,6 +22,13 @@ from scipy.special import logsumexp
 
 from .measures import _distinct_rows, _find_rows, empirical_from_samples
 from .ot import _sq_dist_table, barycentric_map, sinkhorn, solve_discrete_ot
+
+PROBE_BOX = 4.0         # the assumption probes sample [-PROBE_BOX, PROBE_BOX]
+PROBE_POINTS = 41       # grid points per axis of the envelope probes
+LP_THRESHOLD = 300      # empirical maps of at most this many points use the exact LP
+EVAL_CHUNK = 1024       # query rows per block of EmpiricalMap.evaluate
+EQUIVARIANCE_BATCH = 32  # batch length of the equivariance standard error
+MAP_TOL = 1e-4          # Sinkhorn tolerance of the convergence experiment's maps
 
 __all__ = [
     "GibbsParams",
@@ -65,8 +70,9 @@ class GibbsParams:
 
     def __post_init__(self):
         for name in ("J", "L", "N", "sigma", "A", "B", "C"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"parameter {name} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"parameter {name} must be finite and positive")
         if self.N < 2 or self.L < 1:
             raise ValueError("need N >= 2 and L >= 1")
 
@@ -103,8 +109,7 @@ class GibbsSpec:
     violations raise GibbsAssumptionError naming the failing assumption.
     """
 
-    def __init__(self, v_coeffs, w_coeffs, params: GibbsParams,
-                 probe_box: float = 4.0, probe_points: int = 41):
+    def __init__(self, v_coeffs, w_coeffs, params: GibbsParams):
         self.v_coeffs = np.asarray(v_coeffs, dtype=float)
         w = np.atleast_2d(np.asarray(w_coeffs, dtype=float))
         if w.shape[0] != w.shape[1]:
@@ -112,10 +117,9 @@ class GibbsSpec:
                                        "coefficient matrix must be square")
         self.w_coeffs = w
         self.params = params
-        self.probe_box = probe_box
         self._vp_coeffs = npoly.polyder(self.v_coeffs)
         self._wx_coeffs = npoly.polyder(self.w_coeffs, axis=0)
-        self._check_assumptions(probe_points)
+        self._check_assumptions()
 
     # potential evaluation -------------------------------------------------
     def v(self, x):
@@ -134,15 +138,15 @@ class GibbsSpec:
     def coupled(self) -> bool:
         return bool(np.any(self.w_coeffs != 0.0))
 
-    def _check_assumptions(self, probe_points: int):
+    def _check_assumptions(self):
         p = self.params
         rng = np.random.default_rng(0)
-        xr = rng.uniform(-self.probe_box, self.probe_box, size=200)
-        yr = rng.uniform(-self.probe_box, self.probe_box, size=200)
+        xr = rng.uniform(-PROBE_BOX, PROBE_BOX, size=200)
+        yr = rng.uniform(-PROBE_BOX, PROBE_BOX, size=200)
         if np.max(np.abs(self.w(xr, yr) - self.w(yr, xr))) > 1e-12:
             raise GibbsAssumptionError("pair potential symmetry",
                                        "W(x, y) != W(y, x)")
-        g = np.linspace(-self.probe_box, self.probe_box, probe_points)
+        g = np.linspace(-PROBE_BOX, PROBE_BOX, PROBE_POINTS)
         gx, gy = np.meshgrid(g, g, indexing="ij")
         env_pair = p.J * (1.0 + np.abs(gx) + np.abs(gy)) ** (p.N - 1.0)
         if np.any(np.abs(self.w(gx, gy)) > env_pair + 1e-12):
@@ -164,29 +168,8 @@ class GibbsSpec:
             raise GibbsAssumptionError("coercivity envelope",
                                        "V'(x) x < A|x|^(N+sigma) - B on the probe box")
 
-    def assumption_checklist(self) -> list:
-        """Names of the structural probes this spec passed."""
-        return ["pair potential symmetry", "pair growth envelope",
-                "site growth envelope", "coercivity envelope"]
-
     def zero_coupling_clone(self) -> "GibbsSpec":
-        return GibbsSpec(self.v_coeffs, np.zeros((1, 1)), self.params,
-                         probe_box=self.probe_box)
-
-    def to_dict(self) -> dict:
-        return {"V_coeffs": self.v_coeffs.tolist(),
-                "W_coeffs": self.w_coeffs.tolist(),
-                "params": asdict(self.params)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GibbsSpec":
-        return cls(d["V_coeffs"], d["W_coeffs"], GibbsParams(**d["params"]))
+        return GibbsSpec(self.v_coeffs, np.zeros((1, 1)), self.params)
 
 
 def quartic_spec(coupling: float = 0.0) -> GibbsSpec:
@@ -233,29 +216,6 @@ class LatticeSample:
     @property
     def num_sites(self) -> int:
         return self.states.shape[1]
-
-    def save(self, path_prefix: str, spec: GibbsSpec, config: MCMCConfig) -> None:
-        """Binary columnar states plus a JSON sidecar with seed/config/spec hash."""
-        np.save(path_prefix + ".npy", self.states)
-        sidecar = {
-            "n": self.n, "seed": self.seed, "burn_in": self.burn_in,
-            "thinning": self.thinning, "config": asdict(config),
-            "spec_hash": spec.content_hash(),
-            "acceptance": self.acceptance.tolist(),
-            "ess": self.ess.tolist(), "tuning_ok": self.tuning_ok,
-        }
-        with open(path_prefix + ".json", "w") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=1)
-
-    @classmethod
-    def load(cls, path_prefix: str) -> "LatticeSample":
-        states = np.load(path_prefix + ".npy")
-        with open(path_prefix + ".json") as fh:
-            side = json.load(fh)
-        return cls(side["n"], states, side["seed"], side["burn_in"],
-                   side["thinning"], np.asarray(side["acceptance"]),
-                   np.asarray(side["ess"]), np.zeros(states.shape[1]),
-                   side["tuning_ok"])
 
 
 def ring_bonds(num_sites: int) -> list:
@@ -474,25 +434,22 @@ class EmpiricalMap:
     g_potential: np.ndarray = None
     log_b: np.ndarray = None
 
-    def evaluate(self, x: np.ndarray, chunk: int = 1024) -> np.ndarray:
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.method == "entropic":
             out = np.empty((x.shape[0], self.target_points.shape[1]))
-            for lo in range(0, x.shape[0], chunk):
-                c = _sq_dist_table(x[lo:lo + chunk], self.target_points)
+            for lo in range(0, x.shape[0], EVAL_CHUNK):
+                c = _sq_dist_table(x[lo:lo + EVAL_CHUNK], self.target_points)
                 logw = (self.g_potential[None, :] - c) / self.epsilon + self.log_b[None, :]
                 logw -= logsumexp(logw, axis=1, keepdims=True)
-                out[lo:lo + chunk] = np.exp(logw) @ self.target_points
+                out[lo:lo + EVAL_CHUNK] = np.exp(logw) @ self.target_points
             return out
         # nearest-source extension for exact plans
         out = np.empty((x.shape[0], self.values.shape[1]))
-        for lo in range(0, x.shape[0], chunk):
-            c = _sq_dist_table(x[lo:lo + chunk], self.source_points)
-            out[lo:lo + chunk] = self.values[np.argmin(c, axis=1)]
+        for lo in range(0, x.shape[0], EVAL_CHUNK):
+            c = _sq_dist_table(x[lo:lo + EVAL_CHUNK], self.source_points)
+            out[lo:lo + EVAL_CHUNK] = self.values[np.argmin(c, axis=1)]
         return out
-
-    def component(self, i: int) -> np.ndarray:
-        return self.values[:, i]
 
 
 def _merged_barycenters(points: np.ndarray, plan) -> np.ndarray:
@@ -510,8 +467,8 @@ def _merged_barycenters(points: np.ndarray, plan) -> np.ndarray:
 
 
 def empirical_map_to_gaussian(points, gaussian_samples, epsilon: float = None,
-                              seed: int = 0, lp_threshold: int = 300,
-                              tol: float = 1e-6, max_iter: int = 4000) -> EmpiricalMap:
+                              seed: int = 0, tol: float = 1e-6,
+                              max_iter: int = 4000) -> EmpiricalMap:
     """Estimate the transport map from an empirical cloud onto the standard
     Gaussian (entropic plan + barycentric projection; exact plan below the
     size threshold, its map averaged over the copies of each repeated source
@@ -540,7 +497,7 @@ def empirical_map_to_gaussian(points, gaussian_samples, epsilon: float = None,
         epsilon = 0.05 * float(np.median(_sq_dist_table(sub, subt)))
     mu = empirical_from_samples(points)
     nu = empirical_from_samples(target)
-    if points.shape[0] <= lp_threshold:
+    if points.shape[0] <= LP_THRESHOLD:
         res = solve_discrete_ot(mu, nu)
         return EmpiricalMap(points, _merged_barycenters(points, res.plan), "lp")
     res = sinkhorn(mu, nu, epsilon=epsilon, max_iter=max_iter, tol=tol)
@@ -560,7 +517,7 @@ class EquivarianceReport:
     max_standard_error: float
 
 
-def equivariance_check(emp_map: EmpiricalMap, batch: int = 32) -> EquivarianceReport:
+def equivariance_check(emp_map: EmpiricalMap) -> EquivarianceReport:
     """Empirical check that the map intertwines the cyclic shift.
 
     Compares the i-th component of the map after the shift against the
@@ -586,7 +543,7 @@ def equivariance_check(emp_map: EmpiricalMap, batch: int = 32) -> EquivarianceRe
         t_shift = emp_map.evaluate(shifted)
     diff_sq = (t_shift - np.roll(emp_map.values, 1, axis=1)) ** 2
     delta = diff_sq.mean(axis=0)
-    bm, _ = _batch_means(diff_sq, min(batch, n // 2))
+    bm, _ = _batch_means(diff_sq, min(EQUIVARIANCE_BATCH, n // 2))
     se = bm.std(axis=0, ddof=1) / math.sqrt(bm.shape[0])
     return EquivarianceReport(delta, se, float(delta.max()), float(se.max()))
 
@@ -607,9 +564,9 @@ def _z_values(spec: GibbsSpec, states: np.ndarray, m: int, n: int) -> np.ndarray
     return -spec.w(xm, xmm) + spec.w(xm, xm1) + spec.w(xmm1, xmm)
 
 
-def _jackknife_batches(values: np.ndarray, stat, batches: int = None):
+def _jackknife_batches(values: np.ndarray, stat):
     n = values.shape[0]
-    b = batches or max(int(math.sqrt(n)), 2)
+    b = max(int(math.sqrt(n)), 2)
     nb = n // b if n // b >= 2 else 2
     splits = np.array_split(np.arange(n), nb)
     full = stat(values)
@@ -659,21 +616,15 @@ def sample_decoupled_product(spec: GibbsSpec, n: int, m: int, num_samples: int,
                              seed: int, config: MCMCConfig = MCMCConfig()) -> np.ndarray:
     """Sample the decoupled law: the m-ring on the inner block times the
     complementary open chain (bonds along m+1..n, the wrap to -n, up to -m-1)."""
-    d = 2 * n + 1
-    dm = 2 * m + 1
-    [(ring, _, _)] = _sample_sites(spec, dm, ring_bonds(dm), num_samples,
-                                   [seed], config)
-    block_size = d - dm
-    states = np.empty((num_samples, d))
-    states[:, n - m: n + m + 1] = ring
-    if block_size > 0:
-        [(block, _, _)] = _sample_sites(spec, block_size, path_bonds(block_size),
+    inner, outer = _block_slots(n, m)
+    states = np.empty((num_samples, 2 * n + 1))
+    [(ring, _, _)] = _sample_sites(spec, len(inner), ring_bonds(len(inner)),
+                                   num_samples, [seed], config)
+    states[:, inner] = ring
+    if outer:
+        [(block, _, _)] = _sample_sites(spec, len(outer), path_bonds(len(outer)),
                                         num_samples, [seed + 1], config)
-        # path order: lattice m+1..n then -n..-m-1
-        right = block[:, : n - m]
-        left = block[:, n - m:]
-        states[:, n + m + 1:] = right
-        states[:, : n - m] = left
+        states[:, outer] = block
     return states
 
 
@@ -716,7 +667,7 @@ class CauchyReport:
 
 def _replicate_d(spec: GibbsSpec, states: np.ndarray, n: int, m_list, ot_points: int,
                  replicates: int, epsilon: float, seed: int,
-                 config: MCMCConfig, tol: float) -> dict:
+                 config: MCMCConfig) -> dict:
     """Per-replicate estimates of D(m) = E || T_n - (T_m ⊕ T_{m,n}) ||^2."""
     d = 2 * n + 1
     out = {m: [] for m in m_list}
@@ -734,14 +685,14 @@ def _replicate_d(spec: GibbsSpec, states: np.ndarray, n: int, m_list, ot_points:
     for r in range(replicates):
         block = states[r * ot_points: (r + 1) * ot_points]
         t_n = empirical_map_to_gaussian(block, ot_points, epsilon=epsilon,
-                                        seed=seed + 101 * r, tol=tol)
+                                        seed=seed + 101 * r, tol=MAP_TOL)
         for m in m_list:
             inner, outer = _block_slots(n, m)
             t_inner = empirical_map_to_gaussian(rings[m][r][0], ot_points,
-                                                epsilon=epsilon, tol=tol,
+                                                epsilon=epsilon, tol=MAP_TOL,
                                                 seed=seed + 104729 * r + 17 * m)
             t_outer = empirical_map_to_gaussian(paths[m][r][0], ot_points,
-                                                epsilon=epsilon, tol=tol,
+                                                epsilon=epsilon, tol=MAP_TOL,
                                                 seed=seed + 32452843 * r + 23 * m)
             tilde = np.empty((block.shape[0], d))
             tilde[:, inner] = t_inner.evaluate(block[:, inner])
@@ -753,7 +704,7 @@ def _replicate_d(spec: GibbsSpec, states: np.ndarray, n: int, m_list, ot_points:
 
 def cauchy_convergence_experiment(spec: GibbsSpec, m_list, n: int, samples: int,
                                   epsilon: float, seed: int, ot_points: int = 2000,
-                                  replicates: int = 3, map_tol: float = 1e-4,
+                                  replicates: int = 3,
                                   config: MCMCConfig = MCMCConfig()) -> CauchyReport:
     """Test the entropy-transport bound D(m) <= 2 Ent on the periodic ring.
 
@@ -783,9 +734,9 @@ def cauchy_convergence_experiment(spec: GibbsSpec, m_list, n: int, samples: int,
     null_sample = sample_periodic_gibbs(null_spec, n, samples, null_seed, config)
 
     d_raw = _replicate_d(spec, sample.states, n, m_list, ot_points, replicates,
-                         epsilon, seed, config, map_tol)
+                         epsilon, seed, config)
     d_null = _replicate_d(null_spec, null_sample.states, n, m_list, ot_points,
-                          replicates, epsilon, null_seed, config, map_tol)
+                          replicates, epsilon, null_seed, config)
 
     rows = []
     for m in m_list:

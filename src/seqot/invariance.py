@@ -91,13 +91,6 @@ class GroupAction:
     def __repr__(self):
         return f"GroupAction(dim={self.dim}, order={len(self)}, transitive={self.transitive})"
 
-    def to_dict(self) -> dict:
-        return {"dim": self.dim, "generators": self.elements.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroupAction":
-        return closure_from_generators(d["dim"], d["generators"])
-
 
 def closure_from_generators(dim: int, generators, max_size: int = MAX_GROUP_SIZE) -> GroupAction:
     """Generate the group closure of the given permutations (BFS)."""
@@ -421,8 +414,7 @@ class NoMapReport:
 
 
 def no_map_counterexample(component_a: DiscreteMeasure, component_b: DiscreteMeasure,
-                          d: int, group: GroupAction,
-                          concentration_tol: float = 0.05) -> NoMapReport:
+                          d: int, group: GroupAction) -> NoMapReport:
     """Invariant transport of a^d onto (a^d + b^d)/2 and its graph diagnostics.
 
     For distinct 1D components the optimal invariant plan cannot concentrate
@@ -441,5 +433,5 @@ def no_map_counterexample(component_a: DiscreteMeasure, component_b: DiscreteMea
                  and np.array_equal(component_a.points, component_b.points)
                  and np.array_equal(component_a.weights, component_b.weights))
     res = solve_invariant_ot(mu, nu, group, cost=first_coordinate_cost)
-    conc = graph_concentration(res.plan, tol=concentration_tol)
+    conc = graph_concentration(res.plan)
     return NoMapReport(res.value, conc, conc >= 1.0 - 1e-12, identical)

@@ -8,7 +8,6 @@ are pure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -40,6 +39,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_finite(name: str, values) -> None:
+    """ValueError naming the field when any entry is NaN or infinite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+
+
 class DiscreteMeasure:
     """A probability measure supported on finitely many points of R^dim.
 
@@ -59,6 +64,8 @@ class DiscreteMeasure:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,):
             raise ValueError(f"weights shape {weights.shape} != ({n},)")
+        _require_finite("points", points)
+        _require_finite("weights", weights)
         if np.any(weights < 0):
             raise ValueError("negative weight")
         total = weights.sum()
@@ -85,27 +92,6 @@ class DiscreteMeasure:
     def mean(self) -> np.ndarray:
         return self.weights @ self.points
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "points": self.points.tolist(),
-            "weights": self.weights.tolist(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiscreteMeasure":
-        m = cls(d["points"], d["weights"], normalize=False, prune=False)
-        if m.dim != d["dim"]:
-            raise ValueError("dim field disagrees with points")
-        return m
-
-    @classmethod
-    def from_json(cls, s: str) -> "DiscreteMeasure":
-        return cls.from_dict(json.loads(s))
-
 
 @dataclass(frozen=True)
 class Quantile1D:
@@ -123,6 +109,8 @@ class Quantile1D:
         v = np.asarray(self.values, dtype=float)
         if g.ndim != 1 or g.shape != v.shape or g.size < 1:
             raise ValueError("grid/values must be matching 1D arrays")
+        _require_finite("quantile_grid", g)
+        _require_finite("values", v)
         if np.any(g <= 0) or np.any(g >= 1):
             raise ValueError("quantile grid must lie in (0,1)")
         if np.any(np.diff(g) <= 0):
@@ -148,6 +136,8 @@ class GaussianSpec:
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise ValueError("covariance shape mismatch")
+        _require_finite("mean", mean)
+        _require_finite("covariance", cov)
         if np.max(np.abs(cov - cov.T)) > 1e-12:
             raise ValueError("covariance not symmetric")
         if np.min(np.linalg.eigvalsh(cov)) <= 0:
@@ -180,6 +170,8 @@ class Grid1D:
         density = np.asarray(density, dtype=float)
         if nodes.ndim != 1 or nodes.shape != density.shape or nodes.size < 2:
             raise ValueError("nodes/density must be matching 1D arrays, length >= 2")
+        _require_finite("nodes", nodes)
+        _require_finite("density", density)
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if np.any(density < 0):
@@ -357,10 +349,11 @@ def gaussian1d(mean: float, sigma: float) -> GaussianSpec:
     return GaussianSpec([mean], [[sigma ** 2]])
 
 
-def gaussian_grid(mean: float, sigma: float, radius: float = DEFAULT_RADIUS,
+def gaussian_grid(mean: float, sigma: float, *,
                   resolution: int = DEFAULT_RESOLUTION) -> Grid1D:
-    """N(mean, sigma^2) tabulated on mean +- radius*sigma."""
-    x = np.linspace(mean - radius * sigma, mean + radius * sigma, resolution)
+    """N(mean, sigma^2) tabulated on mean +- DEFAULT_RADIUS*sigma."""
+    x = np.linspace(mean - DEFAULT_RADIUS * sigma, mean + DEFAULT_RADIUS * sigma,
+                    resolution)
     dens = np.exp(-0.5 * ((x - mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
     return Grid1D(x, dens)
 

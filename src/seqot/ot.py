@@ -27,6 +27,10 @@ MARGINAL_TOL = 1e-10
 DUAL_FEAS_TOL = 1e-9
 GAP_TOL = 1e-9
 MAX_LP_CELLS = 1_000_000  # n*m cap for the exact solver
+# cyclical-monotonicity check: support pairs above this weight, the heaviest
+# CYCLE_MAX_SUPPORT of them
+CYCLE_SUPPORT_THRESHOLD = 1e-12
+CYCLE_MAX_SUPPORT = 80
 # HiGHS options for every transport LP.  Feasibility tolerances: the 1e-7
 # defaults let a solution miss the marginals by more than MARGINAL_TOL.
 # Presolve off: on a dense transportation LP it removes only the one redundant
@@ -83,24 +87,6 @@ class Coupling:
     def cost(self, cost=None) -> float:
         """Transport cost sum_ij pi_ij c(x_i, y_j) (quadratic by default)."""
         return float(np.sum(self.weights * cost_matrix(self.source, self.target, cost)))
-
-    def to_dict(self, threshold: float = 0.0) -> dict:
-        i, j = np.nonzero(self.weights > threshold)
-        return {
-            "source": self.source.to_dict(),
-            "target": self.target.to_dict(),
-            "triplets": [[int(a), int(b), float(self.weights[a, b])]
-                         for a, b in zip(i, j)],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Coupling":
-        src = DiscreteMeasure.from_dict(d["source"])
-        tgt = DiscreteMeasure.from_dict(d["target"])
-        w = np.zeros((len(src), len(tgt)))
-        for i, j, v in d["triplets"]:
-            w[int(i), int(j)] = v
-        return cls(src, tgt, w)
 
 
 @dataclass(frozen=True)
@@ -176,16 +162,19 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> np.ndarr
     """Evaluate a cost spec on the support product.
 
     ``cost`` may be None / "sqeuclidean" (squared Euclidean distance), a
-    callable c(X, Y) -> (n, m) table, or a precomputed (n, m) array.
+    callable c(X, Y) -> (n, m) table, or a precomputed (n, m) array.  Every
+    entry must be finite.
     """
     if cost is None or (isinstance(cost, str) and cost == "sqeuclidean"):
-        return np.maximum(_sq_dist_table(mu.points, nu.points), 0.0)
-    if callable(cost):
+        c = np.maximum(_sq_dist_table(mu.points, nu.points), 0.0)
+    elif callable(cost):
         c = np.asarray(cost(mu.points, nu.points), dtype=float)
     else:
         c = np.asarray(cost, dtype=float)
     if c.shape != (len(mu), len(nu)):
         raise ValueError("cost table shape mismatch")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("cost must be finite on every support pair")
     return c
 
 
@@ -504,8 +493,6 @@ class CycleReport:
 
 
 def check_cyclical_monotonicity(plan: Coupling, cycle_length_max: int = 3,
-                                support_threshold: float = 1e-12,
-                                max_support: int = 80,
                                 tol: float = 1e-9) -> CycleReport:
     """Check cyclical monotonicity of the plan's support for quadratic cost.
 
@@ -513,9 +500,9 @@ def check_cyclical_monotonicity(plan: Coupling, cycle_length_max: int = 3,
     cost must not exceed the cyclically shifted one.  Returns the first
     violating cycle if any.  Report-only: never raises on failure.
     """
-    i_idx, j_idx = np.nonzero(plan.weights > support_threshold)
-    if i_idx.size > max_support:
-        order = np.argsort(plan.weights[i_idx, j_idx])[::-1][:max_support]
+    i_idx, j_idx = np.nonzero(plan.weights > CYCLE_SUPPORT_THRESHOLD)
+    if i_idx.size > CYCLE_MAX_SUPPORT:
+        order = np.argsort(plan.weights[i_idx, j_idx])[::-1][:CYCLE_MAX_SUPPORT]
         i_idx, j_idx = i_idx[order], j_idx[order]
     k = i_idx.size
     c = _sq_dist_table(plan.source.points[i_idx], plan.target.points[j_idx])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -24,6 +24,7 @@ from .measures import (
     Grid1D,
     Quantile1D,
     _coerce_grid,
+    _require_finite,
     quantile_from_grid,
 )
 from .ot import (
@@ -56,28 +57,6 @@ def _component_quantiles(obj, resolution: int) -> np.ndarray:
     return quantile_from_grid(_coerce_grid(obj, resolution), resolution).values
 
 
-def _component_to_dict(obj) -> dict:
-    if isinstance(obj, GaussianSpec) and obj.dim == 1:
-        return {"family": "gaussian", "mean": float(obj.mean[0]), "sigma": obj.sigma}
-    if isinstance(obj, Grid1D):
-        return {"family": "grid", "nodes": obj.nodes.tolist(),
-                "density": obj.density.tolist()}
-    if isinstance(obj, Quantile1D):
-        return {"family": "quantile", "grid": obj.quantile_grid.tolist(),
-                "values": obj.values.tolist()}
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _component_from_dict(d: dict):
-    if d["family"] == "gaussian":
-        return GaussianSpec([d["mean"]], [[d["sigma"] ** 2]])
-    if d["family"] == "grid":
-        return Grid1D(d["nodes"], d["density"], normalize=False)
-    if d["family"] == "quantile":
-        return Quantile1D(np.asarray(d["grid"]), np.asarray(d["values"]))
-    raise ValueError(f"unknown component family {d['family']!r}")
-
-
 class ProductSpec:
     """A product law: one 1D factor per coordinate (Grid1D or 1D Gaussian)."""
 
@@ -92,13 +71,6 @@ class ProductSpec:
 
     def __repr__(self):
         return f"ProductSpec(dim={self.dim})"
-
-    def to_dict(self) -> dict:
-        return {"factors": [_component_to_dict(f) for f in self.factors]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProductSpec":
-        return cls([_component_from_dict(f) for f in d["factors"]])
 
 
 @dataclass(frozen=True)
@@ -377,8 +349,9 @@ class MixtureSpec:
     simply stops being unique).
     """
 
-    def __init__(self, weights, components, labels=None):
+    def __init__(self, weights, components):
         w = np.asarray(weights, dtype=float)
+        _require_finite("weights", w)
         if np.any(w <= 0):
             raise ValueError("mixture weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -388,8 +361,6 @@ class MixtureSpec:
         self.weights = w
         self.weights.flags.writeable = False
         self.components = list(components)
-        self.labels = list(labels) if labels is not None else [
-            f"component_{k}" for k in range(w.size)]
         self._warn_if_indistinguishable()
 
     def __len__(self):
@@ -411,16 +382,6 @@ class MixtureSpec:
                         f"mixture components {j} and {i} are indistinguishable "
                         "through their first three moments", stacklevel=3)
                     return
-
-    def to_dict(self) -> dict:
-        return {"weights": self.weights.tolist(),
-                "components": [_component_to_dict(c) for c in self.components],
-                "labels": self.labels}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MixtureSpec":
-        return cls(d["weights"], [_component_from_dict(c) for c in d["components"]],
-                   labels=d.get("labels"))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Minimal SVG line/scatter emitter for experiment reports.
+"""Minimal SVG line plot emitter for experiment reports.
 
 No plotting dependency: figures are inspection aids, not contracts.  Output is
 a deterministic function of the input series.
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 
+WIDTH, HEIGHT = 640, 420
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
 
@@ -24,13 +25,13 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return [lo + k * step for k in range(n)]
 
 
-def line_plot_svg(series: dict, title: str = "", width: int = 640,
-                  height: int = 420, scatter: bool = False) -> str:
-    """Render named series as polylines (or scatter) with axes and a legend.
+def line_plot_svg(series: dict, title: str = "") -> str:
+    """Render named series as polylines with point markers, axes and a legend.
 
     ``series`` maps a label to a pair (xs, ys) of equal-length sequences.
     """
     margin_l, margin_r, margin_t, margin_b = 60, 20, 36, 44
+    width, height = WIDTH, HEIGHT
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
@@ -82,7 +83,7 @@ def line_plot_svg(series: dict, title: str = "", width: int = 640,
         color = PALETTE[idx % len(PALETTE)]
         coords = [(sx(float(x)), sy(float(y))) for x, y in zip(xs, ys)
                   if math.isfinite(float(x)) and math.isfinite(float(y))]
-        if len(coords) > 1 and not scatter:
+        if len(coords) > 1:
             path = " ".join(f"{x:.1f},{y:.1f}" for x, y in coords)
             out.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
                        f'stroke-width="1.5"/>')

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import seqot.gibbs
+import seqot.invariance
 from seqot.cli import (
     EXPERIMENTS,
     ConfigError,
@@ -169,6 +171,30 @@ class TestRun:
         assert main(["validate", cfg]) == 0
         assert main(["run", cfg]) == 3
         assert "runtime failure" in capsys.readouterr().err
+
+    def test_run_parses_its_config_once(self, tmp_path, monkeypatch):
+        # the parse closes the group and builds the Gibbs spec; the run
+        # itself must not repeat that work
+        calls = []
+
+        def count(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, **k: calls.append(name) or fn(*a, **k))
+
+        count(seqot.invariance, "closure_from_generators")
+        count(seqot.gibbs, "quartic_spec")
+        cfg = write_config(tmp_path, "invariant_duality", seed=1,
+                           params={"instance": "random", "group": "c3"},
+                           output_dir=str(tmp_path / "inv"))
+        assert main(["run", cfg]) == 0
+        assert calls == ["closure_from_generators"]
+        cfg = write_config(tmp_path, "gibbs_cauchy", seed=1,
+                           params={"n": 1, "m_list": [0], "samples": 60,
+                                   "ot_points": 20, "replicates": 3},
+                           output_dir=str(tmp_path / "gibbs"))
+        assert main(["run", cfg]) in (0, 1)  # 1: the 3-SE test failed by chance
+        assert calls == ["closure_from_generators", "quartic_spec"]
 
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0
@@ -368,7 +394,6 @@ def mutated_configs(draw, names):
     return _default_config(name, params)
 
 
-VALIDATE_ONLY = {c.name for e in EXPERIMENTS.values() for c in e.checks if c.validate_only}
 CHEAP = ["talagrand", "lemma21", "no_map", "invariant_duality", "transitive_identity"]
 
 
@@ -397,9 +422,7 @@ class TestParamSpec:
             parsed = True
         except ConfigError:
             parsed = False
-        # a validate-only check (the log-concavity certificate) is repeated by
-        # the run itself, not by its parse
-        assert parsed == (not failed - VALIDATE_ONLY), checks
+        assert parsed == (not failed), checks
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -78,11 +78,6 @@ class TestGroups:
         with pytest.raises(ValueError):
             GroupAction(2, [[0, 0]])
 
-    def test_serialization_round_trip(self):
-        g = cyclic_group(4)
-        g2 = GroupAction.from_dict(g.to_dict())
-        assert np.array_equal(g.elements, g2.elements)
-
 
 class TestHaarProject:
     def stable_points(self, group, rng, n=4):

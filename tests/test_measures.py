@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -17,6 +16,9 @@ from seqot.measures import (
     quantile_from_discrete,
     quantile_from_grid,
 )
+from seqot.gibbs import GibbsParams
+from seqot.ot import sinkhorn, solve_discrete_ot
+from seqot.processes import MixtureSpec
 
 
 def test_empirical_uniform_weights_and_duplicates():
@@ -200,20 +202,46 @@ def test_quantile1d_validation():
         Quantile1D([0.0, 0.5], [0.0, 1.0])
 
 
-def test_json_round_trip_bit_compatible():
-    rng = np.random.default_rng(23)
-    m = DiscreteMeasure(rng.normal(size=(7, 3)), rng.random(7))
-    m2 = DiscreteMeasure.from_json(m.to_json())
-    assert np.array_equal(m.points, m2.points)
-    assert np.array_equal(m.weights, m2.weights)
-    assert m.dim == m2.dim
-    # and the serialized form itself is stable
-    assert m.to_json() == m2.to_json()
-
-
 def test_grid_sampling_matches_density():
     g = gaussian_grid(1.0, 2.0, resolution=4001)
     rng = np.random.default_rng(29)
     draws = g.sample(50_000, rng)
     assert abs(np.mean(draws) - 1.0) < 0.05
     assert abs(np.std(draws) - 2.0) < 0.05
+
+
+NAN, INF = float("nan"), float("inf")
+GIBBS = dict(J=1, L=4, N=3, sigma=1, A=3.9, B=1, C=4)
+PAIR = DiscreteMeasure([[0.0], [1.0]])
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: DiscreteMeasure([[0.0], [1.0]], [0.5, NAN]), "weights",
+                 id="measure-nan-weight"),
+    pytest.param(lambda: DiscreteMeasure([[0.0], [1.0]], [1.0, INF]), "weights",
+                 id="measure-inf-weight"),
+    pytest.param(lambda: DiscreteMeasure([[0.0], [1.0]], [0.5, NAN], normalize=False),
+                 "weights", id="measure-nan-weight-unnormalized"),
+    pytest.param(lambda: DiscreteMeasure([[0.0], [NAN]]), "points", id="measure-nan-point"),
+    pytest.param(lambda: Grid1D([0.0, NAN, 2.0], [1.0, 1.0, 1.0]), "nodes",
+                 id="grid-nan-node"),
+    pytest.param(lambda: Grid1D([0.0, 1.0], [NAN, NAN]), "density", id="grid-nan-density"),
+    pytest.param(lambda: GaussianSpec([NAN], [[1.0]]), "mean", id="gaussian-nan-mean"),
+    pytest.param(lambda: Quantile1D([0.25, 0.75], [0.0, NAN]), "values",
+                 id="quantile-nan-value"),
+    pytest.param(lambda: GibbsParams(**{**GIBBS, "J": NAN}), "parameter J", id="gibbs-nan-J"),
+    pytest.param(lambda: GibbsParams(**{**GIBBS, "C": INF}), "parameter C", id="gibbs-inf-C"),
+    pytest.param(lambda: MixtureSpec([0.5, NAN], [gaussian1d(0, 1), gaussian1d(3, 1)]),
+                 "weights", id="mixture-nan-weight"),
+    pytest.param(lambda: solve_discrete_ot(PAIR, PAIR, cost=[[0.0, NAN], [1.0, 0.0]]),
+                 "cost", id="ot-nan-cost"),
+    pytest.param(lambda: solve_discrete_ot(DiscreteMeasure([[0.0], [1e200]], [0.3, 0.7]),
+                                           PAIR),
+                 "cost", id="ot-overflowing-cost",
+                 marks=pytest.mark.filterwarnings("ignore:overflow")),
+    pytest.param(lambda: sinkhorn(PAIR, PAIR, cost=[[0.0, NAN], [1.0, 0.0]]), "cost",
+                 id="sinkhorn-nan-cost"),
+])
+def test_non_finite_input_rejected_by_name(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()

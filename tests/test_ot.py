@@ -403,14 +403,6 @@ class TestDiagnostics:
         assert graph_concentration(plan, tol=0.1) == 0.0
 
 
-def test_coupling_serialization_round_trip():
-    rng = np.random.default_rng(41)
-    mu, nu = random_instance(rng, max_atoms=8)
-    plan = solve_discrete_ot(mu, nu).plan
-    plan2 = Coupling.from_dict(plan.to_dict())
-    assert np.allclose(plan.weights, plan2.weights, atol=1e-15)
-
-
 def test_coupling_marginal_validation():
     m = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
     with pytest.raises(ValueError):

@@ -246,20 +246,6 @@ class TestMixtureEntropy:
             mixture_entropy_bound_check(mix, m=3, n=2, samples=10, seed=0)
 
 
-def test_spec_serialization_round_trips():
-    import json
-
-    mix = MixtureSpec([0.25, 0.75], [gaussian1d(0, 1), gaussian1d(3, 2)])
-    mix2 = MixtureSpec.from_dict(json.loads(json.dumps(mix.to_dict())))
-    assert np.array_equal(mix.weights, mix2.weights)
-    assert mix2.components[1].sigma == 2.0
-
-    prod = ProductSpec([gaussian1d(0, 1), mixture_grid([1.0], [0.5], [1.1])])
-    prod2 = ProductSpec.from_dict(json.loads(json.dumps(prod.to_dict())))
-    assert prod2.dim == 2
-    assert np.allclose(prod2.factors[1].density, prod.factors[1].density)
-
-
 def test_quasi_product_solves_each_split_once(monkeypatch):
     # default run: the block LP plus both sub-block LPs of split 1, which the
     # pairs (1, 2) and (1, 3) share; the pair (2, 3) needs no split
