@@ -439,10 +439,15 @@ class EmpiricalMap:
         if self.method == "entropic":
             out = np.empty((x.shape[0], self.target_points.shape[1]))
             for lo in range(0, x.shape[0], EVAL_CHUNK):
-                c = _sq_dist_table(x[lo:lo + EVAL_CHUNK], self.target_points)
-                logw = (self.g_potential[None, :] - c) / self.epsilon + self.log_b[None, :]
-                logw -= logsumexp(logw, axis=1, keepdims=True)
-                out[lo:lo + EVAL_CHUNK] = np.exp(logw) @ self.target_points
+                # softmax over the target cloud of (g_j - c_ij) / eps + log b_j,
+                # shifted by its row maximum so the largest weight is 1
+                w = _sq_dist_table(x[lo:lo + EVAL_CHUNK], self.target_points)
+                np.subtract(self.g_potential, w, out=w)
+                w /= self.epsilon
+                w += self.log_b
+                w -= w.max(axis=1, keepdims=True)
+                np.exp(w, out=w)
+                out[lo:lo + EVAL_CHUNK] = (w @ self.target_points) / w.sum(axis=1)[:, None]
             return out
         # nearest-source extension for exact plans
         out = np.empty((x.shape[0], self.values.shape[1]))

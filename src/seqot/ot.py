@@ -21,12 +21,15 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .measures import (DiscreteMeasure, Grid1D, Quantile1D, _discrete_quantile_at,
-                       _sorted_cdf, quantile_from_grid)
+                       _require_finite, _sorted_cdf, quantile_from_grid)
 
 MARGINAL_TOL = 1e-10
 DUAL_FEAS_TOL = 1e-9
 GAP_TOL = 1e-9
-MAX_LP_CELLS = 1_000_000  # n*m cap for the exact solver
+# n*m cap for the exact solver, checked before any branch is chosen: it
+# rejects, for example, a 2000x2000 uniform instance that the assignment path
+# alone could solve
+MAX_LP_CELLS = 1_000_000
 # cyclical-monotonicity check: support pairs above this weight, the heaviest
 # CYCLE_MAX_SUPPORT of them
 CYCLE_SUPPORT_THRESHOLD = 1e-12
@@ -69,6 +72,7 @@ class Coupling:
         if w.shape != (len(source), len(target)):
             raise ValueError("weight table shape mismatch")
         if check:
+            _require_finite("weights", w)
             if np.any(w < -MARGINAL_TOL):
                 raise ValueError("negative coupling weight")
             row_err = np.max(np.abs(w.sum(axis=1) - source.weights))
@@ -154,8 +158,10 @@ def _sq_dist_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Rounding can leave small negatives; only ``cost_matrix`` clamps them, so
     nearest-point ties and the entropic extension see the unclamped values.
     """
-    return (np.sum(x ** 2, axis=1)[:, None] + np.sum(y ** 2, axis=1)[None, :]
-            - 2.0 * x @ y.T)
+    cross = (2.0 * x) @ y.T
+    table = np.add.outer(np.sum(x ** 2, axis=1), np.sum(y ** 2, axis=1))
+    table -= cross
+    return table
 
 
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> np.ndarray:
@@ -166,7 +172,8 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> np.ndarr
     entry must be finite.
     """
     if cost is None or (isinstance(cost, str) and cost == "sqeuclidean"):
-        c = np.maximum(_sq_dist_table(mu.points, nu.points), 0.0)
+        c = _sq_dist_table(mu.points, nu.points)
+        np.maximum(c, 0.0, out=c)
     elif callable(cost):
         c = np.asarray(cost(mu.points, nu.points), dtype=float)
     else:
@@ -277,7 +284,9 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OT
     its difference constraints; should the recovered certificate miss the
     gap tolerance, the instance goes to the LP instead.  Everything else is
     the transportation LP (HiGHS) with its duals made feasible by one
-    c-transform.
+    c-transform.  Instances of more than ``MAX_LP_CELLS`` (1e6) cells are
+    rejected before any of these branches is tried, so a 2000x2000 uniform
+    instance raises ValueError although the assignment path could solve it.
     """
     t0 = time.perf_counter()
     n, m = len(mu), len(nu)
@@ -366,9 +375,12 @@ def quantile_transport_1d(mu, nu, resolution: int = 10_000) -> Monotone1DMap:
 # entropic solver
 
 
+_ROUND_ROWS = 128  # rows per block of the rounding's rank-1 correction
+
+
 def _round_to_marginals(p, a, b):
     """Project an almost-feasible plan onto the transportation polytope, in
-    place."""
+    place (Altschuler, Weed and Rigollet, arXiv 1705.09634, Algorithm 2)."""
     r = p.sum(axis=1)
     p *= np.minimum(a / np.where(r > 0, r, 1.0), 1.0)[:, None]
     col = p.sum(axis=0)
@@ -377,7 +389,12 @@ def _round_to_marginals(p, a, b):
     eb = b - p.sum(axis=0)
     s = ea.sum()
     if s > 1e-300:
-        p += np.outer(ea, eb) / s
+        # the rank-1 correction ea eb^T / s, added a block of rows at a time
+        # so that no second n x m table is allocated
+        for lo in range(0, len(ea), _ROUND_ROWS):
+            block = np.multiply.outer(ea[lo:lo + _ROUND_ROWS], eb)
+            block /= s
+            p[lo:lo + _ROUND_ROWS] += block
     return p
 
 
@@ -395,13 +412,19 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
 
     The regularization is halved from max(C)/2 down to the target epsilon,
     warm-starting the potentials at each stage.  Iterations run on scaling
-    vectors against a kernel recentered by the current potentials; whenever a
-    scaling grows too large it is absorbed into the potentials and the kernel
-    rebuilt, so arbitrarily small epsilon stays finite.  The returned plan is
-    rounded onto the marginal polytope, making it a valid Coupling; the
-    pre-rounding total-variation violation and the iteration count are
-    reported, and non-convergence comes back as ``converged=False``, never
-    silently.
+    vectors u, v against the kernel K_ij = exp((f_i + g_j - c_ij) / eps)
+    recentered by the current potentials.  That kernel is built from the
+    potentials once, at the first stage.  A stage ends by folding its
+    scalings into the potentials, f <- f + eps log u and g <- g + eps log v,
+    and since the next stage runs at eps / 2 its kernel is the current one
+    scaled and squared, K' = (diag(u) K diag(v)) o (diag(u) K diag(v)),
+    with no exponential taken.  Whenever a scaling leaves [e^-25, e^25] it
+    is absorbed into the potentials and the kernel rebuilt from them, so
+    arbitrarily small epsilon stays finite.  The plan is the last kernel
+    scaled to diag(a u) K diag(v b), rounded onto the marginal polytope, so
+    it is a valid Coupling; the pre-rounding total-variation violation and
+    the iteration count are reported, and non-convergence comes back as
+    ``converged=False``, never silently.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
@@ -412,8 +435,6 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
         plan = Coupling(mu, nu, w)
         return SinkhornResult(plan, float(np.sum(w * c)), True, 0, 0.0, epsilon,
                               np.zeros(len(mu)), np.zeros(len(nu)))
-    log_a = np.log(np.where(a > 0, a, 1e-300))
-    log_b = np.log(np.where(b > 0, b, 1e-300))
     c_scale = float(np.max(c))
     ladder = [epsilon]
     while ladder[-1] < c_scale / 2 and len(ladder) < 60:
@@ -424,13 +445,19 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
     g = np.zeros(len(nu))
     total_iter = 0
     violation = np.inf
-    absorb_cap = 25.0  # |log scaling| beyond this is folded into the potentials
+    # a scaling is folded into the potentials once |log u| or |log v| passes
+    # 25, read off K (v b) and K^T (u a) before they are inverted
+    lo_cap, hi_cap = np.exp(-25.0), np.exp(25.0)
 
     kernel = np.empty_like(c)  # every kernel, then the plan, in one buffer
+    np.exp(_exponent(f, g, c, ladder[0], kernel), out=kernel)
     for stage, eps in enumerate(ladder):
         last_stage = stage == len(ladder) - 1
         stage_iters = max_iter if last_stage else 12
-        np.exp(_exponent(f, g, c, eps, kernel), out=kernel)
+        if stage:
+            kernel *= u[:, None]
+            kernel *= v[None, :]
+            np.square(kernel, out=kernel)
         u = np.ones(len(mu))
         v = np.ones(len(nu))
         ku = None  # K (v b) from the last row check, reused by the u-update
@@ -440,10 +467,11 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
             u = 1.0 / np.maximum(ku, 1e-300)
             kv = kernel.T @ (u * a)
             v = 1.0 / np.maximum(kv, 1e-300)
-            ku = None
             total_iter += 1
-            logs = max(np.max(np.abs(np.log(u))), np.max(np.abs(np.log(v))))
-            if logs > absorb_cap:
+            absorb = (ku.min() < lo_cap or ku.max() > hi_cap
+                      or kv.min() < lo_cap or kv.max() > hi_cap)
+            ku = None  # stale now that v has moved, and after an absorb
+            if absorb:
                 f = f + eps * np.log(u)
                 g = g + eps * np.log(v)
                 np.exp(_exponent(f, g, c, eps, kernel), out=kernel)
@@ -460,13 +488,10 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
                     break
         f = f + eps * np.log(u)
         g = g + eps * np.log(v)
-        if last_stage:
-            break
     converged = violation <= tol
-    _exponent(f, g, c, epsilon, kernel)
-    kernel += log_a[:, None]
-    kernel += log_b[None, :]
-    p = _round_to_marginals(np.exp(kernel, out=kernel), a, b)
+    kernel *= (u * a)[:, None]
+    kernel *= (v * b)[None, :]
+    p = _round_to_marginals(kernel, a, b)
     plan = Coupling(mu, nu, p)
     return SinkhornResult(plan, float(np.sum(p * c)), converged, total_iter,
                           float(violation), epsilon, f, g)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as npoly
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, logsumexp
 
 from seqot import gibbs
 from seqot.gibbs import (
@@ -291,6 +291,58 @@ class TestEmpiricalMap:
         m = empirical_map_to_gaussian(s.states, 400, epsilon=0.2, seed=3, tol=1e-6)
         inside = m.evaluate(m.source_points[:5])
         assert np.allclose(inside, m.values[:5], atol=0.05)
+
+
+def random_entropic_map(rng, m=300, d=3, epsilon=0.07):
+    """An entropic EmpiricalMap over a random weighted target cloud with a
+    random potential; only the extension's inputs matter."""
+    b = rng.random(m) + 0.01
+    return EmpiricalMap(np.zeros((1, d)), np.zeros((1, d)), "entropic", epsilon=epsilon,
+                        target_points=rng.normal(size=(m, d)),
+                        g_potential=rng.normal(scale=0.3, size=m),
+                        log_b=np.log(b / b.sum()))
+
+
+def logsumexp_extension(emp_map, x):
+    """The extension as log-weights normalized by scipy's logsumexp, then
+    exponentiated: the formula the one-pass softmax replaced."""
+    c = np.sum((x[:, None, :] - emp_map.target_points[None, :, :]) ** 2, axis=2)
+    logw = (emp_map.g_potential[None, :] - c) / emp_map.epsilon + emp_map.log_b[None, :]
+    logw -= logsumexp(logw, axis=1, keepdims=True)
+    return np.exp(logw) @ emp_map.target_points
+
+
+class TestSoftmaxExtension:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_logsumexp_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        emp_map = random_entropic_map(rng, epsilon=float(rng.uniform(0.02, 0.5)))
+        x = rng.normal(scale=1.5, size=(200, 3))
+        got = emp_map.evaluate(x)
+        assert np.max(np.abs(got - logsumexp_extension(emp_map, x))) <= 1e-13
+
+    def test_far_queries_stay_finite(self):
+        # every weight but the largest underflows: the value is that target
+        emp_map = random_entropic_map(np.random.default_rng(7), epsilon=0.01)
+        direction = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, -1.0], [3.0, 1.0, 1.0]])
+        x = 1e3 * direction
+        c = np.sum((x[:, None, :] - emp_map.target_points[None, :, :]) ** 2, axis=2)
+        nearest = np.argmax((emp_map.g_potential - c) / emp_map.epsilon + emp_map.log_b,
+                            axis=1)
+        got = emp_map.evaluate(x)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, emp_map.target_points[nearest], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunks_give_the_rows_of_one_block(self, monkeypatch, chunk):
+        # BLAS blocks a matrix product by its shape, so a row's last bits may
+        # move with the chunk size, and 1 / epsilon magnifies them
+        rng = np.random.default_rng(8)
+        emp_map = random_entropic_map(rng)
+        x = rng.normal(size=(50, 3))
+        whole = emp_map.evaluate(x)
+        monkeypatch.setattr(gibbs, "EVAL_CHUNK", chunk)
+        assert np.max(np.abs(emp_map.evaluate(x) - whole)) <= 1e-13
 
 
 def rotate_copies(res):

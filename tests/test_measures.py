@@ -17,7 +17,7 @@ from seqot.measures import (
     quantile_from_grid,
 )
 from seqot.gibbs import GibbsParams
-from seqot.ot import sinkhorn, solve_discrete_ot
+from seqot.ot import Coupling, sinkhorn, solve_discrete_ot
 from seqot.processes import MixtureSpec
 
 
@@ -241,6 +241,8 @@ PAIR = DiscreteMeasure([[0.0], [1.0]])
                  marks=pytest.mark.filterwarnings("ignore:overflow")),
     pytest.param(lambda: sinkhorn(PAIR, PAIR, cost=[[0.0, NAN], [1.0, 0.0]]), "cost",
                  id="sinkhorn-nan-cost"),
+    pytest.param(lambda: Coupling(PAIR, PAIR, np.full((2, 2), NAN)), "weights",
+                 id="coupling-nan-weight"),
 ])
 def test_non_finite_input_rejected_by_name(build, field):
     with pytest.raises(ValueError, match=field):

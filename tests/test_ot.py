@@ -14,12 +14,14 @@ from seqot.measures import (
     gaussian_grid,
     gaussian_w2,
 )
+from seqot import ot
 from seqot.ot import (
     DUAL_FEAS_TOL,
     GAP_TOL,
     MARGINAL_TOL,
     Coupling,
     _HIGHS_OPTIONS,
+    _round_to_marginals,
     barycentric_map,
     check_cyclical_monotonicity,
     cost_matrix,
@@ -266,6 +268,77 @@ def test_sinkhorn_cost_within_entropic_bound_of_lp(instance, epsilon):
                          + 2 * np.max(c) * res.marginal_violation)
 
 
+def rebuild_every_rung_sinkhorn(mu, nu, epsilon, max_iter=5000, tol=1e-9):
+    """The annealed Sinkhorn loop that takes a fresh exponential of the
+    potentials at every epsilon rung and for the plan: the reference for the
+    solver, which squares its kernel from rung to rung instead.  Returns
+    (plan, f, g, iterations, converged, absorbs)."""
+    c = cost_matrix(mu, nu)
+    a, b = mu.weights, nu.weights
+    ladder = [epsilon]
+    while ladder[-1] < float(np.max(c)) / 2 and len(ladder) < 60:
+        ladder.append(ladder[-1] * 2.0)
+    f, g = np.zeros(len(a)), np.zeros(len(b))
+    iterations, absorbs, violation = 0, 0, np.inf
+    for stage, eps in enumerate(ladder[::-1]):
+        last_stage = stage == len(ladder) - 1
+        kernel = np.exp((np.add.outer(f, g) - c) / eps)
+        u, v = np.ones(len(a)), np.ones(len(b))
+        for it in range(max_iter if last_stage else 12):
+            u = 1.0 / np.maximum(kernel @ (v * b), 1e-300)
+            v = 1.0 / np.maximum(kernel.T @ (u * a), 1e-300)
+            iterations += 1
+            if max(np.max(np.abs(np.log(u))), np.max(np.abs(np.log(v)))) > 25.0:
+                f, g = f + eps * np.log(u), g + eps * np.log(v)
+                kernel = np.exp((np.add.outer(f, g) - c) / eps)
+                u, v = np.ones(len(a)), np.ones(len(b))
+                absorbs += 1
+                continue
+            if last_stage and (it % 10 == 9 or it == max_iter - 1):
+                violation = 0.5 * float(np.abs(a * u * (kernel @ (v * b)) - a).sum())
+                if violation <= tol:
+                    break
+        f, g = f + eps * np.log(u), g + eps * np.log(v)
+    plan = np.exp((np.add.outer(f, g) - c) / epsilon
+                  + np.log(a)[:, None] + np.log(b)[None, :])
+    plan = Coupling(mu, nu, _round_to_marginals(plan, a, b)).weights
+    return plan, f, g, iterations, violation <= tol, absorbs
+
+
+def sinkhorn_instance(seed, dim, weighted):
+    """Two random clouds of 2 to 30 atoms, uniform or with random weights."""
+    rng = np.random.default_rng(seed)
+    n, m = (int(k) for k in rng.integers(2, 31, size=2))
+    a = rng.random(n) + 0.05 if weighted else None
+    b = rng.random(m) + 0.05 if weighted else None
+    return (DiscreteMeasure(rng.normal(size=(n, dim)), a),
+            DiscreteMeasure(1.5 * rng.normal(size=(m, dim)) + 0.5, b))
+
+
+def assert_matches_rebuild_reference(mu, nu, eps, **kw):
+    """Compare the solver with the reference, and return the reference."""
+    reference = rebuild_every_rung_sinkhorn(mu, nu, eps, **kw)
+    plan, f, g, iterations, converged, _ = reference
+    res = sinkhorn(mu, nu, epsilon=eps, **kw)
+    assert res.iterations == iterations
+    assert res.converged == converged
+    assert np.max(np.abs(res.f - f)) <= 1e-12
+    assert np.max(np.abs(res.g - g)) <= 1e-12
+    # plan entries are a_i b_j exp((f_i + g_j - c_ij) / eps), so an ulp of
+    # potentials near 10 moves them by about 1e-15 / eps, over 1e-12 once
+    # eps < 1e-3
+    assert np.max(np.abs(res.plan.weights - plan)) <= max(1e-12, 1e-15 / eps)
+    return reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.booleans(),
+       st.sampled_from([1e-4, 1e-3, 1e-2, 0.1, 1.0]), st.sampled_from([5, 5000]))
+def test_sinkhorn_matches_rebuild_reference(seed, dim, weighted, eps, max_iter):
+    mu, nu = sinkhorn_instance(seed, dim, weighted)
+    assert_matches_rebuild_reference(mu, nu, eps, max_iter=max_iter)
+
+
 class TestSinkhorn:
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_nonpositive_or_nonfinite_epsilon(self, epsilon):
@@ -305,35 +378,65 @@ class TestSinkhorn:
         assert np.max(np.abs(res.plan.weights.sum(1) - mu.weights)) < 1e-12
         assert np.max(np.abs(res.plan.weights.sum(0) - nu.weights)) < 1e-12
 
-    # sha256 of the plan, f and g bytes and the iteration count, recorded
-    # before the kernels were built in place (numpy 2.4, x86-64); "shifted"
-    # absorbs twice and "1d" five times, the latter without converging
+    # sha256 of the plan, f and g bytes and the iteration count (numpy 2.4,
+    # x86-64): first of the solver, which squares its kernel from rung to
+    # rung, then of the rebuild-every-rung reference, which are the solver's
+    # bits from before the squaring; "shifted" absorbs twice and "1d" five
+    # times, the latter without converging
     @staticmethod
     def _pinned_instances():
         rng = np.random.default_rng(3)
         yield ("weighted", DiscreteMeasure(rng.normal(size=(15, 2)), rng.random(15) + 0.1),
                DiscreteMeasure(rng.normal(size=(11, 2)), rng.random(11) + 0.1), 0.05,
+               "8476f252561074dad0517ff6d85f97d77a03817a5a84ac9ed296f0cb18dd7c54",
                "1112f27b501ca90f5a8432278e0b040e66f7887f7c13f58a6529de22803569bb")
         rng = np.random.default_rng(5)
         mu = DiscreteMeasure(rng.normal(size=(10, 2)))
         yield ("identical", mu, mu, 1e-3,
+               "24b539e969dd497fa1364d0a198ac32814b9630cdffdfe291d9dcf623b5a5248",
                "6c99db479c065ec56b8b63dfcd94501d2dc7ab600b9b2973b747fe5067d7e49b")
         rng = np.random.default_rng(19)
         yield ("shifted", DiscreteMeasure(rng.normal(size=(12, 2))),
                DiscreteMeasure(rng.normal(size=(14, 2)) + 0.5), 0.01,
+               "c04208a7aa2d412837ea121088d1d658c2fa3e47d47d2ddeaa559cd9cc09b838",
                "22eb031ea82049326e43c6b5496921226ccb04a1f725858885e596d98132d019")
         rng = np.random.default_rng(41)
         yield ("1d", DiscreteMeasure(rng.normal(size=(60, 1)), rng.random(60) + 0.05),
                DiscreteMeasure(2.0 * rng.normal(size=(50, 1))), 1e-4,
+               "315f1abc7036f34bf35e6f31c9862b7e5bec85418b6557380751a61684faf275",
                "74e35063b477d373275b9ccee1fc68c96b0283eb769a81b2e9d12f576222644f")
 
+    @staticmethod
+    def _digest(plan, f, g, iterations):
+        data = b"".join(np.ascontiguousarray(a).tobytes() for a in (plan, f, g))
+        return hashlib.sha256(data + str(iterations).encode()).hexdigest()
+
+    def test_matches_direct_rebuild_reference(self):
+        absorbs = {}
+        for name, mu, nu, eps, _, reference_digest in self._pinned_instances():
+            *bits, _, absorbs[name] = assert_matches_rebuild_reference(mu, nu, eps)
+            assert self._digest(*bits) == reference_digest, name
+        assert absorbs == {"weighted": 0, "identical": 0, "shifted": 2, "1d": 5}
+
+    def test_kernel_built_once_plus_once_per_absorb(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return exponent(*args)
+
+        exponent = ot._exponent
+        monkeypatch.setattr(ot, "_exponent", counted)
+        for name, mu, nu, eps, _, _ in self._pinned_instances():
+            absorbs = rebuild_every_rung_sinkhorn(mu, nu, eps)[-1]
+            calls.clear()
+            sinkhorn(mu, nu, epsilon=eps)
+            assert len(calls) == 1 + absorbs, name
+
     def test_output_bits_pinned(self):
-        for name, mu, nu, eps, digest in self._pinned_instances():
+        for name, mu, nu, eps, digest, _ in self._pinned_instances():
             res = sinkhorn(mu, nu, epsilon=eps)
-            data = b"".join(np.ascontiguousarray(a).tobytes()
-                            for a in (res.plan.weights, res.f, res.g))
-            data += str(res.iterations).encode()
-            assert hashlib.sha256(data).hexdigest() == digest, name
+            assert self._digest(res.plan.weights, res.f, res.g, res.iterations) == digest, name
 
     def test_nonconvergence_is_flagged(self):
         rng = np.random.default_rng(4)
