@@ -242,20 +242,22 @@ def _site_neighbors(num_sites: int, bonds) -> list:
 
 
 def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
-                  seeds, config: MCMCConfig) -> list:
+                  seeds, config: MCMCConfig, null_seeds=()) -> list:
     """Metropolis samplers for exp(-sum V(x_i) - sum_bonds W) on a bond graph,
     one per seed, run in lockstep; returns one (states, acceptance, steps)
-    per seed.
+    per seed of ``seeds``, then per seed of ``null_seeds``, whose lanes
+    sample the zero-coupling clone of ``spec`` (the same V, no W).
 
     Each seed owns a lane of ``config.num_chains`` independent chains and its
     own random stream, drawn in the order a sampler run alone draws it, so
-    every lane is bitwise the output of its seed alone.  Site sweeps are
-    sequential.  The state is held site-major, ``(sites, lanes * chains)``,
+    every lane is bitwise the output of its seed and spec alone.  Site sweeps
+    are sequential.  The state is held site-major, ``(sites, lanes * chains)``,
     and each site update evaluates V once on the stacked [proposal; current]
-    rows and W once on them against all the site's neighbours, for all lanes
-    at once.
+    rows for all lanes at once, and W once on them against all the site's
+    neighbours, on the leading column block of the coupled lanes only.
     """
-    rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in seeds]
+    rngs = [np.random.default_rng(np.random.SeedSequence(s))
+            for s in [*seeds, *null_seeds]]
     lanes = len(rngs)
     nbrs = _site_neighbors(num_sites, bonds)
     others = [np.array([j for j, _ in nb if j != i], dtype=np.intp)
@@ -277,9 +279,11 @@ def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
     acc = np.empty(width, dtype=bool)
     normals = list(zip([rng.standard_normal for rng in rngs], np.split(noise, lanes)))
     uniforms = list(zip([rng.random for rng in rngs], np.split(unif, lanes)))
-    lane_acc = np.split(acc, lanes)
 
-    use_w = spec.coupled
+    # W acts on the columns of spec's own lanes alone; elementwise operations
+    # on a column slice give the bits of the same operations on a lane alone
+    coupled = len(seeds) * chains if spec.coupled else 0
+    head = pair[:, :coupled]
     # acceptance is summed sweep by sweep as the fraction k / chains, which
     # fixes its rounding whatever the chain count
     accept_count = np.zeros((num_sites, lanes))
@@ -296,22 +300,21 @@ def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
             current[:] = rows[i]
             v = spec.v(pair)
             delta = v[0] - v[1]
-            if use_w:
-                w_nb = iter(spec.w(pair[:, None], x[others[i]]).swapaxes(0, 1))
+            if coupled:
+                delta_w = delta[:coupled]
+                w_nb = iter(spec.w(head[:, None], x[others[i], :coupled]).swapaxes(0, 1))
                 for j, mult in nbrs[i]:
                     if j == i:
-                        w_self = spec.w(pair, pair)
-                        delta += mult / 2.0 * (w_self[0] - w_self[1])
+                        w_self = spec.w(head, head)
+                        delta_w += mult / 2.0 * (w_self[0] - w_self[1])
                     else:
                         w_j = next(w_nb)
-                        delta += mult * (w_j[0] - w_j[1])
+                        delta_w += mult * (w_j[0] - w_j[1])
             for uniform, u in uniforms:
                 uniform(out=u)
             np.less(unif, np.exp(np.minimum(-delta, 0.0)), out=acc)
             np.copyto(rows[i], proposal, where=acc)
-            row = tally[i]
-            for k, a in enumerate(lane_acc):
-                row[k] += np.count_nonzero(a) / chains
+            tally[i] += np.add.reduce(acc.reshape(lanes, chains), axis=1) / chains
 
     for s in range(config.burn_in):
         sweep(adapting=True)
@@ -374,12 +377,19 @@ def sample_periodic_gibbs(spec: GibbsSpec, n: int, num_samples: int, seed: int,
     if n < 0:
         raise ValueError("n must be >= 0")
     num_sites = 2 * n + 1
-    [(states, acceptance, steps)] = _sample_sites(
-        spec, num_sites, ring_bonds(num_sites), num_samples, [seed], config)
+    [lane] = _sample_sites(spec, num_sites, ring_bonds(num_sites), num_samples,
+                           [seed], config)
+    return _lattice_sample(n, seed, lane, config)
+
+
+def _lattice_sample(n: int, seed: int, lane, config: MCMCConfig) -> LatticeSample:
+    """The ring sample of one sampler lane, with its ESS and tuning flag; a
+    tuning failure is warned about at the caller of the caller."""
+    states, acceptance, steps = lane
     tuning_ok = bool(np.all((acceptance >= 0.05) & (acceptance <= 0.95)))
     if not tuning_ok:
         warnings.warn(f"MCMC tuning failure: acceptance rates {acceptance}",
-                      stacklevel=2)
+                      stacklevel=3)
     return LatticeSample(n, states, seed, config.burn_in, config.thinning,
                          acceptance, _ess_per_coordinate(states, config.num_chains),
                          steps, tuning_ok)
@@ -436,6 +446,10 @@ class EmpiricalMap:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        dim = self.source_points.shape[1]
+        if x.ndim != 2 or x.shape[1] != dim:
+            raise ValueError(f"points of shape {x.shape}: the map takes points "
+                             f"of dimension {dim}")
         if self.method == "entropic":
             out = np.empty((x.shape[0], self.target_points.shape[1]))
             for lo in range(0, x.shape[0], EVAL_CHUNK):
@@ -670,40 +684,45 @@ class CauchyReport:
     passed: bool
 
 
-def _replicate_d(spec: GibbsSpec, states: np.ndarray, n: int, m_list, ot_points: int,
-                 replicates: int, epsilon: float, seed: int,
-                 config: MCMCConfig) -> dict:
-    """Per-replicate estimates of D(m) = E || T_n - (T_m ⊕ T_{m,n}) ||^2."""
+def _replicate_d(spec: GibbsSpec, ring_states, n: int, m_list, ot_points: int,
+                 replicates: int, epsilon: float, seeds,
+                 config: MCMCConfig) -> list:
+    """Per-replicate estimates of D(m) = E || T_n - (T_m ⊕ T_{m,n}) ||^2, one
+    dict m -> list per run: the run of ``spec``, then its zero-coupling
+    control, with ring states and seeds given in that order."""
     d = 2 * n + 1
-    out = {m: [] for m in m_list}
-    # every replicate's ring blocks, then its path blocks, run as lanes of
-    # one sampler per m
-    rings = {m: _sample_sites(spec, 2 * m + 1, ring_bonds(2 * m + 1), ot_points,
-                              [seed + 7919 * r + 13 * m for r in range(replicates)],
-                              config)
-             for m in m_list}
-    paths = {m: _sample_sites(spec, d - (2 * m + 1), path_bonds(d - (2 * m + 1)),
-                              ot_points,
-                              [seed + 15485863 * r + 19 * m for r in range(replicates)],
-                              config)
-             for m in m_list}
-    for r in range(replicates):
-        block = states[r * ot_points: (r + 1) * ot_points]
-        t_n = empirical_map_to_gaussian(block, ot_points, epsilon=epsilon,
-                                        seed=seed + 101 * r, tol=MAP_TOL)
-        for m in m_list:
-            inner, outer = _block_slots(n, m)
-            t_inner = empirical_map_to_gaussian(rings[m][r][0], ot_points,
-                                                epsilon=epsilon, tol=MAP_TOL,
-                                                seed=seed + 104729 * r + 17 * m)
-            t_outer = empirical_map_to_gaussian(paths[m][r][0], ot_points,
-                                                epsilon=epsilon, tol=MAP_TOL,
-                                                seed=seed + 32452843 * r + 23 * m)
-            tilde = np.empty((block.shape[0], d))
-            tilde[:, inner] = t_inner.evaluate(block[:, inner])
-            tilde[:, outer] = t_outer.evaluate(block[:, outer])
-            diff = t_n.values - tilde
-            out[m].append(float(np.mean(np.sum(diff ** 2, axis=1))))
+
+    def blocks(bonds, sites, step, shift):
+        # every replicate's block of both runs is a lane of one sampler, the
+        # control's lanes after the main run's
+        main, null = ([s + step * r + shift for r in range(replicates)] for s in seeds)
+        lanes = _sample_sites(spec, sites, bonds(sites), ot_points, main, config,
+                              null_seeds=null)
+        return lanes[:replicates], lanes[replicates:]
+
+    rings = {m: blocks(ring_bonds, 2 * m + 1, 7919, 13 * m) for m in m_list}
+    paths = {m: blocks(path_bonds, d - (2 * m + 1), 15485863, 19 * m) for m in m_list}
+    out = []
+    for run, (states, seed) in enumerate(zip(ring_states, seeds)):
+        d_run = {m: [] for m in m_list}
+        for r in range(replicates):
+            block = states[r * ot_points: (r + 1) * ot_points]
+            t_n = empirical_map_to_gaussian(block, ot_points, epsilon=epsilon,
+                                            seed=seed + 101 * r, tol=MAP_TOL)
+            for m in m_list:
+                inner, outer = _block_slots(n, m)
+                t_inner = empirical_map_to_gaussian(rings[m][run][r][0], ot_points,
+                                                    epsilon=epsilon, tol=MAP_TOL,
+                                                    seed=seed + 104729 * r + 17 * m)
+                t_outer = empirical_map_to_gaussian(paths[m][run][r][0], ot_points,
+                                                    epsilon=epsilon, tol=MAP_TOL,
+                                                    seed=seed + 32452843 * r + 23 * m)
+                tilde = np.empty((block.shape[0], d))
+                tilde[:, inner] = t_inner.evaluate(block[:, inner])
+                tilde[:, outer] = t_outer.evaluate(block[:, outer])
+                diff = t_n.values - tilde
+                d_run[m].append(float(np.mean(np.sum(diff ** 2, axis=1))))
+        out.append(d_run)
     return out
 
 
@@ -724,24 +743,31 @@ def cauchy_convergence_experiment(spec: GibbsSpec, m_list, n: int, samples: int,
     is compared against 2 Ent + 3 SE with replicate-based standard errors
     (disjoint sample blocks per replicate).  Raw, null and corrected values
     are all reported.
+
+    The two runs sample as lanes of the same lockstep samplers, each lane on
+    its own seed: one call for both rings, then per m one ring-block and one
+    path-block call over all replicates of both runs, 1 + 2 |m_list| calls
+    in all.  Every lane is bitwise the sample of its seed and spec alone, so
+    the report does not depend on this fusion.  A tuning failure of either
+    ring run is warned about, the main run's first.
     """
     m_list = sorted(int(m) for m in m_list)
     if m_list and (m_list[0] < 0 or m_list[-1] >= n):
         raise ValueError("m_list entries must satisfy 0 <= m < n")
     if replicates * ot_points > samples:
         raise ValueError("need replicates * ot_points <= samples")
-    sample = sample_periodic_gibbs(spec, n, samples, seed, config)
-    null_spec = spec.zero_coupling_clone()
     # common random numbers couple the control run to the main run and shrink
     # the variance of the corrected statistic; when the spec is already
     # uncoupled the control must instead be an independent replication
     null_seed = seed if spec.coupled else seed + 424243
-    null_sample = sample_periodic_gibbs(null_spec, n, samples, null_seed, config)
-
-    d_raw = _replicate_d(spec, sample.states, n, m_list, ot_points, replicates,
-                         epsilon, seed, config)
-    d_null = _replicate_d(null_spec, null_sample.states, n, m_list, ot_points,
-                          replicates, epsilon, null_seed, config)
+    num_sites = 2 * n + 1
+    main, null = _sample_sites(spec, num_sites, ring_bonds(num_sites), samples,
+                               [seed], config, null_seeds=[null_seed])
+    sample = _lattice_sample(n, seed, main, config)
+    null_sample = _lattice_sample(n, null_seed, null, config)
+    d_raw, d_null = _replicate_d(spec, (sample.states, null_sample.states), n,
+                                 m_list, ot_points, replicates, epsilon,
+                                 (seed, null_seed), config)
 
     rows = []
     for m in m_list:

@@ -26,9 +26,9 @@ from .measures import (DiscreteMeasure, Grid1D, Quantile1D, _discrete_quantile_a
 MARGINAL_TOL = 1e-10
 DUAL_FEAS_TOL = 1e-9
 GAP_TOL = 1e-9
-# n*m cap for the exact solver, checked before any branch is chosen: it
-# rejects, for example, a 2000x2000 uniform instance that the assignment path
-# alone could solve
+# n*m cap of the transportation LP, checked only when an instance reaches it:
+# the product and assignment paths take larger instances (a uniform
+# 1001x1001 assignment solves in about half a second)
 MAX_LP_CELLS = 1_000_000
 # cyclical-monotonicity check: support pairs above this weight, the heaviest
 # CYCLE_MAX_SUPPORT of them
@@ -284,24 +284,30 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OT
     its difference constraints; should the recovered certificate miss the
     gap tolerance, the instance goes to the LP instead.  Everything else is
     the transportation LP (HiGHS) with its duals made feasible by one
-    c-transform.  Instances of more than ``MAX_LP_CELLS`` (1e6) cells are
-    rejected before any of these branches is tried, so a 2000x2000 uniform
-    instance raises ValueError although the assignment path could solve it.
+    c-transform.  The LP alone is capped: an instance of more than
+    ``MAX_LP_CELLS`` (1e6) cells that reaches it, weighted or uniform with an
+    assignment certificate that failed, raises ValueError.
     """
     t0 = time.perf_counter()
     n, m = len(mu), len(nu)
-    if n * m > MAX_LP_CELLS:
+    product = n == 1 or m == 1
+    uniform = (n == m and np.all(mu.weights == mu.weights[0])
+               and np.all(nu.weights == nu.weights[0]))
+    over_cap = n * m > MAX_LP_CELLS
+    if over_cap and not (product or uniform):
+        # bound for the LP: rejected before its cost table is built
         raise ValueError(f"instance {n}x{m} over the exact-solver size limit")
     if abs(mu.weights.sum() - nu.weights.sum()) > 1e-9:
         raise ValueError("infeasible marginals: mass mismatch")
     c = cost_matrix(mu, nu, cost)
-    if n == 1 or m == 1:
+    if product:
         return _product_plan_result(mu, nu, c, t0)
-    if (n == m and np.all(mu.weights == mu.weights[0])
-            and np.all(nu.weights == nu.weights[0])):
+    if uniform:
         res = _assignment_result(mu, nu, c, t0)
         if res is not None:
             return res
+    if over_cap:
+        raise ValueError(f"instance {n}x{m} over the exact-solver size limit")
     return _lp_result(mu, nu, c, t0)
 
 

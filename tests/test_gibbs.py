@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -139,25 +140,32 @@ class TestSampler:
         data = b"".join(np.ascontiguousarray(a).tobytes() for a in out)
         assert hashlib.sha256(data).hexdigest() == digest
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(chains=st.integers(1, 64), sites=st.integers(1, 5),
            ring=st.booleans(), coupling=st.sampled_from([0.0, 0.1, 0.5]),
-           seeds=st.lists(st.integers(0, 2 ** 40), min_size=2, max_size=4),
-           extra=st.integers(0, 63))
+           seeds=st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=4),
+           null_seeds=st.lists(st.integers(0, 2 ** 40), max_size=3),
+           shared=st.booleans(), extra=st.integers(0, 63))
     def test_each_lane_is_its_seed_run_alone(self, chains, sites, ring, coupling,
-                                             seeds, extra):
+                                             seeds, null_seeds, shared, extra):
         # burn-in spans two adaptations; the sample size leaves a partial
-        # last row of chains
+        # last row of chains.  Lanes of the spec and of its zero-coupling
+        # clone share the call; a shared seed is the experiment's
+        # common-random-numbers pairing of a main and a control lane
         config = MCMCConfig(num_chains=chains, burn_in=10, thinning=2,
                             adapt_interval=5)
         bonds = gibbs.ring_bonds(sites) if ring else gibbs.path_bonds(sites)
         spec = quartic_spec(coupling)
+        null_seeds = seeds[:1] + null_seeds if shared else null_seeds
         num_samples = 2 * chains + extra % chains + 1
-        lanes = gibbs._sample_sites(spec, sites, bonds, num_samples, seeds, config)
-        assert len(lanes) == len(seeds)
-        for seed, lane in zip(seeds, lanes):
-            [alone] = gibbs._sample_sites(spec, sites, bonds, num_samples, [seed],
-                                          config)
+        lanes = gibbs._sample_sites(spec, sites, bonds, num_samples, seeds, config,
+                                    null_seeds=null_seeds)
+        runs = ([(spec, s) for s in seeds]
+                + [(spec.zero_coupling_clone(), s) for s in null_seeds])
+        assert len(lanes) == len(runs)
+        for (lane_spec, seed), lane in zip(runs, lanes):
+            [alone] = gibbs._sample_sites(lane_spec, sites, bonds, num_samples,
+                                          [seed], config)
             for a, b in zip(lane, alone):
                 assert a.shape == b.shape and np.array_equal(a, b)
 
@@ -285,6 +293,16 @@ class TestEmpiricalMap:
         means = np.add.reduceat(ys, first) / counts
         oracle = means[np.searchsorted(distinct, m.source_points[:, 0])]
         assert np.allclose(m.values[:, 0], oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("count", [200, 400])  # the LP and entropic branches
+    def test_wrong_dimension_named(self, count):
+        s = sample_periodic_gibbs(quartic_spec(0.0), 1, count, seed=9)
+        m = empirical_map_to_gaussian(s.states, count, epsilon=0.2, seed=3)
+        assert m.method == ("lp" if count <= gibbs.LP_THRESHOLD else "entropic")
+        for bad in (np.zeros((4, 2)), np.zeros((4, 5)), np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError, match="dimension 3"):
+                m.evaluate(bad)
+        assert m.evaluate(np.zeros(3)).shape == (1, 3)
 
     def test_out_of_sample_extension_continuity(self):
         s = sample_periodic_gibbs(quartic_spec(0.0), 1, 400, seed=9)
@@ -484,6 +502,58 @@ class TestCauchyExperiment:
         assert row.d_raw > 0  # estimation bias is real and reported
         assert abs(row.d_corrected) <= 3 * row.se_d + 1e-12
         assert rep.passed
+
+    # sha256 of repr(rows), recorded with separate samplers for the main and
+    # the control run (numpy 2.4, x86-64)
+    PINNED_ROWS = {
+        0.1: "fbb824efda238bb3f21ccbc7fb54d252b37a083abf5b2b7ff1ea1f691a3f9ca9",
+        0.0: "7caa80dfc09f109012b9c4d481a727087f0787097148e89aa1c75c6d9a9e36b0",
+    }
+
+    @pytest.mark.parametrize("coupling", PINNED_ROWS)
+    def test_rows_pinned(self, coupling):
+        rep = cauchy_convergence_experiment(
+            quartic_spec(coupling), m_list=[0, 1], n=2, samples=600, epsilon=0.1,
+            seed=3, ot_points=150, replicates=3,
+            config=MCMCConfig(num_chains=16, burn_in=100))
+        digest = hashlib.sha256(repr(rep.rows).encode()).hexdigest()
+        assert digest == self.PINNED_ROWS[coupling]
+
+    @pytest.mark.parametrize("coupling", [0.1, 0.0])
+    def test_tuning_warnings_main_then_control(self, coupling):
+        spec = quartic_spec(coupling)
+        config = MCMCConfig(num_chains=8, burn_in=0, step_init=50)
+        null_seed = 5 if coupling else 5 + 424243
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            sample_periodic_gibbs(spec, 1, 40, 5, config)
+            sample_periodic_gibbs(spec.zero_coupling_clone(), 1, 40, null_seed, config)
+        with warnings.catch_warnings(record=True) as fused:
+            warnings.simplefilter("always")
+            cauchy_convergence_experiment(spec, m_list=[0], n=1, samples=40,
+                                          epsilon=0.1, seed=5, ot_points=20,
+                                          replicates=2, config=config)
+        messages = [str(w.message) for w in fused]
+        assert messages == [str(w.message) for w in alone]
+        if coupling:
+            assert messages == ["MCMC tuning failure: acceptance rates "
+                                "[0.025  0.     0.0125]"] * 2
+        assert all(w.category is UserWarning and w.filename == __file__ for w in fused)
+
+    def test_one_sampler_call_for_both_runs_per_block(self, monkeypatch):
+        calls = []
+        sample = gibbs._sample_sites
+
+        def counted(spec, num_sites, bonds, num_samples, seeds, config, null_seeds=()):
+            calls.append((num_sites, len(seeds), len(null_seeds)))
+            return sample(spec, num_sites, bonds, num_samples, seeds, config,
+                          null_seeds)
+        monkeypatch.setattr(gibbs, "_sample_sites", counted)
+        cauchy_convergence_experiment(
+            quartic_spec(0.1), m_list=[1, 0], n=2, samples=60, epsilon=0.1, seed=3,
+            ot_points=20, replicates=3, config=MCMCConfig(num_chains=4, burn_in=10))
+        # 1 + 2 |m_list| calls: both rings, then ring and path blocks per m
+        assert calls == [(5, 1, 1), (1, 3, 3), (3, 3, 3), (4, 3, 3), (2, 3, 3)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

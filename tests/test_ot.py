@@ -512,15 +512,34 @@ def test_coupling_marginal_validation():
         Coupling(m, m, np.array([[0.5, 0.0], [0.0, 0.4]]))
 
 
-def test_size_limit_enforced():
+def test_size_limit_enforced(monkeypatch):
+    # the cap guards the LP alone: weighted instances over it are rejected,
+    # and so are uniform ones whose assignment certificate fails
     import seqot.ot as ot_mod
 
     rng = np.random.default_rng(2)
-    mu = DiscreteMeasure(rng.normal(size=(1100, 1)))
-    nu = DiscreteMeasure(rng.normal(size=(1100, 1)))
+    assert 1001 * 1001 > ot_mod.MAX_LP_CELLS
+    mu = DiscreteMeasure(rng.normal(size=(1001, 1)), rng.random(1001) + 0.1)
+    nu = DiscreteMeasure(rng.normal(size=(1001, 1)), rng.random(1001) + 0.1)
     with pytest.raises(ValueError, match="size limit"):
         solve_discrete_ot(mu, nu)
-    assert 1100 * 1100 > ot_mod.MAX_LP_CELLS
+    mu = DiscreteMeasure(rng.normal(size=(1001, 1)))
+    monkeypatch.setattr(ot_mod, "_assignment_result", lambda *args: None)
+    with pytest.raises(ValueError, match="size limit"):
+        solve_discrete_ot(mu, mu)
+
+
+def test_uniform_instance_over_the_lp_cap_takes_the_assignment_path():
+    import seqot.ot as ot_mod
+
+    rng = np.random.default_rng(2)
+    mu = DiscreteMeasure(rng.normal(size=(1001, 3)))
+    nu = DiscreteMeasure(rng.normal(size=(1001, 3)))
+    assert len(mu) * len(nu) > ot_mod.MAX_LP_CELLS
+    res = solve_discrete_ot(mu, nu)
+    assert res.method == "assignment"
+    assert abs(res.gap) <= ot_mod.GAP_TOL * (1 + abs(res.value))
+    assert np.count_nonzero(res.plan.weights) == 1001
 
 
 def test_zero_mass_row_rejected():
