@@ -260,17 +260,17 @@ def _invert_cdf(nodes: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray
 
 
 def _sorted_cdf(m: DiscreteMeasure):
-    """Atoms of a 1D discrete measure in stable ascending order, with the
-    cumulative mass up to each."""
+    """Stable ascending order of a 1D discrete measure's atoms, with the
+    cumulative mass up to each atom in that order."""
     order = np.argsort(m.points[:, 0], kind="stable")
-    return m.points[order, 0], np.cumsum(m.weights[order])
+    return order, np.cumsum(m.weights[order])
 
 
-def _discrete_quantile_at(xs: np.ndarray, cum: np.ndarray, u) -> np.ndarray:
-    """Left-continuous generalized inverse of the step CDF (xs, cum) at u."""
-    idx = np.searchsorted(cum, u, side="left")
-    idx = np.clip(idx, 0, xs.size - 1)
-    return xs[idx]
+def _discrete_quantile_at(m: DiscreteMeasure, u) -> np.ndarray:
+    """Left-continuous generalized inverse of the step CDF of m at u."""
+    order, cum = _sorted_cdf(m)
+    idx = np.minimum(np.searchsorted(cum, u, side="left"), cum.size - 1)
+    return m.points[order[idx], 0]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ def quantile_from_discrete(m: DiscreteMeasure, resolution: int = 10_000) -> Quan
     if m.dim != 1:
         raise ValueError("1D measures only")
     u = (np.arange(resolution) + 0.5) / resolution
-    return Quantile1D(u, _discrete_quantile_at(*_sorted_cdf(m), u))
+    return Quantile1D(u, _discrete_quantile_at(m, u))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Discrete Kantorovich solvers and transport-plan diagnostics.
 
-Exact plans come from the transportation LP (HiGHS), or, between two uniform
-measures of equal size, from an assignment solve whose dual potentials are
-recovered by Bellman-Ford sweeps over the difference constraints that
-complementary slackness leaves; both carry a feasible dual pair and a
-certified gap.  Entropic plans come from a stabilized Sinkhorn with
-epsilon-annealing.  1D transport is closed form via quantile functions.  Plan
-diagnostics: cyclical monotonicity over short cycles, graph concentration,
-barycentric map extraction.
+Exact plans come from the transportation LP (HiGHS); in one dimension under
+the quadratic cost, from the north-west-corner staircase on sorted atoms,
+with duals walked along it; or, between two uniform measures of equal size,
+from an assignment solve whose dual potentials are recovered by Bellman-Ford
+sweeps over the difference constraints that complementary slackness leaves.
+Every one carries a feasible dual pair and a certified gap.  Entropic plans
+come from a stabilized Sinkhorn with epsilon-annealing.  1D transport is
+closed form via quantile functions, on the same staircase for two discrete
+measures.  Plan diagnostics: cyclical monotonicity over short cycles, graph
+concentration, barycentric map extraction.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ MARGINAL_TOL = 1e-10
 DUAL_FEAS_TOL = 1e-9
 GAP_TOL = 1e-9
 # n*m cap of the transportation LP, checked only when an instance reaches it:
-# the product and assignment paths take larger instances (a uniform
-# 1001x1001 assignment solves in about half a second)
+# the product, monotone and assignment paths take larger instances (a
+# uniform 1001x1001 assignment solves in about half a second)
 MAX_LP_CELLS = 1_000_000
 # cyclical-monotonicity check: support pairs above this weight, the heaviest
 # CYCLE_MAX_SUPPORT of them
@@ -97,8 +99,9 @@ class Coupling:
 class DualPair:
     """Kantorovich potentials for the cost-form dual: phi_i + psi_j <= c_ij.
 
-    The inner-product form potentials are the affine images
-    phi'(x) = ||x||^2/2 - phi(x)/2 style bridge; see ``to_inner_product_form``.
+    For the quadratic cost the inner-product form potentials are the affine
+    images F(x) = ||x||^2/2 - phi(x)/2 and G(y) = ||y||^2/2 - psi(y)/2; see
+    ``to_inner_product_form``.
     """
 
     phi: np.ndarray
@@ -127,8 +130,8 @@ class OTResult:
 
     ``gap`` is the signed value minus dual value.  ``method`` names the
     branch that solved the instance, and ``iterations`` counts its work:
-    0 for "product", Bellman-Ford sweeps for "assignment", HiGHS iterations
-    for "lp" (-1 when HiGHS reports none).
+    0 for "product" and "monotone", Bellman-Ford sweeps for "assignment",
+    HiGHS iterations for "lp" (-1 when HiGHS reports none).
     """
 
     plan: Coupling
@@ -164,6 +167,11 @@ def _sq_dist_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return table
 
 
+def _is_sqeuclidean(cost) -> bool:
+    """Whether a cost spec names the default squared Euclidean cost."""
+    return cost is None or (isinstance(cost, str) and cost == "sqeuclidean")
+
+
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> np.ndarray:
     """Evaluate a cost spec on the support product.
 
@@ -171,7 +179,7 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> np.ndarr
     callable c(X, Y) -> (n, m) table, or a precomputed (n, m) array.  Every
     entry must be finite.
     """
-    if cost is None or (isinstance(cost, str) and cost == "sqeuclidean"):
+    if _is_sqeuclidean(cost):
         c = _sq_dist_table(mu.points, nu.points)
         np.maximum(c, 0.0, out=c)
     elif callable(cost):
@@ -199,6 +207,73 @@ def _product_plan_result(mu, nu, c, t0) -> OTResult:
     gap = value - dual.value(mu, nu)
     plan = Coupling(mu, nu, w)
     return OTResult(plan, dual, value, gap, 0, time.perf_counter() - t0, "product")
+
+
+def _staircase(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """North-west-corner rule on two 1D discrete measures.
+
+    Both supports in stable ascending order, their cumulative masses merged
+    into segments of [0, 1] (those of mass 1e-15 or less dropped): each
+    segment carries its mass from the first atom of mu whose cumulative mass
+    reaches it to the first such atom of nu.  Returns the two orders and,
+    per segment, the row and column (positions in those orders), midpoint
+    and mass.  Rows and columns never decrease from one segment to the next.
+    """
+    order_a, cum_a = _sorted_cdf(mu)
+    order_b, cum_b = _sorted_cdf(nu)
+    edges = np.unique(np.concatenate([[0.0], cum_a, cum_b, [1.0]]))
+    edges = edges[(edges >= 0) & (edges <= 1)]
+    mass = np.diff(edges)
+    keep = mass > 1e-15
+    mass = mass[keep]
+    mid = (edges[:-1] + edges[1:])[keep] / 2.0
+    rows = np.minimum(np.searchsorted(cum_a, mid, side="left"), cum_a.size - 1)
+    cols = np.minimum(np.searchsorted(cum_b, mid, side="left"), cum_b.size - 1)
+    return order_a, order_b, rows, cols, mid, mass
+
+
+def _monotone_result(mu, nu, c, t0) -> OTResult | None:
+    """1D quadratic cost: the staircase plan with duals walked along it.
+
+    On sorted supports the quadratic cost table is Monge, so the
+    north-west-corner staircase is an optimal plan (Hoffman, "On simple
+    linear programming problems", 1963), and the cells of any monotone path
+    through it form a dual basis.  The path runs from the first cell to the
+    last, down and then across to each staircase cell in turn, so a
+    diagonal step, where both cumulative masses meet, and an atom too light
+    to carry a segment each get one zero-mass cell.  Setting
+    phi_i + psi_j = c_ij along it, each step across from column j to j + 1
+    on row i gives psi_{j+1} = psi_j + c_{i,j+1} - c_ij; one c-transform
+    then gives phi, exactly feasible.  Returns None when the certified gap
+    is over tolerance.
+    """
+    n, m = c.shape
+    order_a, order_b, rows, cols, _, mass = _staircase(mu, nu)
+    w = np.zeros((n, m))
+    np.add.at(w, (order_a[rows], order_b[cols]), mass)
+    # a cell alone in its row carries that row's weight exactly, as the
+    # assignment path's cells do: a merged segment's mass, a difference of
+    # cumulative sums, may be an ulp off it
+    lone = np.flatnonzero(np.count_nonzero(w, axis=1) == 1)
+    w[lone, np.argmax(w[lone], axis=1)] = mu.weights[lone]
+    # the row on which the path crosses from column j to j + 1 is that of
+    # the first path corner past column j
+    corner_rows = np.concatenate([[0], rows, [n - 1]])
+    corner_cols = np.concatenate([[0], cols, [m - 1]])
+    cross = order_a[corner_rows[np.searchsorted(corner_cols, np.arange(m - 1),
+                                                side="right")]]
+    psi_sorted = np.concatenate(
+        [[0.0], np.cumsum(c[cross, order_b[1:]] - c[cross, order_b[:-1]])])
+    psi = np.empty(m)
+    psi[order_b] = psi_sorted
+    phi = np.min(c - psi[None, :], axis=1)
+    dual = DualPair(phi, psi)
+    value = float(np.sum(w * c))
+    gap = value - dual.value(mu, nu)
+    if abs(gap) > GAP_TOL * (1 + abs(value)):
+        return None
+    plan = Coupling(mu, nu, w)
+    return OTResult(plan, dual, value, gap, 0, time.perf_counter() - t0, "monotone")
 
 
 def _assignment_result(mu, nu, c, t0) -> OTResult | None:
@@ -278,23 +353,28 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OT
     Solves min sum_ij c_ij pi_ij over couplings of (mu, nu) and returns the
     optimal plan, a feasible dual pair and the optimal value with certified
     signed primal-dual gap |value - dual value| <= 1e-9 * (1 + |value|).
-    A single-atom marginal gives the product plan.  Two uniform measures of
-    equal size give an assignment problem (Birkhoff-von Neumann): a
-    permutation from ``linear_sum_assignment``, with duals recovered from
-    its difference constraints; should the recovered certificate miss the
-    gap tolerance, the instance goes to the LP instead.  Everything else is
-    the transportation LP (HiGHS) with its duals made feasible by one
+    A single-atom marginal gives the product plan.  Two 1D measures under
+    the default quadratic cost give the monotone (north-west-corner) plan on
+    sorted atoms, with duals walked along its staircase; the Monge property
+    behind it is known for the quadratic cost only, so a callable or table
+    cost takes the general paths.  Two uniform measures of equal size give
+    an assignment problem (Birkhoff-von Neumann): a permutation from
+    ``linear_sum_assignment``, with duals recovered from its difference
+    constraints.  Should the monotone or assignment certificate miss the
+    gap tolerance, the instance goes on to the next path.  Everything else
+    is the transportation LP (HiGHS) with its duals made feasible by one
     c-transform.  The LP alone is capped: an instance of more than
-    ``MAX_LP_CELLS`` (1e6) cells that reaches it, weighted or uniform with an
-    assignment certificate that failed, raises ValueError.
+    ``MAX_LP_CELLS`` (1e6) cells that reaches it, weighted or with a fast
+    path's certificate that failed, raises ValueError.
     """
     t0 = time.perf_counter()
     n, m = len(mu), len(nu)
     product = n == 1 or m == 1
+    monotone = mu.dim == 1 and nu.dim == 1 and _is_sqeuclidean(cost)
     uniform = (n == m and np.all(mu.weights == mu.weights[0])
                and np.all(nu.weights == nu.weights[0]))
     over_cap = n * m > MAX_LP_CELLS
-    if over_cap and not (product or uniform):
+    if over_cap and not (product or monotone or uniform):
         # bound for the LP: rejected before its cost table is built
         raise ValueError(f"instance {n}x{m} over the exact-solver size limit")
     if abs(mu.weights.sum() - nu.weights.sum()) > 1e-9:
@@ -302,6 +382,10 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OT
     c = cost_matrix(mu, nu, cost)
     if product:
         return _product_plan_result(mu, nu, c, t0)
+    if monotone:
+        res = _monotone_result(mu, nu, c, t0)
+        if res is not None:
+            return res
     if uniform:
         res = _assignment_result(mu, nu, c, t0)
         if res is not None:
@@ -331,15 +415,15 @@ class Monotone1DMap:
 
 
 def _as_quantile_source(obj, resolution):
-    """Return ('discrete', xs, cum) or ('quantile', Quantile1D)."""
+    """A 1D DiscreteMeasure as itself, any other 1D law as its Quantile1D."""
     if isinstance(obj, DiscreteMeasure):
         if obj.dim != 1:
             raise ValueError("quantile transport needs 1D measures")
-        return "discrete", _sorted_cdf(obj)
+        return obj
     if isinstance(obj, Grid1D):
-        return "quantile", quantile_from_grid(obj, resolution)
+        return quantile_from_grid(obj, resolution)
     if isinstance(obj, Quantile1D):
-        return "quantile", obj
+        return obj
     raise TypeError(f"cannot interpret {type(obj).__name__} as a 1D law")
 
 
@@ -347,31 +431,25 @@ def quantile_transport_1d(mu, nu, resolution: int = 10_000) -> Monotone1DMap:
     """Optimal 1D transport T = Q_nu o F_mu with its quadratic cost.
 
     For a pair of discrete measures the shared grid is the merged set of
-    cumulative-mass breakpoints, so the cost is exact.  For function-backed
+    cumulative-mass breakpoints, the staircase of ``solve_discrete_ot``'s
+    monotone path, so the cost is exact.  For function-backed
     laws (Grid1D / Quantile1D) both quantile functions are paired on the
     uniform midpoint grid of the given resolution and the cost is the mean of
     the squared value gaps.
     """
-    kind_a, qa = _as_quantile_source(mu, resolution)
-    kind_b, qb = _as_quantile_source(nu, resolution)
+    qa = _as_quantile_source(mu, resolution)
+    qb = _as_quantile_source(nu, resolution)
 
-    if kind_a == "discrete" and kind_b == "discrete":
-        xs_a, cum_a = qa
-        xs_b, cum_b = qb
-        edges = np.unique(np.concatenate([[0.0], cum_a, cum_b, [1.0]]))
-        edges = edges[(edges >= 0) & (edges <= 1)]
-        mass = np.diff(edges)
-        keep = mass > 1e-15
-        mass = mass[keep]
-        mid = (edges[:-1] + edges[1:])[keep] / 2.0
-        x = _discrete_quantile_at(xs_a, cum_a, mid)
-        y = _discrete_quantile_at(xs_b, cum_b, mid)
+    if isinstance(qa, DiscreteMeasure) and isinstance(qb, DiscreteMeasure):
+        order_a, order_b, rows, cols, mid, mass = _staircase(qa, qb)
+        x = qa.points[order_a[rows], 0]
+        y = qb.points[order_b[cols], 0]
         w2sq = float(mass @ (y - x) ** 2)
         return Monotone1DMap(mid, x, y, mass, w2sq)
 
     u = (np.arange(resolution) + 0.5) / resolution
-    x = _discrete_quantile_at(*qa, u) if kind_a == "discrete" else qa(u)
-    y = _discrete_quantile_at(*qb, u) if kind_b == "discrete" else qb(u)
+    x = _discrete_quantile_at(qa, u) if isinstance(qa, DiscreteMeasure) else qa(u)
+    y = _discrete_quantile_at(qb, u) if isinstance(qb, DiscreteMeasure) else qb(u)
     mass = np.full(resolution, 1.0 / resolution)
     w2sq = float(np.mean((y - x) ** 2))
     return Monotone1DMap(u, x, y, mass, w2sq)

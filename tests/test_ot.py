@@ -170,17 +170,22 @@ def highs_value(mu, nu, c):
     return res.fun
 
 
-def assert_exact_certificates(mu, nu, res):
+def assert_certified(mu, nu, res):
+    """Exact marginals, feasible duals and a signed gap within tolerance."""
     c = cost_matrix(mu, nu)
     w = res.plan.weights
-    tol = GAP_TOL * (1 + abs(res.value))
     assert np.max(np.abs(w.sum(axis=1) - mu.weights)) <= MARGINAL_TOL
     assert np.max(np.abs(w.sum(axis=0) - nu.weights)) <= MARGINAL_TOL
     assert res.dual.feasibility_violation(c) <= DUAL_FEAS_TOL
-    assert abs(res.gap) <= tol
+    assert abs(res.gap) <= GAP_TOL * (1 + abs(res.value))
     assert res.gap == res.value - res.dual.value(mu, nu)  # signed, not |gap|
+
+
+def assert_exact_certificates(mu, nu, res):
+    assert_certified(mu, nu, res)
     # the value equals a direct HiGHS solve of the same cost
-    assert abs(res.value - highs_value(mu, nu, c)) <= tol
+    c = cost_matrix(mu, nu)
+    assert abs(res.value - highs_value(mu, nu, c)) <= GAP_TOL * (1 + abs(res.value))
 
 
 @settings(max_examples=120, deadline=None)
@@ -205,7 +210,7 @@ def uniform_clouds(seed, n, d, kind):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.integers(1, 3),
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.integers(2, 3),
        st.sampled_from(["gaussian", "integer", "duplicates"]))
 def test_assignment_path_matches_lp_with_certificates(seed, n, d, kind):
     mu, nu = uniform_clouds(seed, n, d, kind)
@@ -254,6 +259,114 @@ class TestAssignmentPath:
             assert res.method == "lp"
             assert_exact_certificates(mu, nu, res)
         assert solve_discrete_ot(delta(0.0, 0.0), uniform).method == "product"
+
+
+def one_dim_instance(seed, n, m, points, weights):
+    """Two 1D measures of n and m atoms in unsorted order.
+
+    Points are Gaussian, integer-valued (tied costs) or drawn from three
+    values (duplicate atoms).  Weights are random, uniform, or normalized
+    here and passed with normalize=False and prune=False, one atom of each
+    measure at zero weight.
+    """
+    rng = np.random.default_rng(seed)
+    if points == "integer":
+        x, y = rng.integers(0, 3, size=n), rng.integers(0, 3, size=m)
+    elif points == "duplicates":
+        pool = rng.normal(size=3)
+        x, y = pool[rng.integers(0, 3, size=n)], pool[rng.integers(0, 3, size=m)]
+    else:
+        x, y = rng.normal(size=n), rng.normal(size=m)
+    x, y = np.asarray(x, dtype=float)[:, None], np.asarray(y, dtype=float)[:, None]
+    if weights == "uniform":
+        return DiscreteMeasure(x), DiscreteMeasure(y)
+    a, b = rng.random(n) + 1e-3, rng.random(m) + 1e-3
+    if weights == "weighted":
+        return DiscreteMeasure(x, a), DiscreteMeasure(y, b)
+    a[rng.integers(n)] = 0.0
+    b[rng.integers(m)] = 0.0
+    return (DiscreteMeasure(x, a / a.sum(), normalize=False, prune=False),
+            DiscreteMeasure(y, b / b.sum(), normalize=False, prune=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.integers(2, 12),
+       st.sampled_from(["gaussian", "integer", "duplicates"]),
+       st.sampled_from(["weighted", "uniform", "unnormalized"]))
+def test_monotone_path_matches_lp_with_certificates(seed, n, m, points, weights):
+    # the LP here is called on the same cost table, apart from the dispatcher
+    mu, nu = one_dim_instance(seed, n, m, points, weights)
+    res = solve_discrete_ot(mu, nu)
+    assert res.method == "monotone"
+    assert res.iterations == 0
+    assert_exact_certificates(mu, nu, res)
+    lp = ot._lp_result(mu, nu, cost_matrix(mu, nu), 0.0)
+    assert abs(res.value - lp.value) <= 1e-12 * (1 + abs(lp.value))
+
+
+class TestMonotonePath:
+    def test_only_the_quadratic_cost_takes_it(self):
+        # the staircase is optimal because the quadratic cost is Monge on
+        # sorted atoms; a cost given as a callable or a table is not known to be
+        mu, nu = one_dim_instance(4, 7, 9, "gaussian", "weighted")
+        c = cost_matrix(mu, nu)
+        assert solve_discrete_ot(mu, nu, cost="sqeuclidean").method == "monotone"
+        for cost in (c, lambda x, y: (x - y.T) ** 2):
+            res = solve_discrete_ot(mu, nu, cost=cost)
+            assert res.method == "lp"
+            assert res.value == pytest.approx(solve_discrete_ot(mu, nu).value, abs=1e-12)
+        square, _ = one_dim_instance(5, 8, 8, "gaussian", "uniform")
+        res = solve_discrete_ot(square, square, cost=lambda x, y: np.abs(x - y.T))
+        assert res.method == "assignment"
+
+    def test_falls_back_when_the_certificate_misses(self, monkeypatch):
+        monkeypatch.setattr(ot, "GAP_TOL", -1.0)  # no gap passes
+        mu, nu = one_dim_instance(6, 7, 9, "gaussian", "weighted")
+        assert solve_discrete_ot(mu, nu).method == "lp"
+
+    def test_uniform_instance_over_the_lp_cap(self):
+        # 1-D uniform transport is a sort: the Bellman-Ford assignment path
+        # took 3.5 s and all of its 1001 sweeps on this instance
+        rng = np.random.default_rng(2)
+        mu = empirical_from_samples(rng.normal(size=(1001, 1)))
+        nu = empirical_from_samples(rng.normal(size=(1001, 1)))
+        assert len(mu) * len(nu) > ot.MAX_LP_CELLS
+        res = solve_discrete_ot(mu, nu)
+        assert res.method == "monotone"
+        assert_certified(mu, nu, res)
+        assert np.count_nonzero(res.plan.weights) == 1001
+        sorted_gap = np.sort(mu.points[:, 0]) - np.sort(nu.points[:, 0])
+        assert res.value == pytest.approx(np.mean(sorted_gap ** 2), rel=1e-12)
+
+    def test_weighted_instance_over_the_lp_cap(self):
+        rng = np.random.default_rng(3)
+        mu = DiscreteMeasure(rng.normal(size=(1001, 1)), rng.random(1001) + 0.1)
+        nu = DiscreteMeasure(rng.normal(size=(1200, 1)), rng.random(1200) + 0.1)
+        assert len(mu) * len(nu) > ot.MAX_LP_CELLS
+        res = solve_discrete_ot(mu, nu)
+        assert res.method == "monotone"
+        assert_certified(mu, nu, res)
+
+
+def test_solver_path_by_instance_shape():
+    # a 1-D instance sent back to the LP fails here, not criterion 01's timer
+    rng = np.random.default_rng(12)
+
+    def cloud(n, d, weighted):
+        return DiscreteMeasure(rng.normal(size=(n, d)),
+                               rng.random(n) + 0.1 if weighted else None)
+
+    cases = [
+        (cloud(1, 2, False), cloud(7, 2, True), "product"),
+        (cloud(7, 1, True), cloud(1, 1, False), "product"),
+        (cloud(30, 1, True), cloud(40, 1, True), "monotone"),
+        (cloud(30, 1, False), cloud(30, 1, False), "monotone"),
+        (cloud(30, 2, False), cloud(30, 2, False), "assignment"),
+        (cloud(30, 3, True), cloud(40, 3, True), "lp"),
+        (cloud(30, 2, False), cloud(40, 2, False), "lp"),
+    ]
+    for mu, nu, method in cases:
+        assert solve_discrete_ot(mu, nu).method == method
 
 
 @settings(max_examples=40, deadline=None)
@@ -519,11 +632,11 @@ def test_size_limit_enforced(monkeypatch):
 
     rng = np.random.default_rng(2)
     assert 1001 * 1001 > ot_mod.MAX_LP_CELLS
-    mu = DiscreteMeasure(rng.normal(size=(1001, 1)), rng.random(1001) + 0.1)
-    nu = DiscreteMeasure(rng.normal(size=(1001, 1)), rng.random(1001) + 0.1)
+    mu = DiscreteMeasure(rng.normal(size=(1001, 2)), rng.random(1001) + 0.1)
+    nu = DiscreteMeasure(rng.normal(size=(1001, 2)), rng.random(1001) + 0.1)
     with pytest.raises(ValueError, match="size limit"):
         solve_discrete_ot(mu, nu)
-    mu = DiscreteMeasure(rng.normal(size=(1001, 1)))
+    mu = DiscreteMeasure(rng.normal(size=(1001, 2)))
     monkeypatch.setattr(ot_mod, "_assignment_result", lambda *args: None)
     with pytest.raises(ValueError, match="size limit"):
         solve_discrete_ot(mu, mu)
