@@ -200,6 +200,19 @@ class MCMCConfig:
     adapt_interval: int = 25     # sweeps per adaptation window during burn-in
     target_accept: float = 0.44
 
+    def __post_init__(self):
+        for name, low in (("num_chains", 1), ("thinning", 1), ("adapt_interval", 1),
+                          ("burn_in", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"MCMC {name} must be an integer >= {low}, got {value!r}")
+        if not (math.isfinite(self.step_init) and self.step_init > 0):
+            raise ValueError(f"MCMC step_init must be finite and positive, "
+                             f"got {self.step_init}")
+        if not 0 < self.target_accept < 1:
+            raise ValueError(f"MCMC target_accept must lie in (0, 1), "
+                             f"got {self.target_accept}")
+
 
 @dataclass
 class LatticeSample:
@@ -241,6 +254,20 @@ def _site_neighbors(num_sites: int, bonds) -> list:
     return nbrs
 
 
+def _site_runs(num_sites: int, bonds) -> list:
+    """The sweep order's maximal runs ``(lo, hi)`` of consecutive sites no
+    two of which share a bond: a run ends where the next site bonds to one
+    of its sites.  No bonds give one run of every site."""
+    nbrs = _site_neighbors(num_sites, bonds)
+    runs, lo = [], 0
+    for i in range(1, num_sites):
+        if any(lo <= j < i for j, _ in nbrs[i]):
+            runs.append((lo, i))
+            lo = i
+    runs.append((lo, num_sites))
+    return runs
+
+
 def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
                   seeds, config: MCMCConfig, null_seeds=()) -> list:
     """Metropolis samplers for exp(-sum V(x_i) - sum_bonds W) on a bond graph,
@@ -251,10 +278,17 @@ def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
     Each seed owns a lane of ``config.num_chains`` independent chains and its
     own random stream, drawn in the order a sampler run alone draws it, so
     every lane is bitwise the output of its seed and spec alone.  Site sweeps
-    are sequential.  The state is held site-major, ``(sites, lanes * chains)``,
-    and each site update evaluates V once on the stacked [proposal; current]
-    rows for all lanes at once, and W once on them against all the site's
-    neighbours, on the leading column block of the coupled lanes only.
+    are sequential in effect: a sweep splits into the maximal runs of
+    consecutive sites no two of which share a bond of the coupled lanes' W
+    (``_site_runs``), and as no site of a run sees another's move, updating
+    a run at once gives the bits of updating its sites in turn.  An
+    uncoupled spec sweeps as one run, a coupled ring or path as runs of one
+    site.  Each lane draws a sweep's numbers first, in site order, a site's
+    normals before its uniforms, as a site-by-site sweep draws them.  The
+    state is held site-major, ``(sites, lanes * chains)``, and each run
+    evaluates V once on its stacked [proposal; current] rows for all lanes
+    at once, and W per site against all the site's neighbours, on the
+    leading column block of the coupled lanes only.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence(s))
             for s in [*seeds, *null_seeds]]
@@ -271,37 +305,42 @@ def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
     for rng, lane in zip(rngs, np.split(x, lanes, axis=1)):
         lane[:] = rng.standard_normal((chains, num_sites)).T
     x *= 0.5
-    pair = np.empty((2, width))  # [proposal; current]
-    proposal, current = pair
-    rows, step_rows = list(x), list(chain_steps)  # views, updated in place
-    noise = np.empty(width)
-    unif = np.empty(width)
-    acc = np.empty(width, dtype=bool)
-    normals = list(zip([rng.standard_normal for rng in rngs], np.split(noise, lanes)))
-    uniforms = list(zip([rng.random for rng in rngs], np.split(unif, lanes)))
+    noise = np.empty((num_sites, width))
+    unif = np.empty((num_sites, width))
+    acc = np.empty((num_sites, width), dtype=bool)
+    draws = [(rng.standard_normal, z, rng.random, u)
+             for z_row, u_row in zip(noise, unif)
+             for rng, z, u in zip(rngs, np.split(z_row, lanes), np.split(u_row, lanes))]
 
     # W acts on the columns of spec's own lanes alone; elementwise operations
     # on a column slice give the bits of the same operations on a lane alone
     coupled = len(seeds) * chains if spec.coupled else 0
-    head = pair[:, :coupled]
+    runs = []
+    for lo, hi in _site_runs(num_sites, bonds if coupled else ()):
+        # [proposal; current] of the run's sites, one contiguous block per run:
+        # V on a run's slice of a (2, sites, width) block runs slower
+        pair = np.empty((2, hi - lo, width))
+        heads = [(i, pair[:, i - lo, :coupled]) for i in range(lo, hi)] if coupled else []
+        runs.append((heads, pair, *pair, x[lo:hi], chain_steps[lo:hi], noise[lo:hi],
+                     unif[lo:hi], acc[lo:hi]))
     # acceptance is summed sweep by sweep as the fraction k / chains, which
     # fixes its rounding whatever the chain count
     accept_count = np.zeros((num_sites, lanes))
     accept_total = np.zeros((num_sites, lanes))
 
     def sweep(adapting: bool):
-        tally = accept_count if adapting else accept_total
-        for i in range(num_sites):
-            for normal, z in normals:
-                normal(out=z)
+        for normal, z, uniform, u in draws:
+            normal(out=z)
+            uniform(out=u)
+        for heads, pair, proposal, current, rows, step_rows, z, u, run_acc in runs:
             # step * z + x, the bits of x + step * z
-            np.multiply(step_rows[i], noise, out=proposal)
-            np.add(proposal, rows[i], out=proposal)
-            current[:] = rows[i]
+            np.multiply(step_rows, z, out=proposal)
+            np.add(proposal, rows, out=proposal)
+            current[:] = rows
             v = spec.v(pair)
             delta = v[0] - v[1]
-            if coupled:
-                delta_w = delta[:coupled]
+            for t, (i, head) in enumerate(heads):
+                delta_w = delta[t, :coupled]
                 w_nb = iter(spec.w(head[:, None], x[others[i], :coupled]).swapaxes(0, 1))
                 for j, mult in nbrs[i]:
                     if j == i:
@@ -310,11 +349,10 @@ def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
                     else:
                         w_j = next(w_nb)
                         delta_w += mult * (w_j[0] - w_j[1])
-            for uniform, u in uniforms:
-                uniform(out=u)
-            np.less(unif, np.exp(np.minimum(-delta, 0.0)), out=acc)
-            np.copyto(rows[i], proposal, where=acc)
-            tally[i] += np.add.reduce(acc.reshape(lanes, chains), axis=1) / chains
+            np.less(u, np.exp(np.minimum(-delta, 0.0)), out=run_acc)
+            np.copyto(rows, proposal, where=run_acc)
+        tally = accept_count if adapting else accept_total
+        tally += np.add.reduce(acc.reshape(num_sites, lanes, chains), axis=2) / chains
 
     for s in range(config.burn_in):
         sweep(adapting=True)

@@ -177,9 +177,13 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> np.ndarr
 
     ``cost`` may be None / "sqeuclidean" (squared Euclidean distance), a
     callable c(X, Y) -> (n, m) table, or a precomputed (n, m) array.  Every
-    entry must be finite.
+    entry must be finite; the squared Euclidean cost needs supports of equal
+    dimension.
     """
     if _is_sqeuclidean(cost):
+        if mu.dim != nu.dim:
+            raise ValueError(f"squared Euclidean cost between measures of "
+                             f"dimension {mu.dim} and {nu.dim}")
         c = _sq_dist_table(mu.points, nu.points)
         np.maximum(c, 0.0, out=c)
     elif callable(cost):

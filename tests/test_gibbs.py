@@ -227,6 +227,188 @@ class TestSampler:
         assert maxima[1] < 2.0 * maxima[0]
 
 
+def site_by_site_sample_sites(spec, num_sites, bonds, num_samples, seeds, config,
+                              null_seeds=()):
+    """The lockstep sampler as it was before sweeps split into runs of
+    unbonded sites, kept verbatim as the reference: one site update after
+    another, each drawing its lanes' normals and uniforms and tallying its
+    own acceptance."""
+    rngs = [np.random.default_rng(np.random.SeedSequence(s))
+            for s in [*seeds, *null_seeds]]
+    lanes = len(rngs)
+    nbrs = gibbs._site_neighbors(num_sites, bonds)
+    others = [np.array([j for j, _ in nb if j != i], dtype=np.intp)
+              for i, nb in enumerate(nbrs)]
+    chains = config.num_chains
+    width = lanes * chains
+    keep_per_chain = -(-num_samples // chains)  # ceil
+    steps = np.full((num_sites, lanes), config.step_init)
+    chain_steps = np.repeat(steps, chains, axis=1)  # refreshed at each adaptation
+    x = np.empty((num_sites, width))  # site-major; lane k is the k-th column block
+    for rng, lane in zip(rngs, np.split(x, lanes, axis=1)):
+        lane[:] = rng.standard_normal((chains, num_sites)).T
+    x *= 0.5
+    pair = np.empty((2, width))  # [proposal; current]
+    proposal, current = pair
+    rows, step_rows = list(x), list(chain_steps)  # views, updated in place
+    noise = np.empty(width)
+    unif = np.empty(width)
+    acc = np.empty(width, dtype=bool)
+    normals = list(zip([rng.standard_normal for rng in rngs], np.split(noise, lanes)))
+    uniforms = list(zip([rng.random for rng in rngs], np.split(unif, lanes)))
+
+    # W acts on the columns of spec's own lanes alone; elementwise operations
+    # on a column slice give the bits of the same operations on a lane alone
+    coupled = len(seeds) * chains if spec.coupled else 0
+    head = pair[:, :coupled]
+    # acceptance is summed sweep by sweep as the fraction k / chains, which
+    # fixes its rounding whatever the chain count
+    accept_count = np.zeros((num_sites, lanes))
+    accept_total = np.zeros((num_sites, lanes))
+
+    def sweep(adapting: bool):
+        tally = accept_count if adapting else accept_total
+        for i in range(num_sites):
+            for normal, z in normals:
+                normal(out=z)
+            # step * z + x, the bits of x + step * z
+            np.multiply(step_rows[i], noise, out=proposal)
+            np.add(proposal, rows[i], out=proposal)
+            current[:] = rows[i]
+            v = spec.v(pair)
+            delta = v[0] - v[1]
+            if coupled:
+                delta_w = delta[:coupled]
+                w_nb = iter(spec.w(head[:, None], x[others[i], :coupled]).swapaxes(0, 1))
+                for j, mult in nbrs[i]:
+                    if j == i:
+                        w_self = spec.w(head, head)
+                        delta_w += mult / 2.0 * (w_self[0] - w_self[1])
+                    else:
+                        w_j = next(w_nb)
+                        delta_w += mult * (w_j[0] - w_j[1])
+            for uniform, u in uniforms:
+                uniform(out=u)
+            np.less(unif, np.exp(np.minimum(-delta, 0.0)), out=acc)
+            np.copyto(rows[i], proposal, where=acc)
+            tally[i] += np.add.reduce(acc.reshape(lanes, chains), axis=1) / chains
+
+    for s in range(config.burn_in):
+        sweep(adapting=True)
+        if (s + 1) % config.adapt_interval == 0:
+            rate = accept_count / config.adapt_interval
+            steps *= np.exp(0.8 * (rate - config.target_accept))
+            chain_steps[:] = np.repeat(steps, chains, axis=1)
+            accept_count[:] = 0.0
+
+    kept = np.empty((lanes, keep_per_chain, chains, num_sites))
+    for k in range(keep_per_chain):
+        for _ in range(config.thinning):
+            sweep(adapting=False)
+        kept[:, k] = x.T.reshape(lanes, chains, num_sites)
+    acceptance = accept_total / max(keep_per_chain * config.thinning, 1)
+    return [(kept[k].reshape(keep_per_chain * chains, num_sites)[:num_samples],
+             acceptance[:, k].copy(), steps[:, k].copy()) for k in range(lanes)]
+
+
+def assert_lanes_identical(got, want):
+    assert len(got) == len(want)
+    for lane, ref in zip(got, want):
+        for a, b in zip(lane, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def bond_lists(draw):
+    sites = draw(st.integers(1, 8))
+    site = st.integers(0, sites - 1)
+    return sites, draw(st.lists(st.tuples(site, site), max_size=2 * sites))
+
+
+class TestRunSplit:
+    REFERENCE = MCMCConfig(burn_in=50, thinning=2, adapt_interval=25)
+    GRAPHS = {"ring": (5, gibbs.ring_bonds(5)), "path": (4, gibbs.path_bonds(4)),
+              "one-site ring": (1, gibbs.ring_bonds(1))}
+    LANES = {"one lane": ([77], []), "six lanes": ([77, 5, 2 ** 33], [77, 9, 11])}
+
+    @pytest.mark.parametrize("chains", [64, 37])
+    @pytest.mark.parametrize("lanes", LANES)
+    @pytest.mark.parametrize("graph", GRAPHS)
+    @pytest.mark.parametrize("coupling", [0.0, 0.1])
+    def test_matches_site_by_site_reference(self, coupling, graph, lanes, chains):
+        # burn-in spans two adaptations; the sample size leaves a partial
+        # last row of chains; a shared seed pairs a main and a control lane
+        sites, bonds = self.GRAPHS[graph]
+        seeds, null_seeds = self.LANES[lanes]
+        config = replace(self.REFERENCE, num_chains=chains)
+        args = (quartic_spec(coupling), sites, bonds, 3 * chains + 7, seeds, config,
+                null_seeds)
+        assert_lanes_identical(gibbs._sample_sites(*args),
+                               site_by_site_sample_sites(*args))
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=bond_lists(), coupling=st.sampled_from([0.0, 0.5]),
+           null_lanes=st.integers(0, 2))
+    def test_any_bond_graph_matches_reference(self, graph, coupling, null_lanes):
+        # arbitrary bond lists give coupled runs of several sites, each
+        # site's W read against neighbours outside its run
+        sites, bonds = graph
+        config = MCMCConfig(num_chains=5, burn_in=6, thinning=1, adapt_interval=3)
+        args = (quartic_spec(coupling), sites, bonds, 12, [3, 4],
+                config, list(range(10, 10 + null_lanes)))
+        assert_lanes_identical(gibbs._sample_sites(*args),
+                               site_by_site_sample_sites(*args))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bond_lists())
+    def test_runs_are_maximal_unbonded_and_cover_the_sweep(self, graph):
+        sites, bonds = graph
+        runs = gibbs._site_runs(sites, bonds)
+        starts, ends = zip(*runs)
+        # consecutive and non-empty, so every site lies in exactly one run
+        assert starts[0] == 0 and ends[-1] == sites
+        assert list(starts[1:]) == list(ends[:-1])
+        assert all(lo < hi for lo, hi in runs)
+        pairs = [(a, b) for a, b in bonds if a != b]
+        for lo, hi in runs:
+            assert not any(lo <= a < hi and lo <= b < hi for a, b in pairs)
+        # maximal: a run ends only where the next site bonds into it
+        for lo, hi in runs[:-1]:
+            assert any(max(a, b) == hi and min(a, b) >= lo for a, b in pairs)
+        assert gibbs._site_runs(sites, []) == [(0, sites)]
+
+    @pytest.mark.parametrize("coupling, runs", [(0.0, [(0, 5)]),
+                                                (0.1, [(i, i + 1) for i in range(5)])])
+    def test_ring_is_one_run_uncoupled_and_one_per_site_coupled(self, monkeypatch,
+                                                                coupling, runs):
+        seen = []
+        split = gibbs._site_runs
+
+        def recorded(num_sites, bonds):
+            seen.append(split(num_sites, bonds))
+            return seen[-1]
+        monkeypatch.setattr(gibbs, "_site_runs", recorded)
+        sample_periodic_gibbs(quartic_spec(coupling), 2, 8,
+                              seed=1, config=MCMCConfig(num_chains=4, burn_in=2))
+        assert seen == [runs]
+
+
+class TestMCMCConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("num_chains", 0), ("adapt_interval", 0), ("thinning", 0), ("burn_in", -1),
+        ("num_chains", 2.5), ("adapt_interval", 2.5), ("thinning", 1.5), ("burn_in", 1.5),
+        ("step_init", math.nan), ("step_init", -1.0), ("step_init", 0.0),
+        ("step_init", math.inf), ("target_accept", 0.0), ("target_accept", 1.0),
+        ("target_accept", math.nan)])
+    def test_bad_value_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MCMCConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        MCMCConfig(num_chains=np.int64(1), burn_in=0, thinning=1, adapt_interval=1,
+                   step_init=1e-300, target_accept=0.999)
+
+
 class TestCyclicSymmetrize:
     def test_constant_state_fixed(self):
         s = sample_periodic_gibbs(quartic_spec(0.0), 1, 4, seed=1)

@@ -77,6 +77,13 @@ class TestExactSolver:
                  - 2 * mu.points @ nu.points.T)
             assert res.dual.feasibility_violation(c) <= 1e-9
 
+    @pytest.mark.parametrize("solve", [solve_discrete_ot, sinkhorn])
+    def test_mismatched_dimensions_named(self, solve):
+        mu = DiscreteMeasure([[0.0], [1.0]])
+        nu = DiscreteMeasure([[0.0, 1.0], [1.0, 2.0], [3.0, 3.0]])
+        with pytest.raises(ValueError, match="dimension 1 and 2"):
+            solve(mu, nu)
+
     def test_inner_product_form_bridge(self):
         rng = np.random.default_rng(31)
         mu, nu = random_instance(rng, max_atoms=12)
@@ -108,12 +115,15 @@ class TestQuantileTransport:
         assert m(0.0) == 0.0 and m(1.0) == 2.0
 
     def test_matches_lp_on_random_discrete(self):
+        # the cost as a table keeps the solve off the monotone path, which
+        # shares its staircase with quantile_transport_1d
         rng = np.random.default_rng(7)
         for _ in range(25):
             mu, nu = random_instance(rng, max_atoms=50, max_dim=1)
             got = quantile_transport_1d(mu, nu).w2sq
-            want = solve_discrete_ot(mu, nu).value
-            assert got == pytest.approx(want, abs=1e-6)
+            want = solve_discrete_ot(mu, nu, cost=cost_matrix(mu, nu))
+            assert want.method == "lp"
+            assert got == pytest.approx(want.value, abs=1e-6)
 
     def test_matches_gaussian_w2(self):
         rng = np.random.default_rng(13)
