@@ -19,8 +19,8 @@ from scipy.optimize import linprog
 from scipy import sparse
 
 from .measures import DiscreteMeasure, _distinct_rows, _find_rows
-from .ot import (_HIGHS_OPTIONS, Coupling, cost_matrix, graph_concentration,
-                 solve_discrete_ot)
+from .ot import (_HIGHS_OPTIONS, Coupling, _transport_constraints, cost_matrix,
+                 graph_concentration, solve_discrete_ot)
 
 MAX_GROUP_SIZE = 5040
 INVARIANCE_TOL = 1e-9
@@ -43,6 +43,28 @@ __all__ = [
 ]
 
 
+def _permutations(dim: int, rows) -> np.ndarray:
+    """Rows of coordinate indices as a (k, dim) intp array of permutations of
+    0..dim-1.  A boolean or non-integer entry is rejected, not cast to an
+    index; the error names the first bad row."""
+    if not isinstance(rows, np.ndarray):
+        rows = np.array(rows, dtype=object)  # keeps booleans among integers
+    raw = np.atleast_2d(rows)
+    if raw.ndim != 2 or raw.shape[1] != dim:
+        raise ValueError("element length != dim")
+    perms = raw.astype(np.intp)
+    boolean = raw.dtype == bool
+    if raw.dtype == object:
+        boolean = np.vectorize(lambda x: isinstance(x, (bool, np.bool_)),
+                               otypes=[bool])(raw).any(axis=1)
+    bad = (boolean | ~np.all(raw == perms, axis=1)
+           | ~np.all(np.sort(perms, axis=1) == np.arange(dim), axis=1))
+    if bad.any():
+        raise ValueError(f"not a permutation of 0..{dim-1}: "
+                         f"{raw[int(np.argmax(bad))].tolist()}")
+    return perms
+
+
 def _compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # act(compose(p, q), x) = act(p, act(q, x)) with act(p, x)[i] = x[p[i]]
     return q[p]
@@ -57,14 +79,8 @@ class GroupAction:
     """
 
     def __init__(self, dim: int, elements, _verified: bool = False):
-        els = np.atleast_2d(np.asarray(elements, dtype=np.intp))
-        if els.shape[1] != dim:
-            raise ValueError("element length != dim")
-        keyed = {e.tobytes(): e for e in els}
+        keyed = {e.tobytes(): e for e in _permutations(dim, elements)}
         els = np.array(sorted(keyed.values(), key=lambda e: tuple(e)))
-        for e in els:
-            if sorted(e) != list(range(dim)):
-                raise ValueError(f"not a permutation of 0..{dim-1}: {e}")
         if np.arange(dim, dtype=np.intp).tobytes() not in keyed:
             raise ValueError("identity not present")
         if not _verified:
@@ -94,10 +110,7 @@ class GroupAction:
 
 def closure_from_generators(dim: int, generators, max_size: int = MAX_GROUP_SIZE) -> GroupAction:
     """Generate the group closure of the given permutations (BFS)."""
-    gens = [np.asarray(g, dtype=np.intp) for g in np.atleast_2d(np.asarray(generators))]
-    for g in gens:
-        if sorted(g) != list(range(dim)):
-            raise ValueError(f"not a permutation of 0..{dim-1}: {g}")
+    gens = _permutations(dim, generators)
     identity = np.arange(dim, dtype=np.intp)
     els = {identity.tobytes(): identity}
     frontier = [identity]
@@ -229,6 +242,8 @@ def haar_project(values, points, group: GroupAction) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     points = np.asarray(points, dtype=float)
+    if len(values) != len(points):
+        raise ValueError(f"{len(values)} values for {len(points)} points")
     maps = _index_maps(points, group)
     out = np.zeros_like(values, dtype=float)
     for gi in range(len(group)):
@@ -272,19 +287,13 @@ class InvariantOTResult:
 
 def _solve_orbit_lp(orb: _Orbits, cost) -> InvariantOTResult:
     label = orb.pair_label
-    n, m = label.shape
     n_orbits = orb.pair_reps.size
     c = cost_matrix(orb.mu, orb.nu, cost)
     # objective: total cost of one unit of per-pair weight on each orbit
     obj = np.zeros(n_orbits)
     np.add.at(obj, label.ravel(), c.ravel())
     # pair (i, j) adds one unit of its orbit's weight to row i and column j
-    a_eq = sparse.coo_matrix(
-        (np.ones(2 * n * m, dtype=np.intp),
-         (np.concatenate([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)]),
-          np.tile(label.ravel(), 2))),
-        shape=(n + m, n_orbits)).tocsr()
-    b_eq = np.concatenate([orb.mu.weights, orb.nu.weights])
+    a_eq, b_eq = _transport_constraints(label, orb.mu.weights, orb.nu.weights)
     res = linprog(obj, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                   options=_HIGHS_OPTIONS)
     if res.status != 0:
@@ -395,14 +404,15 @@ def product_power(component: DiscreteMeasure, d: int) -> DiscreteMeasure:
     """The d-fold product of a 1D discrete measure."""
     if component.dim != 1:
         raise ValueError("component must be 1D")
-    xs = component.points[:, 0]
-    ws = component.weights
-    grids = np.meshgrid(*([xs] * d), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.ones(points.shape[0])
+    if d < 1:
+        raise ValueError(f"product power needs d >= 1, got {d}")
+    # atom indices of every product atom, the last coordinate fastest
+    idx = np.indices((len(component),) * d).reshape(d, -1)
+    weights = np.ones(idx.shape[1])
     for k in range(d):
-        weights *= ws[np.meshgrid(*([np.arange(xs.size)] * d), indexing="ij")[k].ravel()]
-    return DiscreteMeasure(points, weights, normalize=False, prune=False)
+        weights *= component.weights[idx[k]]
+    return DiscreteMeasure(component.points[idx.T, 0], weights, normalize=False,
+                           prune=False)
 
 
 @dataclass(frozen=True)
@@ -423,11 +433,10 @@ def no_map_counterexample(component_a: DiscreteMeasure, component_b: DiscreteMea
     are reported, not raised.
     """
     mu = product_power(component_a, d)
-    pa = product_power(component_a, d)
     pb = product_power(component_b, d)
     nu = merge_atoms(DiscreteMeasure(
-        np.vstack([pa.points, pb.points]),
-        np.concatenate([0.5 * pa.weights, 0.5 * pb.weights]),
+        np.vstack([mu.points, pb.points]),
+        np.concatenate([0.5 * mu.weights, 0.5 * pb.weights]),
         normalize=False, prune=False))
     identical = (len(component_a) == len(component_b)
                  and np.array_equal(component_a.points, component_b.points)

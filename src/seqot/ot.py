@@ -5,7 +5,10 @@ the quadratic cost, from the north-west-corner staircase on sorted atoms,
 with duals walked along it; or, between two uniform measures of equal size,
 from an assignment solve whose dual potentials are recovered by Bellman-Ford
 sweeps over the difference constraints that complementary slackness leaves.
-Every one carries a feasible dual pair and a certified gap.  Entropic plans
+Every path ends in the same certificate: its column potentials, their
+c-transform as the row potentials, so the dual pair is exactly feasible, and
+the signed gap.  A fast path whose gap misses the tolerance goes on to the
+next path, and the LP comes last.  Entropic plans
 come from a stabilized Sinkhorn with epsilon-annealing.  1D transport is
 closed form via quantile functions, on the same staircase for two discrete
 measures.  Plan diagnostics: cyclical monotonicity over short cycles, graph
@@ -68,22 +71,20 @@ __all__ = [
 class Coupling:
     """A joint weight table over two discrete supports with prescribed marginals."""
 
-    def __init__(self, source: DiscreteMeasure, target: DiscreteMeasure, weights,
-                 check: bool = True):
+    def __init__(self, source: DiscreteMeasure, target: DiscreteMeasure, weights):
         w = np.asarray(weights, dtype=float)
         if w.shape != (len(source), len(target)):
             raise ValueError("weight table shape mismatch")
-        if check:
-            _require_finite("weights", w)
-            if np.any(w < -MARGINAL_TOL):
-                raise ValueError("negative coupling weight")
-            row_err = np.max(np.abs(w.sum(axis=1) - source.weights))
-            col_err = np.max(np.abs(w.sum(axis=0) - target.weights))
-            if row_err > MARGINAL_TOL or col_err > MARGINAL_TOL:
-                raise ValueError(
-                    f"marginal violation: rows {row_err:.3e}, cols {col_err:.3e}")
-            if abs(w.sum() - 1.0) > MARGINAL_TOL:
-                raise ValueError("total mass != 1")
+        _require_finite("weights", w)
+        if np.any(w < -MARGINAL_TOL):
+            raise ValueError("negative coupling weight")
+        row_err = np.max(np.abs(w.sum(axis=1) - source.weights))
+        col_err = np.max(np.abs(w.sum(axis=0) - target.weights))
+        if row_err > MARGINAL_TOL or col_err > MARGINAL_TOL:
+            raise ValueError(
+                f"marginal violation: rows {row_err:.3e}, cols {col_err:.3e}")
+        if abs(w.sum() - 1.0) > MARGINAL_TOL:
+            raise ValueError("total mass != 1")
         w = np.maximum(w, 0.0)
         w.flags.writeable = False
         self.source = source
@@ -197,20 +198,30 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> np.ndarr
     return c
 
 
-def _product_plan_result(mu, nu, c, t0) -> OTResult:
-    # a single-atom marginal forces the product plan; duals are explicit
-    w = np.outer(mu.weights, nu.weights)
-    value = float(np.sum(w * c))
-    if len(mu) == 1:
-        phi = np.zeros(1)
-        psi = c[0, :].copy()
-    else:
-        phi = c[:, 0].copy()
-        psi = np.zeros(1)
+def _certified(mu, nu, c, w, psi, t0, method, iterations, require_gap):
+    """The exact result for plan ``w`` and column potentials ``psi``.
+
+    phi is the c-transform of psi, so the dual pair is exactly feasible, and
+    the gap is signed: value minus dual value.  With ``require_gap`` a gap
+    over tolerance returns None, before any Coupling is built, so that the
+    caller can go on to the next path.
+    """
+    phi = np.min(c - psi[None, :], axis=1)
     dual = DualPair(phi, psi)
+    value = float(np.sum(w * c))
     gap = value - dual.value(mu, nu)
-    plan = Coupling(mu, nu, w)
-    return OTResult(plan, dual, value, gap, 0, time.perf_counter() - t0, "product")
+    if require_gap and abs(gap) > GAP_TOL * (1 + abs(value)):
+        return None
+    return OTResult(Coupling(mu, nu, w), dual, value, gap, iterations,
+                    time.perf_counter() - t0, method)
+
+
+def _product_result(mu, nu, c, t0) -> OTResult:
+    # a single-atom marginal forces the product plan; psi = c_0j for a
+    # single source atom, else 0, makes the c-transform its exact dual
+    psi = c[0, :].copy() if len(mu) == 1 else np.zeros(1)
+    return _certified(mu, nu, c, np.outer(mu.weights, nu.weights), psi, t0,
+                      "product", 0, False)
 
 
 def _staircase(mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -270,14 +281,7 @@ def _monotone_result(mu, nu, c, t0) -> OTResult | None:
         [[0.0], np.cumsum(c[cross, order_b[1:]] - c[cross, order_b[:-1]])])
     psi = np.empty(m)
     psi[order_b] = psi_sorted
-    phi = np.min(c - psi[None, :], axis=1)
-    dual = DualPair(phi, psi)
-    value = float(np.sum(w * c))
-    gap = value - dual.value(mu, nu)
-    if abs(gap) > GAP_TOL * (1 + abs(value)):
-        return None
-    plan = Coupling(mu, nu, w)
-    return OTResult(plan, dual, value, gap, 0, time.perf_counter() - t0, "monotone")
+    return _certified(mu, nu, c, w, psi, t0, "monotone", 0, True)
 
 
 def _assignment_result(mu, nu, c, t0) -> OTResult | None:
@@ -308,47 +312,39 @@ def _assignment_result(mu, nu, c, t0) -> OTResult | None:
             break
     else:
         return None
-    phi = np.min(c - psi[None, :], axis=1)
-    dual = DualPair(phi, psi)
     w = np.zeros((n, n))
     w[rows, sigma] = mu.weights
-    value = float(np.sum(w * c))
-    gap = value - dual.value(mu, nu)
-    if abs(gap) > GAP_TOL * (1 + abs(value)):
-        return None
-    plan = Coupling(mu, nu, w)
-    return OTResult(plan, dual, value, gap, sweep, time.perf_counter() - t0,
-                    "assignment")
+    return _certified(mu, nu, c, w, psi, t0, "assignment", sweep, True)
+
+
+def _transport_constraints(label, a, b):
+    """Row-sum and column-sum equalities of a transportation LP in which
+    pair (i, j) puts one unit of variable ``label[i, j]`` into row i and
+    column j: the (n + m) x (label.max() + 1) matrix and the right side
+    (a, b).  The exact LP gives every pair its own variable."""
+    n, m = label.shape
+    a_eq = sparse.coo_matrix(
+        (np.ones(2 * n * m),
+         (np.concatenate([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)]),
+          np.tile(label.ravel(), 2))),
+        shape=(n + m, int(label.max()) + 1)).tocsr()
+    return a_eq, np.concatenate([a, b])
 
 
 def _lp_result(mu, nu, c, t0) -> OTResult:
-    # row-sum and column-sum equality constraints over vectorized pi
     n, m = c.shape
-    rows_i = np.repeat(np.arange(n), m)
-    cols_j = np.tile(np.arange(m), n)
-    var = np.arange(n * m)
-    a_eq = sparse.coo_matrix(
-        (np.ones(2 * n * m),
-         (np.concatenate([rows_i, n + cols_j]), np.concatenate([var, var]))),
-        shape=(n + m, n * m),
-    ).tocsr()
-    b_eq = np.concatenate([mu.weights, nu.weights])
+    a_eq, b_eq = _transport_constraints(np.arange(n * m).reshape(n, m),
+                                        mu.weights, nu.weights)
     res = linprog(c.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs", options=_HIGHS_OPTIONS)
     if res.status != 0:
         raise RuntimeError(f"LP solver failed: {res.message}")
-    plan_w = res.x.reshape(n, m)
-    # clean tiny negatives / marginal drift from the solver
-    plan_w = np.maximum(plan_w, 0.0)
+    # clean tiny negatives from the solver; the c-transform makes its
+    # column duals exactly feasible
+    w = np.maximum(res.x.reshape(n, m), 0.0)
     psi = np.asarray(res.eqlin.marginals[n:], dtype=float)
-    # one c-transform pass makes the duals exactly feasible
-    phi = np.min(c - psi[None, :], axis=1)
-    dual = DualPair(phi, psi)
-    value = float(np.sum(plan_w * c))
-    gap = value - dual.value(mu, nu)
-    plan = Coupling(mu, nu, plan_w)
     it = int(res.nit) if res.nit is not None else -1
-    return OTResult(plan, dual, value, gap, it, time.perf_counter() - t0, "lp")
+    return _certified(mu, nu, c, w, psi, t0, "lp", it, False)
 
 
 def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OTResult:
@@ -357,41 +353,41 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OT
     Solves min sum_ij c_ij pi_ij over couplings of (mu, nu) and returns the
     optimal plan, a feasible dual pair and the optimal value with certified
     signed primal-dual gap |value - dual value| <= 1e-9 * (1 + |value|).
-    A single-atom marginal gives the product plan.  Two 1D measures under
-    the default quadratic cost give the monotone (north-west-corner) plan on
-    sorted atoms, with duals walked along its staircase; the Monge property
-    behind it is known for the quadratic cost only, so a callable or table
-    cost takes the general paths.  Two uniform measures of equal size give
-    an assignment problem (Birkhoff-von Neumann): a permutation from
-    ``linear_sum_assignment``, with duals recovered from its difference
-    constraints.  Should the monotone or assignment certificate miss the
-    gap tolerance, the instance goes on to the next path.  Everything else
-    is the transportation LP (HiGHS) with its duals made feasible by one
-    c-transform.  The LP alone is capped: an instance of more than
-    ``MAX_LP_CELLS`` (1e6) cells that reaches it, weighted or with a fast
-    path's certificate that failed, raises ValueError.
+    The paths below are tried in this order, and each ends in the same
+    certificate: phi is the c-transform of the path's psi, so the dual pair
+    is exactly feasible.  A single-atom marginal gives the product plan,
+    whose psi is the cost row of the single source atom, or 0 for a single
+    target atom.  Two 1D measures under the default quadratic cost give the
+    monotone (north-west-corner) plan on sorted atoms, with duals walked
+    along its staircase; the Monge property behind it is known for the
+    quadratic cost only, so a callable or table cost takes the general
+    paths.  Two uniform measures of equal size give an assignment problem
+    (Birkhoff-von Neumann): a permutation from ``linear_sum_assignment``,
+    with duals recovered from its difference constraints.  Should the
+    monotone or assignment certificate miss the gap tolerance, the instance
+    goes on to the next path.  Everything else is the transportation LP
+    (HiGHS), whose column duals give psi.  The LP alone is capped: an
+    instance of more than ``MAX_LP_CELLS`` (1e6) cells that reaches it,
+    weighted or with a fast path's certificate that failed, raises
+    ValueError.
     """
     t0 = time.perf_counter()
     n, m = len(mu), len(nu)
-    product = n == 1 or m == 1
-    monotone = mu.dim == 1 and nu.dim == 1 and _is_sqeuclidean(cost)
-    uniform = (n == m and np.all(mu.weights == mu.weights[0])
-               and np.all(nu.weights == nu.weights[0]))
+    fast = [path for path, applies in (
+        (_product_result, n == 1 or m == 1),
+        (_monotone_result, mu.dim == 1 and nu.dim == 1 and _is_sqeuclidean(cost)),
+        (_assignment_result, n == m and np.all(mu.weights == mu.weights[0])
+         and np.all(nu.weights == nu.weights[0])),
+    ) if applies]
     over_cap = n * m > MAX_LP_CELLS
-    if over_cap and not (product or monotone or uniform):
+    if over_cap and not fast:
         # bound for the LP: rejected before its cost table is built
         raise ValueError(f"instance {n}x{m} over the exact-solver size limit")
     if abs(mu.weights.sum() - nu.weights.sum()) > 1e-9:
         raise ValueError("infeasible marginals: mass mismatch")
     c = cost_matrix(mu, nu, cost)
-    if product:
-        return _product_plan_result(mu, nu, c, t0)
-    if monotone:
-        res = _monotone_result(mu, nu, c, t0)
-        if res is not None:
-            return res
-    if uniform:
-        res = _assignment_result(mu, nu, c, t0)
+    for path in fast:
+        res = path(mu, nu, c, t0)
         if res is not None:
             return res
     if over_cap:

@@ -249,6 +249,20 @@ class TestValidate:
         failing = [c for c in out["checks"] if not c["passed"]]
         assert any("closure" in c["check"] for c in failing)
 
+    @pytest.mark.parametrize("generator", [[1.5, 0.2], [True, False]])
+    def test_validate_rejects_non_integer_generator(self, tmp_path, capsys, generator):
+        # both were cast to the permutation [1, 0] and ran as S2
+        cfg = write_config(
+            tmp_path, "invariant_duality", seed=1, output_dir=str(tmp_path / "out"),
+            params={"instance": "random", "group": {"dim": 2, "generators": [generator]}})
+        assert main(["validate", cfg]) == 2
+        out = json.loads(capsys.readouterr().out)
+        failing = [c for c in out["checks"] if not c["passed"]]
+        assert [c["detail"] for c in failing] == [
+            f"not a permutation of 0..1: {generator}"]
+        assert main(["run", cfg]) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
     @pytest.mark.parametrize("name,raw", [
         ("talagrand", {"params": {"target": {"bogus": 1}}}),

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from seqot.invariance import (
     trivial_group,
 )
 from seqot.measures import DiscreteMeasure
-from seqot.ot import Coupling, solve_discrete_ot
+from seqot.ot import Coupling, _lp_result, cost_matrix, solve_discrete_ot
 
 
 def worked_instance():
@@ -78,6 +79,19 @@ class TestGroups:
         with pytest.raises(ValueError):
             GroupAction(2, [[0, 0]])
 
+    @pytest.mark.parametrize("row", [[1.5, 0.2], [0.0, 1.0, 2.5], [True, False],
+                                     [False, True]])
+    def test_non_integer_entries_rejected(self, row):
+        # a cast to intp truncated these to a permutation
+        rows = [list(range(len(row))), row]
+        with pytest.raises(ValueError, match=f"not a permutation .*{re.escape(str(row))}"):
+            closure_from_generators(len(row), rows)
+        with pytest.raises(ValueError, match=f"not a permutation .*{re.escape(str(row))}"):
+            GroupAction(len(row), rows)
+
+    def test_integral_float_entries_accepted(self):
+        assert len(closure_from_generators(3, [[1.0, 2.0, 0.0]])) == 3
+
 
 class TestHaarProject:
     def stable_points(self, group, rng, n=4):
@@ -120,6 +134,16 @@ class TestHaarProject:
             haar_project(np.array([1.0]), pts, g)
         with pytest.raises(ValueError, match="dimension"):
             haar_project(np.array([1.0]), pts[:, :2], g)
+
+    @pytest.mark.parametrize("n_values", [2, 4])
+    def test_length_mismatch_named(self, n_values):
+        # a shorter table raised IndexError in numpy, a longer one a
+        # broadcast error
+        g = cyclic_group(3)
+        pts = self.stable_points(g, np.random.default_rng(3), n=1)
+        assert len(pts) == 3
+        with pytest.raises(ValueError, match=f"{n_values} values for 3 points"):
+            haar_project(np.zeros(n_values), pts, g)
 
 
 class TestSymmetrize:
@@ -315,6 +339,43 @@ def test_product_power_weights():
     assert lookup[(0.0, 0.0)] == pytest.approx(0.0625)
     assert lookup[(1.0, 1.0)] == pytest.approx(0.5625)
     assert lookup[(0.0, 1.0)] == pytest.approx(0.1875)
+
+
+def test_product_power_matches_its_meshgrid_definition():
+    # the atom order and weights of the per-coordinate meshgrid loop, bit for bit
+    rng = np.random.default_rng(5)
+    a = DiscreteMeasure(rng.normal(size=(3, 1)), rng.random(3) + 0.1)
+    for d in (1, 2, 3):
+        p = product_power(a, d)
+        grids = np.meshgrid(*([np.arange(3)] * d), indexing="ij")
+        want = np.ones(3 ** d)
+        for g in grids:
+            want *= a.weights[g.ravel()]
+        assert np.array_equal(p.points, a.points[np.stack([g.ravel() for g in grids], 1), 0])
+        assert p.weights.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_product_power_needs_a_positive_power(d):
+    a = DiscreteMeasure([[0.0], [1.0]], [0.25, 0.75])
+    with pytest.raises(ValueError, match="d >= 1"):
+        product_power(a, d)
+    with pytest.raises(ValueError, match="d >= 1"):
+        no_map_counterexample(a, a, d, trivial_group(1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trivial_group_orbit_lp_is_the_exact_lp(seed):
+    # every pair its own orbit: the invariant LP is the exact LP on the same
+    # constraint layout, so HiGHS returns the same plan
+    rng = np.random.default_rng(seed)
+    n, m, dim = rng.integers(2, 9), rng.integers(2, 9), int(rng.integers(1, 4))
+    mu = DiscreteMeasure(rng.normal(size=(n, dim)), rng.random(n) + 0.1)
+    nu = DiscreteMeasure(rng.normal(size=(m, dim)), rng.random(m) + 0.1)
+    res = solve_invariant_ot(mu, nu, trivial_group(dim))
+    assert res.n_orbits == n * m
+    lp = _lp_result(mu, nu, cost_matrix(mu, nu, first_coordinate_cost), 0.0)
+    assert res.plan.weights.tobytes() == lp.plan.weights.tobytes()
 
 
 def test_merge_atoms():

@@ -376,7 +376,9 @@ def test_solver_path_by_instance_shape():
         (cloud(30, 2, False), cloud(40, 2, False), "lp"),
     ]
     for mu, nu, method in cases:
-        assert solve_discrete_ot(mu, nu).method == method
+        res = solve_discrete_ot(mu, nu)
+        assert res.method == method
+        assert_certified(mu, nu, res)
 
 
 @settings(max_examples=40, deadline=None)
@@ -668,9 +670,11 @@ def test_uniform_instance_over_the_lp_cap_takes_the_assignment_path():
 def test_zero_mass_row_rejected():
     m = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
     plan = Coupling(m, m, np.diag([0.5, 0.5]))
-    broken = Coupling(m, m, np.array([[0.5, 0.5], [0.0, 0.0]]), check=False)
+    # a zero-weight source atom gives a valid coupling with an empty row
+    light = DiscreteMeasure([[0.0], [1.0]], [1.0, 0.0], normalize=False, prune=False)
+    broken = Coupling(light, m, np.array([[0.5, 0.5], [0.0, 0.0]]))
     assert barycentric_map(plan).shape == (2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero-mass row"):
         barycentric_map(broken)
 
 
