@@ -16,8 +16,6 @@ from .measures import (
     gaussian_grid,
     gaussian_w2,
     mixture_grid,
-    moment,
-    quantile_from_discrete,
     quantile_from_grid,
 )
 from .ot import (
@@ -71,7 +69,6 @@ from .gibbs import (
     empirical_map_to_gaussian,
     entropy_mn_estimate,
     equivariance_check,
-    gaussian_site_spec,
     quartic_spec,
     sample_periodic_gibbs,
 )

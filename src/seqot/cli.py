@@ -523,8 +523,7 @@ EXPERIMENTS = {
         {"dim": (3, _integer(2)), "source_tilt_strength": (0.3, _real()),
          "target_tilt_strength": (0.2, _real(0)),
          "n_list": ([1, 2, 3], _list_of(_integer(1))), "nodes": (16, _integer(2))},
-        ("seqot.processes.quasi_product_approx",
-         "seqot.processes.diagonal_transport")),
+        ("seqot.processes.quasi_product_approx",)),
     "definetti": ExperimentEntry(
         run_definetti, False,
         {"mu": ({"weights": [0.5, 0.5], "means": [0.0, 4.0], "sigmas": [1.0, 1.0]},
@@ -547,7 +546,7 @@ EXPERIMENTS = {
         {"mu": ({"mean": 1.0, "sigma": 1.0}, _law_1d),
          "nu": ({"mean": 0.0, "sigma": 1.0}, _law_1d),
          "target": ({"mean": 0.0, "sigma": 1.0}, _law_1d), "K": (1.0, _real(0))},
-        ("seqot.bounds.talagrand_gap", "seqot.bounds.relative_entropy"),
+        ("seqot.bounds.talagrand_gap",),
         (Check("target uniformly log-concave", ("target", "K"), _certified_k),)),
     "lemma21": ExperimentEntry(
         run_lemma21, False,
@@ -556,7 +555,7 @@ EXPERIMENTS = {
          "nu": ({"mean": 0.0, "sigma": 1.0}, _grid_1d),
          "t": (0.1, _real(0)), "epsilon": (1.0, _real(-1, strict=True)),
          "p": (2.0, _real(1)), "q": (2.0, _real(1))},
-        ("seqot.bounds.lemma21_check", "seqot.bounds.assumption_A_probe"),
+        ("seqot.bounds.lemma21_check",),
         (Check("p and q are conjugate exponents", ("p", "q"),
                lambda p: _bounds._check_conjugate(p["p"], p["q"])),)),
     "gibbs_cauchy": ExperimentEntry(
@@ -569,7 +568,6 @@ EXPERIMENTS = {
          "W_coeffs": (None, _optional(_list_of(_reals))),
          "gibbs_params": (None, _optional(lambda spec: _gibbs.GibbsParams(**spec)))},
         ("seqot.gibbs.cauchy_convergence_experiment",
-         "seqot.gibbs.sample_periodic_gibbs",
          "seqot.gibbs.entropy_mn_estimate"),
         (Check("block half-widths satisfy 0 <= m < n", ("n", "m_list"),
                lambda p: _need(max(p["m_list"]) < p["n"], "some m is >= n")),

@@ -20,7 +20,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.special import logsumexp
 
-from .measures import _distinct_rows, _find_rows, empirical_from_samples
+from .bounds import EntropyEstimate
+from .measures import _distinct_rows, _find_rows, _require_integer, empirical_from_samples
 from .ot import _sq_dist_table, barycentric_map, sinkhorn, solve_discrete_ot
 
 PROBE_BOX = 4.0         # the assumption probes sample [-PROBE_BOX, PROBE_BOX]
@@ -29,6 +30,7 @@ LP_THRESHOLD = 300      # empirical maps of at most this many points use the exa
 EVAL_CHUNK = 1024       # query rows per block of EmpiricalMap.evaluate
 EQUIVARIANCE_BATCH = 32  # batch length of the equivariance standard error
 MAP_TOL = 1e-4          # Sinkhorn tolerance of the convergence experiment's maps
+MAP_MAX_ITER = 4000     # Sinkhorn iteration cap of every empirical map
 
 __all__ = [
     "GibbsParams",
@@ -42,11 +44,8 @@ __all__ = [
     "empirical_map_to_gaussian",
     "equivariance_check",
     "entropy_mn_estimate",
-    "entropy_mn_crosscheck",
     "cauchy_convergence_experiment",
-    "exp_moment_probe",
     "quartic_spec",
-    "gaussian_site_spec",
 ]
 
 
@@ -181,12 +180,6 @@ def quartic_spec(coupling: float = 0.0) -> GibbsSpec:
                                  A=3.9, B=1.0, C=4.0))
 
 
-def gaussian_site_spec() -> GibbsSpec:
-    """V(x) = x^2/2 with no coupling: the ring measure is the standard Gaussian."""
-    return GibbsSpec([0, 0, 0.5], np.zeros((1, 1)),
-                     GibbsParams(J=0.01, L=2, N=2, sigma=0.25, A=0.5, B=2.0, C=1.5))
-
-
 # ---------------------------------------------------------------------------
 # MCMC
 
@@ -203,9 +196,7 @@ class MCMCConfig:
     def __post_init__(self):
         for name, low in (("num_chains", 1), ("thinning", 1), ("adapt_interval", 1),
                           ("burn_in", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"MCMC {name} must be an integer >= {low}, got {value!r}")
+            _require_integer(f"MCMC {name}", getattr(self, name), low)
         if not (math.isfinite(self.step_init) and self.step_init > 0):
             raise ValueError(f"MCMC step_init must be finite and positive, "
                              f"got {self.step_init}")
@@ -433,33 +424,14 @@ def _lattice_sample(n: int, seed: int, lane, config: MCMCConfig) -> LatticeSampl
                          steps, tuning_ok)
 
 
-def cyclic_symmetrize(sample: LatticeSample, mode: str = "expand",
-                      seed: int = 0) -> LatticeSample:
-    """Make the empirical measure exactly shift-invariant.
-
-    ``expand`` replaces each state by all its cyclic shifts; ``random`` keeps
-    the sample size, replacing each state by one uniformly random shift.
-    """
-    d = sample.num_sites
-    if mode == "expand":
-        states = np.concatenate([np.roll(sample.states, s, axis=1) for s in range(d)])
-    elif mode == "random":
-        rng = np.random.default_rng(seed)
-        shifts = rng.integers(0, d, size=sample.states.shape[0])
-        states = np.stack([np.roll(row, s) for row, s in zip(sample.states, shifts)])
-    else:
-        raise ValueError("mode must be 'expand' or 'random'")
+def cyclic_symmetrize(sample: LatticeSample) -> LatticeSample:
+    """Make the empirical measure exactly shift-invariant by replacing each
+    state with all its cyclic shifts."""
+    states = np.concatenate([np.roll(sample.states, s, axis=1)
+                             for s in range(sample.num_sites)])
     return LatticeSample(sample.n, states, sample.seed, sample.burn_in,
                          sample.thinning, sample.acceptance,
                          _ess_per_coordinate(states), sample.steps, sample.tuning_ok)
-
-
-def exp_moment_probe(sample: LatticeSample, lam: float, power: float) -> dict:
-    """Empirical per-coordinate means of exp(lam |x_k|^power)."""
-    vals = np.exp(lam * np.abs(sample.states) ** power)
-    means = vals.mean(axis=0)
-    return {"means": means.tolist(), "finite": bool(np.all(np.isfinite(means))),
-            "max": float(means.max())}
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +496,7 @@ def _merged_barycenters(points: np.ndarray, plan) -> np.ndarray:
 
 
 def empirical_map_to_gaussian(points, gaussian_samples, epsilon: float = None,
-                              seed: int = 0, tol: float = 1e-6,
-                              max_iter: int = 4000) -> EmpiricalMap:
+                              seed: int = 0, tol: float = 1e-6) -> EmpiricalMap:
     """Estimate the transport map from an empirical cloud onto the standard
     Gaussian (entropic plan + barycentric projection; exact plan below the
     size threshold, its map averaged over the copies of each repeated source
@@ -557,7 +528,7 @@ def empirical_map_to_gaussian(points, gaussian_samples, epsilon: float = None,
     if points.shape[0] <= LP_THRESHOLD:
         res = solve_discrete_ot(mu, nu)
         return EmpiricalMap(points, _merged_barycenters(points, res.plan), "lp")
-    res = sinkhorn(mu, nu, epsilon=epsilon, max_iter=max_iter, tol=tol)
+    res = sinkhorn(mu, nu, epsilon=epsilon, max_iter=MAP_MAX_ITER, tol=tol)
     if not res.converged:
         raise RuntimeError(
             f"entropic solver did not converge: violation {res.marginal_violation:.2e}")
@@ -640,8 +611,6 @@ def entropy_mn_estimate(spec: GibbsSpec, sample: LatticeSample, m: int):
     equals log E[e^Z] - E[Z] under the ring law (nonnegative by Jensen).  The
     log-normalizer uses log-mean-exp; the standard error is a batch jackknife.
     """
-    from .bounds import EntropyEstimate
-
     z = _z_values(spec, sample.states, m, sample.n)
 
     def stat(v):
@@ -649,40 +618,6 @@ def entropy_mn_estimate(spec: GibbsSpec, sample: LatticeSample, m: int):
 
     value, se = _jackknife_batches(z, stat)
     return EntropyEstimate(value, se, "monte_carlo", n_samples=z.size)
-
-
-def entropy_mn_crosscheck(spec: GibbsSpec, sample: LatticeSample, m: int,
-                          product_states: np.ndarray):
-    """Independent bridge estimator of the same entropy, using a sample of the
-    decoupled product law: log E_mu[e^Z] = -log E_product[e^-Z]."""
-    from .bounds import EntropyEstimate
-
-    n = sample.n
-    z_mu = _z_values(spec, sample.states, m, n)
-    z_prod = _z_values(spec, product_states, m, n)
-
-    log_norm = -(logsumexp(-z_prod) - math.log(z_prod.size))
-    value = float(log_norm - z_mu.mean())
-    _, se1 = _jackknife_batches(z_prod, lambda v: float(-(logsumexp(-v) - math.log(v.size))))
-    se2 = float(z_mu.std(ddof=1) / math.sqrt(z_mu.size))
-    return EntropyEstimate(value, math.sqrt(se1 ** 2 + se2 ** 2), "monte_carlo",
-                           n_samples=z_mu.size + z_prod.size)
-
-
-def sample_decoupled_product(spec: GibbsSpec, n: int, m: int, num_samples: int,
-                             seed: int, config: MCMCConfig = MCMCConfig()) -> np.ndarray:
-    """Sample the decoupled law: the m-ring on the inner block times the
-    complementary open chain (bonds along m+1..n, the wrap to -n, up to -m-1)."""
-    inner, outer = _block_slots(n, m)
-    states = np.empty((num_samples, 2 * n + 1))
-    [(ring, _, _)] = _sample_sites(spec, len(inner), ring_bonds(len(inner)),
-                                   num_samples, [seed], config)
-    states[:, inner] = ring
-    if outer:
-        [(block, _, _)] = _sample_sites(spec, len(outer), path_bonds(len(outer)),
-                                        num_samples, [seed + 1], config)
-        states[:, outer] = block
-    return states
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import numpy as np
 
 WEIGHT_TOL = 1e-12
 PRUNE_TOL = 1e-15
-GRID_MASS_TOL = 1e-9
 
 __all__ = [
     "DiscreteMeasure",
@@ -23,10 +22,8 @@ __all__ = [
     "GaussianSpec",
     "Grid1D",
     "empirical_from_samples",
-    "moment",
     "gaussian_w2",
     "quantile_from_grid",
-    "quantile_from_discrete",
     "gaussian1d",
     "gaussian_grid",
     "mixture_grid",
@@ -43,6 +40,12 @@ def _require_finite(name: str, values) -> None:
     """ValueError naming the field when any entry is NaN or infinite."""
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} must be finite")
+
+
+def _require_integer(name: str, value, low: int) -> None:
+    """ValueError naming the field unless it is an integer >= low."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class DiscreteMeasure:
@@ -89,9 +92,6 @@ class DiscreteMeasure:
     def __repr__(self):
         return f"DiscreteMeasure(n={len(self)}, dim={self.dim})"
 
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.points
-
 
 @dataclass(frozen=True)
 class Quantile1D:
@@ -122,9 +122,6 @@ class Quantile1D:
 
     def __call__(self, u) -> np.ndarray:
         return np.interp(u, self.quantile_grid, self.values)
-
-    def mean(self) -> float:
-        return float(np.mean(self.values))
 
 
 class GaussianSpec:
@@ -161,11 +158,10 @@ class Grid1D:
     """A 1D density tabulated on a strictly increasing node grid.
 
     The trapezoid integral of ``density`` over ``nodes`` is 1 (normalized on
-    construction unless ``normalize=False``).  One quadrature rule — trapezoid
-    — is used everywhere.
+    construction).  One quadrature rule — trapezoid — is used everywhere.
     """
 
-    def __init__(self, nodes, density, normalize=True):
+    def __init__(self, nodes, density):
         nodes = np.asarray(nodes, dtype=float)
         density = np.asarray(density, dtype=float)
         if nodes.ndim != 1 or nodes.shape != density.shape or nodes.size < 2:
@@ -177,12 +173,9 @@ class Grid1D:
         if np.any(density < 0):
             raise ValueError("density must be nonnegative")
         total = np.trapezoid(density, nodes)
-        if normalize:
-            if total <= 0:
-                raise ValueError("density integrates to zero")
-            density = density / total
-        elif abs(total - 1.0) > GRID_MASS_TOL:
-            raise ValueError(f"density integrates to {total}, not 1")
+        if total <= 0:
+            raise ValueError("density integrates to zero")
+        density = density / total
         self.nodes = _freeze(nodes)
         self.density = _freeze(density)
 
@@ -201,9 +194,6 @@ class Grid1D:
     def integrate(self, values_on_nodes) -> float:
         """Trapezoid integral of ``values * density`` over the grid."""
         return float(np.trapezoid(np.asarray(values_on_nodes) * self.density, self.nodes))
-
-    def mean(self) -> float:
-        return self.integrate(self.nodes)
 
     def sample(self, size, rng) -> np.ndarray:
         """Inverse-CDF sampling from the tabulated density."""
@@ -291,13 +281,6 @@ def empirical_from_samples(samples) -> DiscreteMeasure:
                            normalize=False, prune=False)
 
 
-def moment(m: DiscreteMeasure, coordinate: int, order: int) -> float:
-    """Raw moment sum_k w_k * x_k[coordinate]**order."""
-    if not 0 <= coordinate < m.dim:
-        raise ValueError(f"coordinate {coordinate} out of range for dim {m.dim}")
-    return float(m.weights @ m.points[:, coordinate] ** order)
-
-
 def _sqrtm_psd(a: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(a)
     vals = np.clip(vals, 0.0, None)
@@ -321,21 +304,12 @@ def gaussian_w2(a: GaussianSpec, b: GaussianSpec) -> float:
 
 def quantile_from_grid(g: Grid1D, resolution: int) -> Quantile1D:
     """Sample the generalized inverse CDF of ``g`` at midpoints (k-1/2)/resolution."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    _require_integer("resolution", resolution, 2)
     u = (np.arange(resolution) + 0.5) / resolution
     cdf = g.cdf_table()
     if cdf[-1] <= 0:
         raise ValueError("degenerate grid")
     return Quantile1D(u, _invert_cdf(g.nodes, cdf, u))
-
-
-def quantile_from_discrete(m: DiscreteMeasure, resolution: int = 10_000) -> Quantile1D:
-    """Quantile representation of a 1D discrete measure (stable monotone order)."""
-    if m.dim != 1:
-        raise ValueError("1D measures only")
-    u = (np.arange(resolution) + 0.5) / resolution
-    return Quantile1D(u, _discrete_quantile_at(m, u))
 
 
 # ---------------------------------------------------------------------------

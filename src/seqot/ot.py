@@ -25,20 +25,21 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .measures import (DiscreteMeasure, Grid1D, Quantile1D, _discrete_quantile_at,
-                       _require_finite, _sorted_cdf, quantile_from_grid)
+from .measures import (DEFAULT_RESOLUTION, DiscreteMeasure, Grid1D, Quantile1D,
+                       _discrete_quantile_at, _require_finite, _require_integer,
+                       _sorted_cdf, quantile_from_grid)
 
 MARGINAL_TOL = 1e-10
-DUAL_FEAS_TOL = 1e-9
 GAP_TOL = 1e-9
 # n*m cap of the transportation LP, checked only when an instance reaches it:
 # the product, monotone and assignment paths take larger instances (a
 # uniform 1001x1001 assignment solves in about half a second)
 MAX_LP_CELLS = 1_000_000
 # cyclical-monotonicity check: support pairs above this weight, the heaviest
-# CYCLE_MAX_SUPPORT of them
+# CYCLE_MAX_SUPPORT of them, and the slack below -CYCLE_TOL that fails a cycle
 CYCLE_SUPPORT_THRESHOLD = 1e-12
 CYCLE_MAX_SUPPORT = 80
+CYCLE_TOL = 1e-9
 # HiGHS options for every transport LP.  Feasibility tolerances: the 1e-7
 # defaults let a solution miss the marginals by more than MARGINAL_TOL.
 # Presolve off: on a dense transportation LP it removes only the one redundant
@@ -91,18 +92,13 @@ class Coupling:
         self.target = target
         self.weights = w
 
-    def cost(self, cost=None) -> float:
-        """Transport cost sum_ij pi_ij c(x_i, y_j) (quadratic by default)."""
-        return float(np.sum(self.weights * cost_matrix(self.source, self.target, cost)))
-
 
 @dataclass(frozen=True)
 class DualPair:
     """Kantorovich potentials for the cost-form dual: phi_i + psi_j <= c_ij.
 
     For the quadratic cost the inner-product form potentials are the affine
-    images F(x) = ||x||^2/2 - phi(x)/2 and G(y) = ||y||^2/2 - psi(y)/2; see
-    ``to_inner_product_form``.
+    images F(x) = ||x||^2/2 - phi(x)/2 and G(y) = ||y||^2/2 - psi(y)/2.
     """
 
     phi: np.ndarray
@@ -110,19 +106,6 @@ class DualPair:
 
     def value(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         return float(mu.weights @ self.phi + nu.weights @ self.psi)
-
-    def feasibility_violation(self, cost: np.ndarray) -> float:
-        return float(np.max(self.phi[:, None] + self.psi[None, :] - cost))
-
-    def to_inner_product_form(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
-        """Potentials (F, G) with F(x) + G(y) >= <x, y> for the quadratic cost.
-
-        F_i = ||x_i||^2/2 - phi_i/2, G_j = ||y_j||^2/2 - psi_j/2; feasibility of
-        (phi, psi) for c = ||x-y||^2 is equivalent to F_i + G_j >= <x_i, y_j>.
-        """
-        f = 0.5 * np.sum(mu.points ** 2, axis=1) - 0.5 * self.phi
-        g = 0.5 * np.sum(nu.points ** 2, axis=1) - 0.5 * self.psi
-        return f, g
 
 
 @dataclass(frozen=True)
@@ -427,7 +410,7 @@ def _as_quantile_source(obj, resolution):
     raise TypeError(f"cannot interpret {type(obj).__name__} as a 1D law")
 
 
-def quantile_transport_1d(mu, nu, resolution: int = 10_000) -> Monotone1DMap:
+def quantile_transport_1d(mu, nu, resolution: int = DEFAULT_RESOLUTION) -> Monotone1DMap:
     """Optimal 1D transport T = Q_nu o F_mu with its quadratic cost.
 
     For a pair of discrete measures the shared grid is the merged set of
@@ -435,8 +418,9 @@ def quantile_transport_1d(mu, nu, resolution: int = 10_000) -> Monotone1DMap:
     monotone path, so the cost is exact.  For function-backed
     laws (Grid1D / Quantile1D) both quantile functions are paired on the
     uniform midpoint grid of the given resolution and the cost is the mean of
-    the squared value gaps.
+    the squared value gaps.  ``resolution`` must be an integer >= 2.
     """
+    _require_integer("resolution", resolution, 2)
     qa = _as_quantile_source(mu, resolution)
     qb = _as_quantile_source(nu, resolution)
 
@@ -508,10 +492,13 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
     scaled to diag(a u) K diag(v b), rounded onto the marginal polytope, so
     it is a valid Coupling; the pre-rounding total-variation violation and
     the iteration count are reported, and non-convergence comes back as
-    ``converged=False``, never silently.
+    ``converged=False``, never silently.  ``max_iter`` must be an integer
+    >= 1 and ``tol`` finite and positive.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    for name, value in (("epsilon", epsilon), ("tol", tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    _require_integer("max_iter", max_iter, 1)
     c = cost_matrix(mu, nu, cost)
     a, b = mu.weights, nu.weights
     if len(mu) == 1 or len(nu) == 1:
@@ -601,8 +588,7 @@ class CycleReport:
     violating_cycle: tuple | None
 
 
-def check_cyclical_monotonicity(plan: Coupling, cycle_length_max: int = 3,
-                                tol: float = 1e-9) -> CycleReport:
+def check_cyclical_monotonicity(plan: Coupling, cycle_length_max: int = 3) -> CycleReport:
     """Check cyclical monotonicity of the plan's support for quadratic cost.
 
     For every cycle (up to the given length) of support pairs, the assigned
@@ -629,7 +615,7 @@ def check_cyclical_monotonicity(plan: Coupling, cycle_length_max: int = 3,
                 slack = shifted - base
                 checked += 1
                 worst = min(worst, slack)
-                if slack < -tol:
+                if slack < -CYCLE_TOL:
                     cycle = tuple((int(i_idx[p]), int(j_idx[p])) for p in cyc)
                     return CycleReport(False, checked, float(slack), cycle)
     if checked == 0:

@@ -19,12 +19,14 @@ from scipy.special import logsumexp
 
 from .bounds import _log_second_differences, log_concavity_constant
 from .measures import (
+    DEFAULT_RESOLUTION,
     DiscreteMeasure,
     GaussianSpec,
     Grid1D,
     Quantile1D,
     _coerce_grid,
     _require_finite,
+    _require_integer,
     quantile_from_grid,
 )
 from .ot import (
@@ -35,6 +37,8 @@ from .ot import (
     quantile_transport_1d,
     solve_discrete_ot,
 )
+
+ENTROPY_RTOL = 1e-6  # relative slack of quasi_product_approx's entropy comparisons
 
 __all__ = [
     "ProductSpec",
@@ -82,8 +86,7 @@ class DiagonalTransportReport:
                       # the full-sequence cost diverges with the dimension
 
 
-def diagonal_transport(p: ProductSpec, q: ProductSpec,
-                       resolution: int = 10_000) -> DiagonalTransportReport:
+def diagonal_transport(p: ProductSpec, q: ProductSpec) -> DiagonalTransportReport:
     """Coordinatewise monotone transport between two product laws.
 
     Returns the per-coordinate maps and squared costs; the truncated total is
@@ -94,8 +97,7 @@ def diagonal_transport(p: ProductSpec, q: ProductSpec,
         raise ValueError("factor count mismatch")
     maps, costs = [], []
     for fp, fq in zip(p.factors, q.factors):
-        m = quantile_transport_1d(_coerce_grid(fp, resolution),
-                                  _coerce_grid(fq, resolution), resolution=resolution)
+        m = quantile_transport_1d(_coerce_grid(fp), _coerce_grid(fq))
         maps.append(m)
         costs.append(m.w2sq)
     costs = np.array(costs)
@@ -132,10 +134,6 @@ class Tilt:
         if self.coords == 0:
             return np.ones(block.shape[0])
         return np.asarray(self.fn(block[:, :self.coords]), dtype=float)
-
-
-def no_tilt() -> Tilt:
-    return Tilt(0, lambda x: np.ones(x.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,7 @@ class QuasiProductReport:
 
 
 def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
-                         n_list, nodes: int = 12, tol: float = 1e-6) -> QuasiProductReport:
+                         n_list, nodes: int = 12) -> QuasiProductReport:
     """Finite-dimensional transport of tilted products with entropy control.
 
     Both laws are a bounded density tilt of a product law, the tilt depending
@@ -252,7 +250,7 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
             diagonal_rows.append({"n": n, "skipped": "n smaller than the tilt width"})
         else:
             diagonal_rows.append({"n": n, "lhs": lhs_n, "entropy": ent_n,
-                                  "passed": bool(lhs_n <= ent_n * (1 + tol) + 1e-12)})
+                                  "passed": bool(lhs_n <= ent_n * (1 + ENTROPY_RTOL) + 1e-12)})
 
     # pairwise comparison: block map vs decoupled (T_m, T_{m,n}) with the
     # exact discrete decoupling entropy
@@ -288,7 +286,7 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
             bound = 2.0 / k_const * ent
             pair_rows.append({
                 "m": m, "n": n, "D": d_val, "entropy": ent, "bound": bound,
-                "passed": bool(d_val <= bound * (1 + tol) + 1e-10),
+                "passed": bool(d_val <= bound * (1 + ENTROPY_RTOL) + 1e-10),
             })
     passed = all(r.get("passed", True) for r in diagonal_rows + pair_rows)
     return QuasiProductReport(k_const, contraction, (g_lo, g_hi), flogf,
@@ -395,15 +393,16 @@ class DeFinettiResult:
 
 
 def definetti_ot(pi_mu: MixtureSpec, pi_nu: MixtureSpec,
-                 resolution: int = 10_000) -> DeFinettiResult:
+                 resolution: int = DEFAULT_RESOLUTION) -> DeFinettiResult:
     """Outer transport between mixing measures with squared 1D transport cost.
 
     The ground cost W2^2(m_k, p_l) is computed from cached quantile tables at
-    the given resolution.  When the optimal outer plan is a permutation, the
+    the given resolution, an integer >= 2.  When the optimal outer plan is a permutation, the
     induced assignment F and the per-component diagonal maps are returned;
     otherwise the plan's graph concentration < 1 is the reported evidence that
     no mixture-preserving map exists.
     """
+    _require_integer("resolution", resolution, 2)
     qm = [_component_quantiles(c, resolution) for c in pi_mu.components]
     qn = [_component_quantiles(c, resolution) for c in pi_nu.components]
     cost = np.array([[float(np.mean((a - b) ** 2)) for b in qn] for a in qm])

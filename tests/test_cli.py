@@ -2,6 +2,7 @@ import copy
 import importlib
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -139,12 +140,30 @@ class TestRun:
                      "rhs_linearization", "slack_increment", "slack_linearization",
                      "passed", "resolution"}),
     ])
-    def test_results_keys_at_default_config(self, tmp_path, name, keys):
+    def test_results_keys_at_default_config(self, tmp_path, monkeypatch, name, keys):
+        # the run also calls every function its entry claims to be backed
+        # by, each wrapped wherever a seqot module binds it
+        backed_by = EXPERIMENTS[name].backed_by
+        called = set()
+        for dotted in backed_by:
+            module_name, attr = dotted.rsplit(".", 1)
+            fn = getattr(importlib.import_module(module_name), attr)
+
+            def wrapped(*args, _fn=fn, _dotted=dotted, **kwargs):
+                called.add(_dotted)
+                return _fn(*args, **kwargs)
+
+            for loaded, module in list(sys.modules.items()):
+                if loaded == "seqot" or loaded.startswith("seqot."):
+                    for binding, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, binding, wrapped)
         raw = {"experiment": name, "output_dir": str(tmp_path)}
         if EXPERIMENTS[name].stochastic:
             raw["seed"] = 1
         assert run_experiment(ExperimentConfig.from_dict(raw)) == 0
         assert set(load_report(str(tmp_path))["results"]) == keys
+        assert called == set(backed_by)
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -12,6 +12,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.special import gamma as gamma_fn, logsumexp
 
 from seqot import gibbs
+from seqot.bounds import EntropyEstimate
 from seqot.gibbs import (
     EmpiricalMap,
     GibbsAssumptionError,
@@ -21,17 +22,19 @@ from seqot.gibbs import (
     cauchy_convergence_experiment,
     cyclic_symmetrize,
     empirical_map_to_gaussian,
-    entropy_mn_crosscheck,
     entropy_mn_estimate,
     equivariance_check,
-    exp_moment_probe,
-    gaussian_site_spec,
     quartic_spec,
-    sample_decoupled_product,
     sample_periodic_gibbs,
 )
 from seqot.measures import Grid1D, _distinct_rows, gaussian_grid
 from seqot.ot import Coupling, _lp_result, cost_matrix, quantile_transport_1d
+
+
+def gaussian_site_spec() -> GibbsSpec:
+    """V(x) = x^2/2 with no coupling: the ring measure is the standard Gaussian."""
+    return GibbsSpec([0, 0, 0.5], np.zeros((1, 1)),
+                     GibbsParams(J=0.01, L=2, N=2, sigma=0.25, A=0.5, B=2.0, C=1.5))
 
 
 def quartic_second_moment_oracle():
@@ -220,9 +223,10 @@ class TestSampler:
         maxima = []
         for n in (2, 3):
             s = sample_periodic_gibbs(spec, n, 2000, seed=31 + n)
-            probe = exp_moment_probe(s, lam=0.5, power=3.0)
-            assert probe["finite"]
-            maxima.append(probe["max"])
+            # per-coordinate means of exp(lam |x_k|^power), lam 0.5, power 3
+            means = np.exp(0.5 * np.abs(s.states) ** 3.0).mean(axis=0)
+            assert np.all(np.isfinite(means))
+            maxima.append(float(means.max()))
         # the exponential moment does not blow up as the ring grows
         assert maxima[1] < 2.0 * maxima[0]
 
@@ -429,11 +433,6 @@ class TestCyclicSymmetrize:
         sym = cyclic_symmetrize(s)
         means = sym.states.mean(axis=0)
         assert np.max(np.abs(means - means[0])) < 1e-15
-
-    def test_random_mode_preserves_count(self):
-        s = sample_periodic_gibbs(quartic_spec(0.0), 1, 50, seed=2)
-        sym = cyclic_symmetrize(s, mode="random", seed=9)
-        assert sym.states.shape == s.states.shape
 
 
 def symmetrized_gaussian_cloud(count, d, seed):
@@ -645,6 +644,38 @@ class TestEquivariance:
         m = EmpiricalMap(np.zeros((1, 3)), np.zeros((1, 3)), "lp")
         with pytest.raises(ValueError, match="at least 2"):
             equivariance_check(m)
+
+
+def entropy_mn_crosscheck(spec, sample, m, product_states):
+    """Independent bridge estimator of the decoupling entropy, using a sample
+    of the decoupled product law: log E_mu[e^Z] = -log E_product[e^-Z]."""
+    n = sample.n
+    z_mu = gibbs._z_values(spec, sample.states, m, n)
+    z_prod = gibbs._z_values(spec, product_states, m, n)
+
+    log_norm = -(logsumexp(-z_prod) - math.log(z_prod.size))
+    value = float(log_norm - z_mu.mean())
+    _, se1 = gibbs._jackknife_batches(
+        z_prod, lambda v: float(-(logsumexp(-v) - math.log(v.size))))
+    se2 = float(z_mu.std(ddof=1) / math.sqrt(z_mu.size))
+    return EntropyEstimate(value, math.sqrt(se1 ** 2 + se2 ** 2), "monte_carlo",
+                           n_samples=z_mu.size + z_prod.size)
+
+
+def sample_decoupled_product(spec, n, m, num_samples, seed, config=MCMCConfig()):
+    """Sample the decoupled law: the m-ring on the inner block times the
+    complementary open chain (bonds along m+1..n, the wrap to -n, up to -m-1)."""
+    inner, outer = gibbs._block_slots(n, m)
+    states = np.empty((num_samples, 2 * n + 1))
+    [(ring, _, _)] = gibbs._sample_sites(spec, len(inner), gibbs.ring_bonds(len(inner)),
+                                         num_samples, [seed], config)
+    states[:, inner] = ring
+    if outer:
+        [(block, _, _)] = gibbs._sample_sites(spec, len(outer),
+                                              gibbs.path_bonds(len(outer)),
+                                              num_samples, [seed + 1], config)
+        states[:, outer] = block
+    return states
 
 
 class TestEntropy:

@@ -8,12 +8,11 @@ from seqot.measures import (
     GaussianSpec,
     Grid1D,
     Quantile1D,
+    _discrete_quantile_at,
     empirical_from_samples,
     gaussian1d,
     gaussian_grid,
     gaussian_w2,
-    moment,
-    quantile_from_discrete,
     quantile_from_grid,
 )
 from seqot.gibbs import GibbsParams
@@ -46,40 +45,13 @@ def test_empirical_gaussian_mean_oracle():
     # seeded Monte Carlo oracle: mean of 1e4 standard normals is within 0.05 of 0
     rng = np.random.default_rng(7)
     m = empirical_from_samples(rng.standard_normal((10_000, 1)))
-    assert abs(m.mean()[0]) < 0.05
-
-
-def test_moment_trivial_cases():
-    dirac3 = DiscreteMeasure([[3.0]])
-    assert moment(dirac3, 0, 2) == 9.0
-    half = DiscreteMeasure([[0.0], [2.0]], [0.5, 0.5])
-    assert moment(half, 0, 1) == 1.0
-    with pytest.raises(ValueError):
-        moment(half, 1, 1)
+    assert abs((m.weights @ m.points)[0]) < 0.05
 
 
 def test_moment_second_moment_oracle():
     rng = np.random.default_rng(11)
     m = empirical_from_samples(rng.standard_normal((100_000, 1)))
-    assert abs(moment(m, 0, 2) - 1.0) < 0.02
-
-
-def test_moment_is_linear_in_the_measure():
-    rng = np.random.default_rng(3)
-    pts1, pts2 = rng.normal(size=(4, 2)), rng.normal(size=(5, 2))
-    w1 = rng.random(4)
-    w2 = rng.random(5)
-    m1 = DiscreteMeasure(pts1, w1)
-    m2 = DiscreteMeasure(pts2, w2)
-    for alpha in (0.25, 0.5, 0.9):
-        mix = DiscreteMeasure(
-            np.vstack([m1.points, m2.points]),
-            np.concatenate([alpha * m1.weights, (1 - alpha) * m2.weights]),
-            normalize=False,
-        )
-        got = moment(mix, 1, 3)
-        want = alpha * moment(m1, 1, 3) + (1 - alpha) * moment(m2, 1, 3)
-        assert got == pytest.approx(want, abs=1e-14)
+    assert abs(m.weights @ m.points[:, 0] ** 2 - 1.0) < 0.02
 
 
 def test_gaussian_w2_shift_and_scale():
@@ -165,11 +137,11 @@ def test_quantile_from_grid_spike_density_monotone():
     assert np.all(np.diff(q.values) >= 0)
 
 
-def test_quantile_from_discrete_flat_runs():
+def test_discrete_quantile_flat_runs():
     m = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
-    q = quantile_from_discrete(m, resolution=8)
-    assert set(np.unique(q.values)) == {0.0, 1.0}
-    assert np.all(np.diff(q.values) >= 0)
+    values = _discrete_quantile_at(m, (np.arange(8) + 0.5) / 8)
+    assert set(np.unique(values)) == {0.0, 1.0}
+    assert np.all(np.diff(values) >= 0)
 
 
 def test_constructor_invariants_random_inputs():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from seqot.measures import (
     DiscreteMeasure,
     Grid1D,
+    Quantile1D,
     empirical_from_samples,
     gaussian1d,
     gaussian_grid,
@@ -16,7 +17,6 @@ from seqot.measures import (
 )
 from seqot import ot
 from seqot.ot import (
-    DUAL_FEAS_TOL,
     GAP_TOL,
     MARGINAL_TOL,
     Coupling,
@@ -30,6 +30,14 @@ from seqot.ot import (
     sinkhorn,
     solve_discrete_ot,
 )
+from seqot.processes import MixtureSpec, definetti_ot
+
+DUAL_FEAS_TOL = 1e-9
+
+
+def feasibility_violation(dual, c):
+    """max_ij phi_i + psi_j - c_ij: positive where the dual pair is infeasible."""
+    return float(np.max(dual.phi[:, None] + dual.psi[None, :] - c))
 
 
 def delta(*coords):
@@ -75,7 +83,7 @@ class TestExactSolver:
             assert abs(res.gap) <= 1e-9 * (1 + abs(res.value))
             c = (np.sum(mu.points**2, 1)[:, None] + np.sum(nu.points**2, 1)[None, :]
                  - 2 * mu.points @ nu.points.T)
-            assert res.dual.feasibility_violation(c) <= 1e-9
+            assert feasibility_violation(res.dual, c) <= 1e-9
 
     @pytest.mark.parametrize("solve", [solve_discrete_ot, sinkhorn])
     def test_mismatched_dimensions_named(self, solve):
@@ -83,14 +91,6 @@ class TestExactSolver:
         nu = DiscreteMeasure([[0.0, 1.0], [1.0, 2.0], [3.0, 3.0]])
         with pytest.raises(ValueError, match="dimension 1 and 2"):
             solve(mu, nu)
-
-    def test_inner_product_form_bridge(self):
-        rng = np.random.default_rng(31)
-        mu, nu = random_instance(rng, max_atoms=12)
-        res = solve_discrete_ot(mu, nu)
-        f, g = res.dual.to_inner_product_form(mu, nu)
-        inner = mu.points @ nu.points.T
-        assert np.min(f[:, None] + g[None, :] - inner) >= -1e-9
 
 
 class TestQuantileTransport:
@@ -133,6 +133,20 @@ class TestQuantileTransport:
             got = quantile_transport_1d(gaussian_grid(m1, s1), gaussian_grid(m2, s2)).w2sq
             want = gaussian_w2(gaussian1d(m1, s1), gaussian1d(m2, s2))
             assert got == pytest.approx(want, abs=1e-4)
+
+    @pytest.mark.parametrize("resolution", [0, -3, 1, 2.5])
+    @pytest.mark.parametrize("solve", [
+        pytest.param(lambda r: quantile_transport_1d(gaussian_grid(0, 1), gaussian_grid(1, 1),
+                                                     resolution=r), id="grids"),
+        pytest.param(lambda r: quantile_transport_1d(delta(0.0), delta(1.0), resolution=r),
+                     id="discrete"),
+        pytest.param(lambda r: definetti_ot(
+            MixtureSpec([1.0], [Quantile1D([0.25, 0.75], [0.0, 1.0])]),
+            MixtureSpec([1.0], [gaussian1d(0, 1)]), resolution=r), id="definetti"),
+    ])
+    def test_bad_resolution_named(self, solve, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            solve(resolution)
 
 
 # small random weighted instances, up to 8 x 8 atoms in up to 3 dimensions
@@ -186,7 +200,7 @@ def assert_certified(mu, nu, res):
     w = res.plan.weights
     assert np.max(np.abs(w.sum(axis=1) - mu.weights)) <= MARGINAL_TOL
     assert np.max(np.abs(w.sum(axis=0) - nu.weights)) <= MARGINAL_TOL
-    assert res.dual.feasibility_violation(c) <= DUAL_FEAS_TOL
+    assert feasibility_violation(res.dual, c) <= DUAL_FEAS_TOL
     assert abs(res.gap) <= GAP_TOL * (1 + abs(res.value))
     assert res.gap == res.value - res.dual.value(mu, nu)  # signed, not |gap|
 
@@ -471,6 +485,16 @@ class TestSinkhorn:
         nu = DiscreteMeasure([[0.5], [2.0]])
         with pytest.raises(ValueError, match="epsilon"):
             sinkhorn(mu, nu, epsilon=epsilon)
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_iter", 0), ("max_iter", -1), ("max_iter", 2.5),
+        ("tol", -1e-9), ("tol", float("nan")),
+    ])
+    def test_rejects_bad_iteration_or_tolerance(self, name, value):
+        mu = DiscreteMeasure([[0.0], [1.0]])
+        nu = DiscreteMeasure([[0.5], [2.0]])
+        with pytest.raises(ValueError, match=name):
+            sinkhorn(mu, nu, **{name: value})
 
     def test_identical_measures_near_zero(self):
         rng = np.random.default_rng(5)

@@ -17,9 +17,12 @@ from seqot.processes import (
     definetti_ot,
     diagonal_transport,
     mixture_entropy_bound_check,
-    no_tilt,
     quasi_product_approx,
 )
+
+
+def no_tilt() -> Tilt:
+    return Tilt(0, lambda x: np.ones(x.shape[0]))
 
 
 class TestDiagonalTransport:
