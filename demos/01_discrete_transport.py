@@ -25,7 +25,7 @@ print(f"dual value         {res.dual.value(mu, nu):.6f}")
 print(f"duality gap        {abs(res.gap):.2e}   (certified <= 1e-9 (1+|value|))")
 print(f"solver time        {res.wall_time*1e3:.1f} ms")
 
-cyc = check_cyclical_monotonicity(res.plan, cycle_length_max=3)
+cyc = check_cyclical_monotonicity(res.plan)
 print(f"cyclical monotonicity over {cyc.cycles_checked} cycles: "
       f"{'pass' if cyc.passed else cyc.violating_cycle}, "
       f"worst slack {cyc.worst_slack:.3e}")

@@ -1,10 +1,11 @@
 """Discrete Kantorovich solvers and transport-plan diagnostics.
 
-Exact plans come from the transportation LP (HiGHS); in one dimension under
-the quadratic cost, from the north-west-corner staircase on sorted atoms,
-with duals walked along it; or, between two uniform measures of equal size,
-from an assignment solve whose dual potentials are recovered by Bellman-Ford
-sweeps over the difference constraints that complementary slackness leaves.
+Exact plans come from the transportation LP (HiGHS, on a shortlist of cells
+grown by reduced cost); in one dimension under the quadratic cost, from the
+north-west-corner staircase on sorted atoms, with duals walked along it; or,
+between two uniform measures of equal size, from an assignment solve whose
+dual potentials are recovered by Bellman-Ford sweeps over the difference
+constraints that complementary slackness leaves.
 Every path ends in the same certificate: its column potentials, their
 c-transform as the row potentials, so the dual pair is exactly feasible, and
 the signed gap.  A fast path whose gap misses the tolerance goes on to the
@@ -36,21 +37,26 @@ GAP_TOL = 1e-9
 # uniform 1001x1001 assignment solves in about half a second)
 MAX_LP_CELLS = 1_000_000
 # cyclical-monotonicity check: support pairs above this weight, the heaviest
-# CYCLE_MAX_SUPPORT of them, and the slack below -CYCLE_TOL that fails a cycle
+# CYCLE_MAX_SUPPORT of them, cycles of up to CYCLE_LENGTH_MAX pairs, and the
+# slack below -CYCLE_TOL that fails a cycle
 CYCLE_SUPPORT_THRESHOLD = 1e-12
 CYCLE_MAX_SUPPORT = 80
+CYCLE_LENGTH_MAX = 3
 CYCLE_TOL = 1e-9
 # HiGHS options for every transport LP.  Feasibility tolerances: the 1e-7
 # defaults let a solution miss the marginals by more than MARGINAL_TOL.
 # Presolve off: on a dense transportation LP it removes only the one redundant
 # equality row and no column, yet it and the postsolve re-solve cost about as
 # much as the simplex itself.  Without it, on a 2-core x86 box with scipy
-# 1.17.1, the 200 criterion-01 LPs take 12.8 s instead of 18.9 s and the
-# benchmark's exact_lp and invariant_orbits rounds 1.34 and 0.63 s instead of
-# 2.01 and 1.06 s, with the same optimal values
+# 1.17.1 and the shortlist LP below, criterion 01's 200 solves take 3.7-4.3 s
+# instead of 5.1-5.2 s and the benchmark's exact_lp and invariant_orbits
+# rounds 0.43 and 0.67 s instead of 0.58 and 1.03 s, with the same optimal
+# values
 _HIGHS_OPTIONS = {"presolve": False,
                   "primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10}
+# cheapest cells per row and per column that seed the exact LP's shortlist
+_SHORTLIST = 24
 
 __all__ = [
     "Coupling",
@@ -115,7 +121,8 @@ class OTResult:
     ``gap`` is the signed value minus dual value.  ``method`` names the
     branch that solved the instance, and ``iterations`` counts its work:
     0 for "product" and "monotone", Bellman-Ford sweeps for "assignment",
-    HiGHS iterations for "lp" (-1 when HiGHS reports none).
+    and for "lp" the HiGHS simplex iterations summed over the rounds of its
+    shortlist, whose duals certify the plan on every cell.
     """
 
     plan: Coupling
@@ -207,18 +214,16 @@ def _product_result(mu, nu, c, t0) -> OTResult:
                       "product", 0, False)
 
 
-def _staircase(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """North-west-corner rule on two 1D discrete measures.
+def _north_west(cum_a, cum_b):
+    """North-west-corner rule on two cumulative mass vectors.
 
-    Both supports in stable ascending order, their cumulative masses merged
-    into segments of [0, 1] (those of mass 1e-15 or less dropped): each
-    segment carries its mass from the first atom of mu whose cumulative mass
-    reaches it to the first such atom of nu.  Returns the two orders and,
-    per segment, the row and column (positions in those orders), midpoint
-    and mass.  Rows and columns never decrease from one segment to the next.
+    Their cumulative masses are merged into segments of [0, 1] (those of
+    mass 1e-15 or less dropped): each segment carries its mass from the
+    first atom whose cumulative mass in ``cum_a`` reaches it to the first
+    such atom in ``cum_b``.  Returns per segment the row and column
+    (positions in the two vectors), midpoint and mass.  Rows and columns
+    never decrease from one segment to the next.
     """
-    order_a, cum_a = _sorted_cdf(mu)
-    order_b, cum_b = _sorted_cdf(nu)
     edges = np.unique(np.concatenate([[0.0], cum_a, cum_b, [1.0]]))
     edges = edges[(edges >= 0) & (edges <= 1)]
     mass = np.diff(edges)
@@ -227,7 +232,16 @@ def _staircase(mu: DiscreteMeasure, nu: DiscreteMeasure):
     mid = (edges[:-1] + edges[1:])[keep] / 2.0
     rows = np.minimum(np.searchsorted(cum_a, mid, side="left"), cum_a.size - 1)
     cols = np.minimum(np.searchsorted(cum_b, mid, side="left"), cum_b.size - 1)
-    return order_a, order_b, rows, cols, mid, mass
+    return rows, cols, mid, mass
+
+
+def _staircase(mu: DiscreteMeasure, nu: DiscreteMeasure):
+    """North-west-corner rule on two 1D discrete measures, both supports in
+    stable ascending order.  Returns the two orders and ``_north_west``'s
+    rows and columns (positions in those orders), midpoints and masses."""
+    order_a, cum_a = _sorted_cdf(mu)
+    order_b, cum_b = _sorted_cdf(nu)
+    return (order_a, order_b) + _north_west(cum_a, cum_b)
 
 
 def _monotone_result(mu, nu, c, t0) -> OTResult | None:
@@ -303,31 +317,65 @@ def _assignment_result(mu, nu, c, t0) -> OTResult | None:
 def _transport_constraints(label, a, b):
     """Row-sum and column-sum equalities of a transportation LP in which
     pair (i, j) puts one unit of variable ``label[i, j]`` into row i and
-    column j: the (n + m) x (label.max() + 1) matrix and the right side
-    (a, b).  The exact LP gives every pair its own variable."""
+    column j, and a pair with a negative label feeds no variable: the
+    (n + m) x (label.max() + 1) matrix and the right side (a, b)."""
     n, m = label.shape
+    rows, cols = np.nonzero(label >= 0)
+    var = label[rows, cols]
     a_eq = sparse.coo_matrix(
-        (np.ones(2 * n * m),
-         (np.concatenate([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)]),
-          np.tile(label.ravel(), 2))),
+        (np.ones(2 * var.size), (np.concatenate([rows, n + cols]), np.tile(var, 2))),
         shape=(n + m, int(label.max()) + 1)).tocsr()
     return a_eq, np.concatenate([a, b])
 
 
 def _lp_result(mu, nu, c, t0) -> OTResult:
+    """The transportation LP by column generation on a shortlist of cells.
+
+    The shortlist starts from each row's and each column's ``_SHORTLIST``
+    cheapest cells plus the north-west-corner cells in index order, which
+    carry a feasible plan, so the restricted LP always has a solution.  Each
+    round solves the LP on the listed cells alone; its row and column duals
+    price every cell at c_ij - lam_i - lam_j, and each row and each column
+    lists its single most negative unlisted cell.  Once no unlisted cell
+    prices below -1e-12, the duals are feasible on the whole table and the
+    restricted plan is optimal (Gottschlich and Schuhmacher, PLoS ONE
+    9(10):e110214, 2014).  Cells are only added, so the loop ends within
+    n * m cells; with every cell listed the first round is the full LP.
+    """
     n, m = c.shape
-    a_eq, b_eq = _transport_constraints(np.arange(n * m).reshape(n, m),
-                                        mu.weights, nu.weights)
-    res = linprog(c.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs", options=_HIGHS_OPTIONS)
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failed: {res.message}")
+    listed = np.zeros((n, m), dtype=bool)
+    k = min(_SHORTLIST, m)
+    listed[np.arange(n)[:, None], np.argpartition(c, k - 1, axis=1)[:, :k]] = True
+    k = min(_SHORTLIST, n)
+    listed[np.argpartition(c, k - 1, axis=0)[:k], np.arange(m)[None, :]] = True
+    rows, cols, _, _ = _north_west(np.cumsum(mu.weights), np.cumsum(nu.weights))
+    listed[rows, cols] = True
+    iterations = 0
+    while True:
+        label = np.full((n, m), -1)
+        label[listed] = np.arange(np.count_nonzero(listed))
+        a_eq, b_eq = _transport_constraints(label, mu.weights, nu.weights)
+        res = linprog(c[listed], A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                      method="highs", options=_HIGHS_OPTIONS)
+        if res.status != 0:
+            raise RuntimeError(f"LP solver failed: {res.message}")
+        iterations += int(res.nit)
+        lam = res.eqlin.marginals
+        reduced = c - lam[:n, None] - lam[None, n:]
+        reduced[listed] = np.inf
+        best_col = np.argmin(reduced, axis=1)
+        best_row = np.argmin(reduced, axis=0)
+        add_rows = np.flatnonzero(reduced[np.arange(n), best_col] < -1e-12)
+        add_cols = np.flatnonzero(reduced[best_row, np.arange(m)] < -1e-12)
+        if add_rows.size == 0 and add_cols.size == 0:
+            break
+        listed[add_rows, best_col[add_rows]] = True
+        listed[best_row[add_cols], add_cols] = True
     # clean tiny negatives from the solver; the c-transform makes its
     # column duals exactly feasible
-    w = np.maximum(res.x.reshape(n, m), 0.0)
-    psi = np.asarray(res.eqlin.marginals[n:], dtype=float)
-    it = int(res.nit) if res.nit is not None else -1
-    return _certified(mu, nu, c, w, psi, t0, "lp", it, False)
+    w = np.zeros((n, m))
+    w[listed] = np.maximum(res.x, 0.0)
+    return _certified(mu, nu, c, w, lam[n:], t0, "lp", iterations, False)
 
 
 def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OTResult:
@@ -349,7 +397,12 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OT
     with duals recovered from its difference constraints.  Should the
     monotone or assignment certificate miss the gap tolerance, the instance
     goes on to the next path.  Everything else is the transportation LP
-    (HiGHS), whose column duals give psi.  The LP alone is capped: an
+    (HiGHS), solved on a shortlist of cells: each row's and each column's
+    cheapest cells and the north-west-corner cells, grown by the most
+    negative reduced cost per row and per column until no cell prices below
+    -1e-12.  Its final column duals give psi, so the certificate covers
+    every cell, not just the listed ones, and ``iterations`` sums the
+    simplex iterations of every round.  The LP alone is capped: an
     instance of more than ``MAX_LP_CELLS`` (1e6) cells that reaches it,
     weighted or with a fast path's certificate that failed, raises
     ValueError.
@@ -588,10 +641,10 @@ class CycleReport:
     violating_cycle: tuple | None
 
 
-def check_cyclical_monotonicity(plan: Coupling, cycle_length_max: int = 3) -> CycleReport:
+def check_cyclical_monotonicity(plan: Coupling) -> CycleReport:
     """Check cyclical monotonicity of the plan's support for quadratic cost.
 
-    For every cycle (up to the given length) of support pairs, the assigned
+    For every cycle of up to ``CYCLE_LENGTH_MAX`` support pairs, the assigned
     cost must not exceed the cyclically shifted one.  Returns the first
     violating cycle if any.  Report-only: never raises on failure.
     """
@@ -604,7 +657,7 @@ def check_cyclical_monotonicity(plan: Coupling, cycle_length_max: int = 3) -> Cy
 
     checked = 0
     worst = np.inf
-    for length in range(2, cycle_length_max + 1):
+    for length in range(2, CYCLE_LENGTH_MAX + 1):
         for combo in itertools.combinations(range(k), length):
             base = sum(c[p, p] for p in combo)
             # distinct cyclic orders of the chosen pairs

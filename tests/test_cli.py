@@ -139,6 +139,8 @@ class TestRun:
         ("lemma21", {"lhs_increment", "rhs_increment", "lhs_linearization",
                      "rhs_linearization", "slack_increment", "slack_linearization",
                      "passed", "resolution"}),
+        ("gibbs_cauchy", {"n", "rows", "replicates", "ot_points", "epsilon",
+                          "passed"}),
     ])
     def test_results_keys_at_default_config(self, tmp_path, monkeypatch, name, keys):
         # the run also calls every function its entry claims to be backed

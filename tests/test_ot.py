@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +218,77 @@ def assert_exact_certificates(mu, nu, res):
 def test_exact_solver_certificates(instance):
     mu, nu = instance
     assert_exact_certificates(mu, nu, solve_discrete_ot(mu, nu))
+
+
+def full_lp(mu, nu, c):
+    """The transportation LP on every cell in one HiGHS solve, with the
+    solver's options, as the exact LP ran before its shortlist: the
+    reference for the shortlist LP.  Returns the plan and its cost."""
+    n, m = c.shape
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
+                          sparse.kron(np.ones((1, n)), sparse.eye(m))])
+    res = linprog(c.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.weights, nu.weights]),
+                  bounds=(0, None), method="highs", options=_HIGHS_OPTIONS)
+    assert res.status == 0
+    w = np.maximum(res.x.reshape(n, m), 0.0)
+    return w, float(np.sum(w * c))
+
+
+def shortlist_instance(seed, shape, points):
+    """A weighted instance larger than the shortlist's 24 cells a row, or
+    skinny (2 x 200 and 200 x 2), with Gaussian, integer-grid (tied costs)
+    or duplicate atoms, in 1 to 3 dimensions."""
+    rng = np.random.default_rng(seed)
+    n, m = {"square": rng.integers(25, 81, size=2), "wide": (2, 200),
+            "tall": (200, 2)}[shape]
+    d = int(rng.integers(1, 4))
+    if points == "integer":
+        x, y = rng.integers(0, 3, size=(n, d)), rng.integers(0, 3, size=(m, d))
+    elif points == "duplicates":
+        pool = rng.normal(size=(4, d))
+        x, y = pool[rng.integers(0, 4, size=n)], pool[rng.integers(0, 4, size=m)]
+    else:
+        x, y = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    return (DiscreteMeasure(x, rng.random(n) + 1e-3),
+            DiscreteMeasure(y, rng.random(m) + 1e-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["square", "wide", "tall"]),
+       st.sampled_from(["gaussian", "integer", "duplicates"]))
+def test_shortlist_lp_matches_the_full_lp(seed, shape, points):
+    mu, nu = shortlist_instance(seed, shape, points)
+    c = cost_matrix(mu, nu)
+    res = ot._lp_result(mu, nu, c, 0.0)
+    w, value = full_lp(mu, nu, c)
+    assert abs(res.value - value) <= 1e-12 * (1 + abs(value))
+    assert_certified(mu, nu, res)
+    if points == "gaussian":  # untied costs: one optimal plan
+        assert np.allclose(res.plan.weights, w, rtol=0.0, atol=1e-12)
+
+
+def test_shortlist_grows_to_a_cell_it_did_not_list(monkeypatch):
+    # the target cloud lies far along the first axis, so each row first lists
+    # the targets of least first coordinate and each column the sources of
+    # greatest; the optimal plan, which that shift does not move, also pairs
+    # some sources of small first coordinate with targets of large one
+    rng = np.random.default_rng(0)
+    mu = DiscreteMeasure(rng.normal(size=(40, 2)) * [10.0, 1.0], rng.random(40) + 0.1)
+    nu = DiscreteMeasure(rng.normal(size=(40, 2)) * [1.0, 10.0] + [50.0, 0.0],
+                         rng.random(40) + 0.1)
+    labels = []
+    build = ot._transport_constraints
+    monkeypatch.setattr(ot, "_transport_constraints",
+                        lambda label, a, b: labels.append(label.copy()) or build(label, a, b))
+    res = solve_discrete_ot(mu, nu)
+    assert res.method == "lp"
+    assert len(labels) >= 2
+    support = res.plan.weights > 0
+    assert np.any(support & (labels[0] < 0))
+    assert np.all(labels[-1][support] >= 0)
+    _, value = full_lp(mu, nu, cost_matrix(mu, nu))
+    assert abs(res.value - value) <= 1e-12 * (1 + abs(value))
+    assert_certified(mu, nu, res)
 
 
 def uniform_clouds(seed, n, d, kind):
@@ -633,7 +705,7 @@ class TestDiagnostics:
         for _ in range(5):
             mu, nu = random_instance(rng, max_atoms=15, max_dim=2)
             res = solve_discrete_ot(mu, nu)
-            rep = check_cyclical_monotonicity(res.plan, cycle_length_max=3)
+            rep = check_cyclical_monotonicity(res.plan)
             assert rep.passed, rep.violating_cycle
 
     def test_swapped_assignment_fails_with_2cycle(self):
