@@ -10,13 +10,11 @@ from .measures import (
     DiscreteMeasure,
     GaussianSpec,
     Grid1D,
-    Quantile1D,
     empirical_from_samples,
     gaussian1d,
     gaussian_grid,
     gaussian_w2,
     mixture_grid,
-    quantile_from_grid,
 )
 from .ot import (
     Coupling,

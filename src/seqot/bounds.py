@@ -87,28 +87,6 @@ def _kl_gaussian(mu: GaussianSpec, nu: GaussianSpec) -> float:
     return 0.5 * float(logdet_n - logdet_m - d + np.trace(sol) + quad)
 
 
-def _as_grid_pair(mu, nu):
-    """Coerce Grid1D/GaussianSpec pairs onto a common node set."""
-    def nodes_of(obj):
-        if isinstance(obj, Grid1D):
-            return obj.nodes
-        return None
-
-    base = nodes_of(mu) if nodes_of(mu) is not None else nodes_of(nu)
-    if base is None:
-        raise TypeError("grid path needs at least one Grid1D input")
-
-    def density_on(obj, x):
-        if isinstance(obj, Grid1D):
-            return obj.pdf(x)
-        if isinstance(obj, GaussianSpec) and obj.dim == 1:
-            s = obj.sigma
-            return np.exp(-0.5 * ((x - obj.mean[0]) / s) ** 2) / (s * math.sqrt(2 * math.pi))
-        raise TypeError(f"cannot evaluate a density for {type(obj).__name__}")
-
-    return base, density_on(mu, base), density_on(nu, base)
-
-
 def _kl_grid(x: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
     mask = f > 0
     if np.any(mask & (g <= 0)):
@@ -121,16 +99,20 @@ def _kl_grid(x: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
 def relative_entropy(mu, nu) -> EntropyEstimate:
     """Kullback-Leibler distance of mu from nu.
 
-    Gaussians use the closed form, 1D grids trapezoid quadrature, discrete
-    measures the direct sum over atoms; mu must be absolutely continuous with
-    respect to nu on the shared representation.
+    Two Gaussians use the closed form and two discrete measures the direct
+    sum over atoms.  Otherwise both laws are 1D grids, a 1D Gaussian being
+    tabulated by ``gaussian_grid`` at its default resolution, and the
+    integral is trapezoid quadrature on mu's nodes with nu's density
+    interpolated there.  mu must be absolutely continuous with respect to nu
+    on the shared representation.
     """
     if isinstance(mu, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
         return EntropyEstimate(_kl_discrete(mu, nu), 0.0, "closed_form")
     if isinstance(mu, GaussianSpec) and isinstance(nu, GaussianSpec):
         return EntropyEstimate(_kl_gaussian(mu, nu), 0.0, "closed_form")
-    x, f, g = _as_grid_pair(mu, nu)
-    return EntropyEstimate(_kl_grid(x, f, g), 0.0, "quadrature")
+    gm, gn = _coerce_grid(mu), _coerce_grid(nu)
+    return EntropyEstimate(_kl_grid(gm.nodes, gm.density, gn.pdf(gm.nodes)), 0.0,
+                           "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +171,11 @@ class TalagrandReport:
     resolution: int = 0  # quadrature nodes; 0 for the closed-form path
 
 
-def _grid_cdf(g: Grid1D):
-    cdf = g.cdf_table()
-    return g.nodes, cdf / cdf[-1]
-
-
-def _quantile_eval(g: Grid1D, u: np.ndarray) -> np.ndarray:
-    nodes, cdf = _grid_cdf(g)
-    return _invert_cdf(nodes, cdf, np.clip(u, 0.0, 1.0))
-
-
 def _transport_map_values(src: Grid1D, target: Grid1D, x: np.ndarray) -> np.ndarray:
     """T(x) = Q_target(F_src(x)) evaluated at the given points."""
-    nodes, cdf = _grid_cdf(src)
-    u = np.interp(x, nodes, cdf)
-    return _quantile_eval(target, u)
+    cdf = src.cdf_table()
+    return _invert_cdf(target.nodes, target.cdf_table(),
+                       np.interp(x, src.nodes, cdf / cdf[-1]))
 
 
 def talagrand_gap(mu, nu, target, K: float) -> TalagrandReport:

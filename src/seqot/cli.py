@@ -151,8 +151,8 @@ _reals, _positives = _list_of(_real()), _list_of(_positive)
 
 
 def _group_spec(value):
-    """A group name (trivial, sN, cN) or {dim, generators[, max_size]}; a
-    cross check resolves it with ``_group_by_name``."""
+    """A group name (trivial, sN, cN) or {dim, generators}; a cross check
+    resolves it with ``_group_by_name``."""
     if not isinstance(value, (str, dict)):
         raise TypeError(f"group must be a name or a generator dict, got {value!r}")
     return value
@@ -195,11 +195,11 @@ def _certified_k(p) -> None:
 
 
 def _group_by_name(spec, dim: int = None) -> _inv.GroupAction:
-    """Resolve a group param: a short name or {dim, generators[, max_size]}."""
+    """Resolve a group param: a short name or exactly {dim, generators}."""
     if isinstance(spec, dict):
-        return _inv.closure_from_generators(
-            _integer(1)(spec["dim"]), spec["generators"],
-            max_size=spec.get("max_size", _inv.MAX_GROUP_SIZE))
+        _need(set(spec) == {"dim", "generators"},
+              f"a group dict has exactly the keys dim and generators, got {sorted(spec)}")
+        return _inv.closure_from_generators(_integer(1)(spec["dim"]), spec["generators"])
     if spec == "trivial":
         return _inv.trivial_group(dim or 2)
     if spec[:1] in ("s", "c"):

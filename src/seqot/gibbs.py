@@ -503,8 +503,6 @@ def empirical_map_to_gaussian(points, gaussian_samples, epsilon: float = None,
     point).  ``gaussian_samples`` is either a target draw count or an
     explicit cloud; unequal counts are equalized by seeded subsampling.
     """
-    if hasattr(points, "states"):
-        points = points.states
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = points.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9a)))

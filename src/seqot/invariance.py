@@ -108,8 +108,9 @@ class GroupAction:
         return f"GroupAction(dim={self.dim}, order={len(self)}, transitive={self.transitive})"
 
 
-def closure_from_generators(dim: int, generators, max_size: int = MAX_GROUP_SIZE) -> GroupAction:
-    """Generate the group closure of the given permutations (BFS)."""
+def closure_from_generators(dim: int, generators) -> GroupAction:
+    """Generate the group closure of the given permutations (BFS); a closure
+    larger than MAX_GROUP_SIZE elements is an error."""
     gens = _permutations(dim, generators)
     identity = np.arange(dim, dtype=np.intp)
     els = {identity.tobytes(): identity}
@@ -123,8 +124,9 @@ def closure_from_generators(dim: int, generators, max_size: int = MAX_GROUP_SIZE
                 if key not in els:
                     els[key] = c
                     new.append(c)
-                    if len(els) > max_size:
-                        raise ValueError(f"group closure exceeds max_size={max_size}")
+                    if len(els) > MAX_GROUP_SIZE:
+                        raise ValueError(
+                            f"group closure exceeds MAX_GROUP_SIZE={MAX_GROUP_SIZE}")
         frontier = new
     return GroupAction(dim, np.array(list(els.values())), _verified=True)
 

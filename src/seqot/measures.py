@@ -1,4 +1,4 @@
-"""Measure representations: weighted point clouds, 1D grids, quantile functions, Gaussians.
+"""Measure representations: weighted point clouds, 1D grids, Gaussians.
 
 Everything here is a finite-dimensional stand-in for a law on a sequence space:
 a fixed truncation dimension is chosen per experiment and the types below carry
@@ -9,7 +9,6 @@ are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +17,10 @@ PRUNE_TOL = 1e-15
 
 __all__ = [
     "DiscreteMeasure",
-    "Quantile1D",
     "GaussianSpec",
     "Grid1D",
     "empirical_from_samples",
     "gaussian_w2",
-    "quantile_from_grid",
     "gaussian1d",
     "gaussian_grid",
     "mixture_grid",
@@ -91,37 +88,6 @@ class DiscreteMeasure:
 
     def __repr__(self):
         return f"DiscreteMeasure(n={len(self)}, dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class Quantile1D:
-    """A 1D law represented by its generalized inverse CDF on a grid in (0,1).
-
-    Convention: left-continuous generalized inverse, so atoms of the law show
-    up as flat runs in ``values``.
-    """
-
-    quantile_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.quantile_grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.shape != v.shape or g.size < 1:
-            raise ValueError("grid/values must be matching 1D arrays")
-        _require_finite("quantile_grid", g)
-        _require_finite("values", v)
-        if np.any(g <= 0) or np.any(g >= 1):
-            raise ValueError("quantile grid must lie in (0,1)")
-        if np.any(np.diff(g) <= 0):
-            raise ValueError("quantile grid must be strictly increasing")
-        if np.any(np.diff(v) < 0):
-            raise ValueError("quantile values must be nondecreasing")
-        object.__setattr__(self, "quantile_grid", _freeze(g))
-        object.__setattr__(self, "values", _freeze(v))
-
-    def __call__(self, u) -> np.ndarray:
-        return np.interp(u, self.quantile_grid, self.values)
 
 
 class GaussianSpec:
@@ -249,6 +215,11 @@ def _invert_cdf(nodes: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray
     return out
 
 
+def _quantile_from_grid(g: Grid1D, resolution: int) -> np.ndarray:
+    """Generalized inverse CDF of ``g`` at the midpoints (k-1/2)/resolution."""
+    return _invert_cdf(g.nodes, g.cdf_table(), (np.arange(resolution) + 0.5) / resolution)
+
+
 def _sorted_cdf(m: DiscreteMeasure):
     """Stable ascending order of a 1D discrete measure's atoms, with the
     cumulative mass up to each atom in that order."""
@@ -302,16 +273,6 @@ def gaussian_w2(a: GaussianSpec, b: GaussianSpec) -> float:
     return shift + max(bures, 0.0)
 
 
-def quantile_from_grid(g: Grid1D, resolution: int) -> Quantile1D:
-    """Sample the generalized inverse CDF of ``g`` at midpoints (k-1/2)/resolution."""
-    _require_integer("resolution", resolution, 2)
-    u = (np.arange(resolution) + 0.5) / resolution
-    cdf = g.cdf_table()
-    if cdf[-1] <= 0:
-        raise ValueError("degenerate grid")
-    return Quantile1D(u, _invert_cdf(g.nodes, cdf, u))
-
-
 # ---------------------------------------------------------------------------
 # convenience constructors used throughout the experiments
 
@@ -326,10 +287,7 @@ def gaussian1d(mean: float, sigma: float) -> GaussianSpec:
 def gaussian_grid(mean: float, sigma: float, *,
                   resolution: int = DEFAULT_RESOLUTION) -> Grid1D:
     """N(mean, sigma^2) tabulated on mean +- DEFAULT_RADIUS*sigma."""
-    x = np.linspace(mean - DEFAULT_RADIUS * sigma, mean + DEFAULT_RADIUS * sigma,
-                    resolution)
-    dens = np.exp(-0.5 * ((x - mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-    return Grid1D(x, dens)
+    return mixture_grid([1.0], [mean], [sigma], resolution=resolution)
 
 
 def _coerce_grid(obj, resolution: int = DEFAULT_RESOLUTION) -> Grid1D:

@@ -12,8 +12,9 @@ the signed gap.  A fast path whose gap misses the tolerance goes on to the
 next path, and the LP comes last.  Entropic plans
 come from a stabilized Sinkhorn with epsilon-annealing.  1D transport is
 closed form via quantile functions, on the same staircase for two discrete
-measures.  Plan diagnostics: cyclical monotonicity over short cycles, graph
-concentration, barycentric map extraction.
+measures; a grid's quantiles come from the one inverse CDF of its
+``Grid1D.cdf_table``.  Plan diagnostics: cyclical monotonicity over short
+cycles, graph concentration, barycentric map extraction.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .measures import (DEFAULT_RESOLUTION, DiscreteMeasure, Grid1D, Quantile1D,
-                       _discrete_quantile_at, _require_finite, _require_integer,
-                       _sorted_cdf, quantile_from_grid)
+from .measures import (DEFAULT_RESOLUTION, DiscreteMeasure, Grid1D,
+                       _discrete_quantile_at, _quantile_from_grid, _require_finite,
+                       _require_integer, _sorted_cdf)
 
 MARGINAL_TOL = 1e-10
 GAP_TOL = 1e-9
@@ -450,46 +451,43 @@ class Monotone1DMap:
         return np.interp(t, self.x, self.y)
 
 
-def _as_quantile_source(obj, resolution):
-    """A 1D DiscreteMeasure as itself, any other 1D law as its Quantile1D."""
-    if isinstance(obj, DiscreteMeasure):
-        if obj.dim != 1:
-            raise ValueError("quantile transport needs 1D measures")
-        return obj
-    if isinstance(obj, Grid1D):
-        return quantile_from_grid(obj, resolution)
-    if isinstance(obj, Quantile1D):
-        return obj
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a 1D law")
+def _midpoint_map(x: np.ndarray, y: np.ndarray) -> Monotone1DMap:
+    """The monotone map pairing two quantile tables read at the same
+    midpoints (k-1/2)/r, each of mass 1/r, with the mean squared gap as cost."""
+    r = x.size
+    return Monotone1DMap((np.arange(r) + 0.5) / r, x, y, np.full(r, 1.0 / r),
+                         float(np.mean((y - x) ** 2)))
 
 
 def quantile_transport_1d(mu, nu, resolution: int = DEFAULT_RESOLUTION) -> Monotone1DMap:
     """Optimal 1D transport T = Q_nu o F_mu with its quadratic cost.
 
-    For a pair of discrete measures the shared grid is the merged set of
-    cumulative-mass breakpoints, the staircase of ``solve_discrete_ot``'s
-    monotone path, so the cost is exact.  For function-backed
-    laws (Grid1D / Quantile1D) both quantile functions are paired on the
-    uniform midpoint grid of the given resolution and the cost is the mean of
-    the squared value gaps.  ``resolution`` must be an integer >= 2.
+    Each law is a 1D DiscreteMeasure or a Grid1D.  For a pair of discrete
+    measures the shared grid is the merged set of cumulative-mass
+    breakpoints, the staircase of ``solve_discrete_ot``'s monotone path, so
+    the cost is exact.  Otherwise both quantile functions are read at the
+    uniform midpoint grid of the given resolution (a grid's through
+    ``Grid1D.cdf_table``) and the cost is the mean of the squared value gaps.
+    ``resolution`` must be an integer >= 2.
     """
     _require_integer("resolution", resolution, 2)
-    qa = _as_quantile_source(mu, resolution)
-    qb = _as_quantile_source(nu, resolution)
+    for law in (mu, nu):
+        if not isinstance(law, (DiscreteMeasure, Grid1D)):
+            raise TypeError(f"cannot interpret {type(law).__name__} as a 1D law")
+        if isinstance(law, DiscreteMeasure) and law.dim != 1:
+            raise ValueError("quantile transport needs 1D measures")
 
-    if isinstance(qa, DiscreteMeasure) and isinstance(qb, DiscreteMeasure):
-        order_a, order_b, rows, cols, mid, mass = _staircase(qa, qb)
-        x = qa.points[order_a[rows], 0]
-        y = qb.points[order_b[cols], 0]
+    if isinstance(mu, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
+        order_a, order_b, rows, cols, mid, mass = _staircase(mu, nu)
+        x = mu.points[order_a[rows], 0]
+        y = nu.points[order_b[cols], 0]
         w2sq = float(mass @ (y - x) ** 2)
         return Monotone1DMap(mid, x, y, mass, w2sq)
 
     u = (np.arange(resolution) + 0.5) / resolution
-    x = _discrete_quantile_at(qa, u) if isinstance(qa, DiscreteMeasure) else qa(u)
-    y = _discrete_quantile_at(qb, u) if isinstance(qb, DiscreteMeasure) else qb(u)
-    mass = np.full(resolution, 1.0 / resolution)
-    w2sq = float(np.mean((y - x) ** 2))
-    return Monotone1DMap(u, x, y, mass, w2sq)
+    x, y = (_quantile_from_grid(law, resolution) if isinstance(law, Grid1D)
+            else _discrete_quantile_at(law, u) for law in (mu, nu))
+    return _midpoint_map(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,14 @@ from .measures import (
     DiscreteMeasure,
     GaussianSpec,
     Grid1D,
-    Quantile1D,
     _coerce_grid,
+    _quantile_from_grid,
     _require_finite,
     _require_integer,
-    quantile_from_grid,
 )
 from .ot import (
     Coupling,
-    Monotone1DMap,
+    _midpoint_map,
     barycentric_map,
     graph_concentration,
     quantile_transport_1d,
@@ -54,22 +53,15 @@ __all__ = [
 ]
 
 
-def _component_quantiles(obj, resolution: int) -> np.ndarray:
-    u = (np.arange(resolution) + 0.5) / resolution
-    if isinstance(obj, Quantile1D):
-        return obj(u)
-    return quantile_from_grid(_coerce_grid(obj, resolution), resolution).values
-
-
 class ProductSpec:
-    """A product law: one 1D factor per coordinate (Grid1D or 1D Gaussian)."""
+    """A product law: one 1D factor per coordinate, given as a Grid1D or a 1D
+    Gaussian and stored as a Grid1D (a Gaussian tabulated by ``gaussian_grid``
+    at its default resolution)."""
 
     def __init__(self, factors):
-        factors = list(factors)
+        factors = [_coerce_grid(f) for f in factors]
         if not factors:
             raise ValueError("at least one factor required")
-        for f in factors:
-            _coerce_grid(f)  # validates the family
         self.factors = factors
         self.dim = len(factors)
 
@@ -97,7 +89,7 @@ def diagonal_transport(p: ProductSpec, q: ProductSpec) -> DiagonalTransportRepor
         raise ValueError("factor count mismatch")
     maps, costs = [], []
     for fp, fq in zip(p.factors, q.factors):
-        m = quantile_transport_1d(_coerce_grid(fp), _coerce_grid(fq))
+        m = quantile_transport_1d(fp, fq)
         maps.append(m)
         costs.append(m.w2sq)
     costs = np.array(costs)
@@ -142,14 +134,10 @@ class QuasiProductSpec:
     tilt: Tilt
 
 
-def _equal_mass_axis(factor, nodes: int) -> np.ndarray:
-    """Equal-weight discretization of a 1D factor at quantile midpoints."""
-    return quantile_from_grid(_coerce_grid(factor), nodes).values
-
-
 def _block_cloud(spec: QuasiProductSpec, width: int, nodes: int):
     """Discrete cloud of the first ``width`` coordinates: base grid + tilt."""
-    axes = [_equal_mass_axis(spec.base.factors[k], nodes) for k in range(width)]
+    # equal-weight discretization of each factor at its quantile midpoints
+    axes = [_quantile_from_grid(spec.base.factors[k], nodes) for k in range(width)]
     grids = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)
     base_w = np.full(points.shape[0], 1.0 / points.shape[0])
@@ -192,6 +180,7 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
     with the decoupling entropy computed exactly on the discrete block.
     Hypothesis failures raise HypothesisError with the failing number.
     """
+    _require_integer("nodes", nodes, 2)
     n_list = sorted(int(n) for n in n_list)
     kf, kg = mu_spec.tilt.coords, nu_spec.tilt.coords
     width = max(kf, kg, 1)
@@ -200,16 +189,15 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
 
     # hypothesis 1: uniform log-concavity of the target factors (+ tilt curvature)
     try:
-        factor_k = min(log_concavity_constant(_coerce_grid(f))
-                       for f in nu_spec.base.factors)
+        factor_k = min(log_concavity_constant(f) for f in nu_spec.base.factors)
     except ValueError as e:
         raise HypothesisError(1, str(e))
     k_const = factor_k + min(0.0, nu_spec.tilt.log_curvature_bound)
     if k_const <= 0:
         raise HypothesisError(1, f"target log-concavity constant {k_const:.3g} <= 0")
     # hypothesis 2: contraction proxy for the inverse diagonal maps
-    c0 = min(log_concavity_constant(_coerce_grid(f)) for f in mu_spec.base.factors)
-    c1 = max(_max_log_curvature(_coerce_grid(f)) for f in nu_spec.base.factors)
+    c0 = min(log_concavity_constant(f) for f in mu_spec.base.factors)
+    c1 = max(_max_log_curvature(f) for f in nu_spec.base.factors)
     if c0 <= 0 or not np.isfinite(c1):
         raise HypothesisError(2, f"curvature bounds C0={c0:.3g}, C1={c1:.3g}")
     contraction = math.sqrt(c1 / c0)
@@ -231,11 +219,8 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
     t_block = barycentric_map(block_res.plan)
 
     # diagonal reference: per-axis monotone maps applied coordinatewise
-    diag_maps = [
-        quantile_transport_1d(_coerce_grid(mu_spec.base.factors[k]),
-                              _coerce_grid(nu_spec.base.factors[k]))
-        for k in range(width)
-    ]
+    diag_maps = [quantile_transport_1d(mu_spec.base.factors[k], nu_spec.base.factors[k])
+                 for k in range(width)]
     t_diag = np.stack([diag_maps[k](x_pts[:, k]) for k in range(width)], axis=1)
 
     # per-n entropy control of the diagonal-vs-optimal gap
@@ -341,10 +326,11 @@ def _decoupling_entropy(weights: np.ndarray, shape: tuple, axes_a: tuple) -> flo
 class MixtureSpec:
     """A finite mixture of 1D laws: weights lambda_k plus component measures.
 
-    Components may be Grid1D, Quantile1D or 1D Gaussians.  Components that are
-    indistinguishable through their first three moments trigger a warning
-    (classification and outer transport remain well defined, the assignment
-    simply stops being unique).
+    Components may be Grid1D or 1D Gaussians; each reader tabulates a Gaussian
+    at the resolution it works at.  Components that are indistinguishable
+    through their first three moments trigger a warning (classification and
+    outer transport remain well defined, the assignment simply stops being
+    unique).
     """
 
     def __init__(self, weights, components):
@@ -364,15 +350,9 @@ class MixtureSpec:
     def __len__(self):
         return self.weights.size
 
-    def _moments(self, obj):
-        if isinstance(obj, Quantile1D):
-            v = obj.values
-            return np.array([v.mean(), (v ** 2).mean(), (v ** 3).mean()])
-        g = _coerce_grid(obj)
-        return np.array([g.integrate(g.nodes ** p) for p in (1, 2, 3)])
-
     def _warn_if_indistinguishable(self):
-        moments = [self._moments(c) for c in self.components]
+        grids = [_coerce_grid(c) for c in self.components]
+        moments = [np.array([g.integrate(g.nodes ** p) for p in (1, 2, 3)]) for g in grids]
         for i in range(len(moments)):
             for j in range(i):
                 if np.max(np.abs(moments[i] - moments[j])) < 1e-8:
@@ -396,16 +376,18 @@ def definetti_ot(pi_mu: MixtureSpec, pi_nu: MixtureSpec,
                  resolution: int = DEFAULT_RESOLUTION) -> DeFinettiResult:
     """Outer transport between mixing measures with squared 1D transport cost.
 
-    The ground cost W2^2(m_k, p_l) is computed from cached quantile tables at
-    the given resolution, an integer >= 2.  When the optimal outer plan is a permutation, the
+    The ground cost W2^2(m_k, p_l) is ``quantile_transport_1d``'s midpoint
+    rule on the components' quantile tables at the given resolution, an
+    integer >= 2, a Gaussian component being tabulated at that resolution.
+    When the optimal outer plan is a permutation, the
     induced assignment F and the per-component diagonal maps are returned;
     otherwise the plan's graph concentration < 1 is the reported evidence that
     no mixture-preserving map exists.
     """
     _require_integer("resolution", resolution, 2)
-    qm = [_component_quantiles(c, resolution) for c in pi_mu.components]
-    qn = [_component_quantiles(c, resolution) for c in pi_nu.components]
-    cost = np.array([[float(np.mean((a - b) ** 2)) for b in qn] for a in qm])
+    qm, qn = ([_quantile_from_grid(_coerce_grid(c, resolution), resolution)
+               for c in pi.components] for pi in (pi_mu, pi_nu))
+    cost = np.array([[_midpoint_map(a, b).w2sq for b in qn] for a in qm])
     outer_mu = DiscreteMeasure(np.arange(len(pi_mu), dtype=float)[:, None], pi_mu.weights,
                                normalize=False, prune=False)
     outer_nu = DiscreteMeasure(np.arange(len(pi_nu), dtype=float)[:, None], pi_nu.weights,
@@ -420,11 +402,7 @@ def definetti_ot(pi_mu: MixtureSpec, pi_nu: MixtureSpec,
     maps = None
     if np.all(row_nnz == 1) and np.all(col_nnz <= 1):
         assignment = np.argmax(w, axis=1)
-        u = (np.arange(resolution) + 0.5) / resolution
-        maps = [Monotone1DMap(u, qm[k], qn[assignment[k]],
-                              np.full(resolution, 1.0 / resolution),
-                              float(np.mean((qn[assignment[k]] - qm[k]) ** 2)))
-                for k in range(len(pi_mu))]
+        maps = [_midpoint_map(qm[k], qn[assignment[k]]) for k in range(len(pi_mu))]
     return DeFinettiResult(plan, res.value, assignment, maps, cost, conc)
 
 
@@ -449,14 +427,8 @@ def classify_component(path, mixture: MixtureSpec, test_functions) -> ClassifyRe
         raise ValueError("empty path")
     fs = list(test_functions)
     emp = np.array([float(np.mean(f(path))) for f in fs])
-    comp_moments = []
-    for c in mixture.components:
-        if isinstance(c, Quantile1D):
-            comp_moments.append([float(np.mean(f(c.values))) for f in fs])
-        else:
-            g = _coerce_grid(c)
-            comp_moments.append([g.integrate(f(g.nodes)) for f in fs])
-    comp_moments = np.array(comp_moments)
+    grids = [_coerce_grid(c) for c in mixture.components]
+    comp_moments = np.array([[g.integrate(f(g.nodes)) for f in fs] for g in grids])
     dists = np.sqrt(np.sum((comp_moments - emp[None, :]) ** 2, axis=1))
     order = np.argsort(dists, kind="stable")
     best = int(order[0])
@@ -500,6 +472,7 @@ def mixture_entropy_bound_check(mixture: MixtureSpec, m: int, n: int,
     """
     if not 0 < m < n:
         raise ValueError("need 0 < m < n")
+    _require_integer("samples", samples, 2)  # two at least for a standard error
     rng = np.random.default_rng(seed)
     k = len(mixture)
     comp_idx = rng.choice(k, size=samples, p=mixture.weights)

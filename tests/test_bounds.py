@@ -67,6 +67,13 @@ class TestRelativeEntropy:
             else:
                 assert est > 0.0
 
+    def test_gaussian_beyond_a_narrower_grid_is_a_support_violation(self):
+        # the Gaussian was evaluated on the grid's nodes only, so its mass
+        # outside [-5, 5] dropped out and the estimate came out negative
+        nu = mixture_grid([1.0], [0.0], [1.0], lo=-5.0, hi=5.0)
+        with pytest.raises(ValueError, match="support violation"):
+            relative_entropy(gaussian1d(0, 1), nu)
+
     def test_closed_form_matches_quadrature(self):
         # resolution 1e4 on [-10, 10]: agreement within 1e-5
         mu_g = shared_gaussian_grid(0.5, 1.2, -10, 10)

@@ -270,6 +270,23 @@ class TestValidate:
         failing = [c for c in out["checks"] if not c["passed"]]
         assert any("closure" in c["check"] for c in failing)
 
+    def test_group_dict_takes_only_dim_and_generators(self, tmp_path, capsys):
+        # a max_size key lifted the closure cap, and S8 (40,320 elements) passed
+        cfg = write_config(
+            tmp_path, "invariant_duality", seed=1, output_dir=str(tmp_path / "out"),
+            params={"instance": "random",
+                    "group": {"dim": 8,
+                              "generators": [[1, 0, 2, 3, 4, 5, 6, 7],
+                                             [1, 2, 3, 4, 5, 6, 7, 0]],
+                              "max_size": 100_000}})
+        assert main(["validate", cfg]) == 2
+        out = json.loads(capsys.readouterr().out)
+        failing = [c for c in out["checks"] if not c["passed"]]
+        assert [c["check"] for c in failing] == ["group closure within cap"]
+        assert "exactly the keys dim and generators" in failing[0]["detail"]
+        assert main(["run", cfg]) == 2
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("generator", [[1.5, 0.2], [True, False]])
     def test_validate_rejects_non_integer_generator(self, tmp_path, capsys, generator):
         # both were cast to the permutation [1, 0] and ran as S2

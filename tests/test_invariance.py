@@ -69,9 +69,9 @@ class TestGroups:
         assert not g.transitive
 
     def test_closure_cap(self):
-        with pytest.raises(ValueError):
-            closure_from_generators(7, [np.roll(np.arange(7), 1), [1, 0, 2, 3, 4, 5, 6]],
-                                    max_size=100)
+        # S8 has 40,320 elements, past the cap of MAX_GROUP_SIZE = 5,040
+        with pytest.raises(ValueError, match="MAX_GROUP_SIZE"):
+            closure_from_generators(8, [np.roll(np.arange(8), 1), [1, 0, 2, 3, 4, 5, 6, 7]])
 
     def test_group_validation(self):
         with pytest.raises(ValueError):

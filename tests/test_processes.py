@@ -19,6 +19,7 @@ from seqot.processes import (
     mixture_entropy_bound_check,
     quasi_product_approx,
 )
+from seqot.ot import quantile_transport_1d
 
 
 def no_tilt() -> Tilt:
@@ -170,6 +171,25 @@ class TestDeFinetti:
                           MixtureSpec([0.7, 0.3], comps_nu[::-1])).value
         assert v1 == pytest.approx(v2, abs=1e-12)
 
+    @pytest.mark.parametrize("resolution", [500, 10_000])
+    def test_ground_cost_and_maps_are_quantile_transport_on_component_grids(
+            self, resolution):
+        pi_mu = MixtureSpec([0.5, 0.5], [gaussian1d(0, 1), gaussian1d(4, 1.3)])
+        pi_nu = MixtureSpec([0.5, 0.5], [gaussian1d(1, 0.8), gaussian1d(5, 1)])
+        res = definetti_ot(pi_mu, pi_nu, resolution=resolution)
+        grids = [[gaussian_grid(float(c.mean[0]), c.sigma, resolution=resolution)
+                  for c in pi.components] for pi in (pi_mu, pi_nu)]
+        for k, a in enumerate(grids[0]):
+            for l, b in enumerate(grids[1]):
+                want = quantile_transport_1d(a, b, resolution=resolution)
+                assert res.ground_cost[k, l] == want.w2sq
+                if res.assignment[k] == l:
+                    got = res.component_maps[k]
+                    for field in ("x", "y", "mass"):
+                        assert np.array_equal(getattr(got, field), getattr(want, field))
+                    assert got.w2sq == want.w2sq
+        assert list(res.assignment) == [0, 1]
+
     def test_indistinguishable_components_warn(self):
         with pytest.warns(UserWarning):
             MixtureSpec([0.5, 0.5], [gaussian1d(0, 1), gaussian1d(0, 1)])
@@ -247,6 +267,14 @@ class TestMixtureEntropy:
         mix = MixtureSpec([1.0], [gaussian1d(0, 1)])
         with pytest.raises(ValueError):
             mixture_entropy_bound_check(mix, m=3, n=2, samples=10, seed=0)
+
+    @pytest.mark.parametrize("samples", [0, 1, 2.5])
+    def test_too_few_samples_named(self, samples):
+        # one sample gave standard_error=nan and passed=False, none a
+        # misleading "all samples hit zero density"
+        mix = MixtureSpec([0.5, 0.5], [gaussian1d(0, 1), gaussian1d(3, 1)])
+        with pytest.raises(ValueError, match="samples must be an integer >= 2"):
+            mixture_entropy_bound_check(mix, m=1, n=2, samples=samples, seed=0)
 
 
 def test_quasi_product_solves_each_split_once(monkeypatch):
