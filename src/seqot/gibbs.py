@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import logsumexp
 
 from .bounds import EntropyEstimate
-from .measures import _distinct_rows, _find_rows, _require_integer, empirical_from_samples
+from .measures import (_distinct_rows, _find_rows, _logsumexp, _require_integer,
+                       empirical_from_samples)
 from .ot import _sq_dist_table, barycentric_map, sinkhorn, solve_discrete_ot
 
 PROBE_BOX = 4.0         # the assumption probes sample [-PROBE_BOX, PROBE_BOX]
@@ -612,7 +612,7 @@ def entropy_mn_estimate(spec: GibbsSpec, sample: LatticeSample, m: int):
     z = _z_values(spec, sample.states, m, sample.n)
 
     def stat(v):
-        return float(logsumexp(v) - math.log(v.size) - v.mean())
+        return float(_logsumexp(v) - math.log(v.size) - v.mean())
 
     value, se = _jackknife_batches(z, stat)
     return EntropyEstimate(value, se, "monte_carlo", n_samples=z.size)

@@ -45,6 +45,72 @@ def _require_integer(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+# ---------------------------------------------------------------------------
+# reductions over a row of terms, in numpy's and scipy's arithmetic
+
+
+def _row_sum(terms: np.ndarray):
+    """Sum over the first axis in numpy's order for summing one row.
+
+    A vector is that row.  A (k, ...) array holds one slab per term and sums
+    like ``np.sum`` over the last axis of the term-last table, bit for bit:
+    from +0.0, k < 8 terms one after another, else pairwise with numpy's
+    8-way unrolled blocks of at most 128 terms.  Elementwise adds of whole
+    slabs replace numpy's strided reduction over a short axis.
+    """
+    if terms.ndim == 1:
+        return np.sum(terms)
+    k = terms.shape[0]
+    if k < 8:
+        total = terms[0] + 0.0
+        for t in terms[1:]:
+            total += t
+        return total
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _row_sum(terms[:half]) + _row_sum(terms[half:])
+    lanes = terms[:8].copy()
+    full = k - k % 8
+    for i in range(8, full, 8):
+        lanes += terms[i:i + 8]
+    total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
+    for t in terms[full:]:
+        total += t
+    return total + 0.0
+
+
+def _logsumexp(a: np.ndarray):
+    """log(sum(exp(a))) over the first axis, bit for bit
+    ``scipy.special.logsumexp`` over the last axis of the term-last table.
+
+    scipy's arithmetic: with M the maximum and m the count of terms tied at
+    it, s is the sum of exp(a - M) over the other terms and the result is
+    log1p(s / m) + log(m) + M; where that is not finite the result is
+    log(sum(exp(a))).  Sums go through ``_row_sum``.  Tied terms are zeroed
+    by a product with the untied mask: exact where M is finite, and where it
+    is not the fallback replaces the result anyway.  Temporaries are updated
+    in place, since a fresh large array costs page faults.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.maximum.reduce(a, axis=0)
+        tied = a == top
+        m = np.count_nonzero(tied, axis=0)
+        shifted = np.subtract(a, top)
+        np.exp(shifted, out=shifted)
+        shifted *= ~tied
+        s = np.asarray(_row_sum(shifted))
+        np.divide(s, m, out=s, where=s != 0)
+        out = np.log1p(s, out=s)
+        out += np.log(m)
+        out += top
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out = np.where(bad, np.log(_row_sum(np.exp(a))), out)
+    return out[()]
+
+
 class DiscreteMeasure:
     """A probability measure supported on finitely many points of R^dim.
 
@@ -292,10 +358,13 @@ def gaussian_grid(mean: float, sigma: float, *,
 
 def _coerce_grid(obj, resolution: int = DEFAULT_RESOLUTION) -> Grid1D:
     """A 1D law with a density as a Grid1D: grids pass through, 1D Gaussians
-    are tabulated by ``gaussian_grid``."""
+    are tabulated by ``gaussian_grid``; a Gaussian of another dimension is a
+    ValueError naming it."""
     if isinstance(obj, Grid1D):
         return obj
-    if isinstance(obj, GaussianSpec) and obj.dim == 1:
+    if isinstance(obj, GaussianSpec):
+        if obj.dim != 1:
+            raise ValueError(f"a 1D law is needed, got a GaussianSpec of dimension {obj.dim}")
         return gaussian_grid(float(obj.mean[0]), obj.sigma, resolution=resolution)
     raise TypeError(f"cannot use {type(obj).__name__} as a 1D law with density")
 

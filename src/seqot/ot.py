@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .measures import (DEFAULT_RESOLUTION, DiscreteMeasure, Grid1D,
+from .measures import (DEFAULT_RESOLUTION, DiscreteMeasure, Grid1D, _coerce_grid,
                        _discrete_quantile_at, _quantile_from_grid, _require_finite,
                        _require_integer, _sorted_cdf)
 
@@ -462,8 +462,9 @@ def _midpoint_map(x: np.ndarray, y: np.ndarray) -> Monotone1DMap:
 def quantile_transport_1d(mu, nu, resolution: int = DEFAULT_RESOLUTION) -> Monotone1DMap:
     """Optimal 1D transport T = Q_nu o F_mu with its quadratic cost.
 
-    Each law is a 1D DiscreteMeasure or a Grid1D.  For a pair of discrete
-    measures the shared grid is the merged set of cumulative-mass
+    Each law is a 1D DiscreteMeasure, a Grid1D or a 1D Gaussian, which
+    ``measures._coerce_grid`` tabulates at the given resolution.  For a pair
+    of discrete measures the shared grid is the merged set of cumulative-mass
     breakpoints, the staircase of ``solve_discrete_ot``'s monotone path, so
     the cost is exact.  Otherwise both quantile functions are read at the
     uniform midpoint grid of the given resolution (a grid's through
@@ -471,9 +472,9 @@ def quantile_transport_1d(mu, nu, resolution: int = DEFAULT_RESOLUTION) -> Monot
     ``resolution`` must be an integer >= 2.
     """
     _require_integer("resolution", resolution, 2)
+    mu, nu = (law if isinstance(law, DiscreteMeasure) else _coerce_grid(law, resolution)
+              for law in (mu, nu))
     for law in (mu, nu):
-        if not isinstance(law, (DiscreteMeasure, Grid1D)):
-            raise TypeError(f"cannot interpret {type(law).__name__} as a 1D law")
         if isinstance(law, DiscreteMeasure) and law.dim != 1:
             raise ValueError("quantile transport needs 1D measures")
 

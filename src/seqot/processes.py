@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import _log_second_differences, log_concavity_constant
 from .measures import (
@@ -24,9 +23,11 @@ from .measures import (
     GaussianSpec,
     Grid1D,
     _coerce_grid,
+    _logsumexp,
     _quantile_from_grid,
     _require_finite,
     _require_integer,
+    _row_sum,
 )
 from .ot import (
     Coupling,
@@ -326,11 +327,12 @@ def _decoupling_entropy(weights: np.ndarray, shape: tuple, axes_a: tuple) -> flo
 class MixtureSpec:
     """A finite mixture of 1D laws: weights lambda_k plus component measures.
 
-    Components may be Grid1D or 1D Gaussians; each reader tabulates a Gaussian
-    at the resolution it works at.  Components that are indistinguishable
-    through their first three moments trigger a warning (classification and
-    outer transport remain well defined, the assignment simply stops being
-    unique).
+    Components may be Grid1D or 1D Gaussians.  Each is tabulated once, at the
+    default resolution, for the moment readers (the indistinguishability
+    warning and ``classify_component``); ``definetti_ot`` tabulates at its
+    own resolution.  Components that are indistinguishable through their
+    first three moments trigger a warning (classification and outer transport
+    remain well defined, the assignment simply stops being unique).
     """
 
     def __init__(self, weights, components):
@@ -345,14 +347,15 @@ class MixtureSpec:
         self.weights = w
         self.weights.flags.writeable = False
         self.components = list(components)
+        self._grids = [_coerce_grid(c) for c in self.components]
         self._warn_if_indistinguishable()
 
     def __len__(self):
         return self.weights.size
 
     def _warn_if_indistinguishable(self):
-        grids = [_coerce_grid(c) for c in self.components]
-        moments = [np.array([g.integrate(g.nodes ** p) for p in (1, 2, 3)]) for g in grids]
+        moments = [np.array([g.integrate(g.nodes ** p) for p in (1, 2, 3)])
+                   for g in self._grids]
         for i in range(len(moments)):
             for j in range(i):
                 if np.max(np.abs(moments[i] - moments[j])) < 1e-8:
@@ -427,8 +430,8 @@ def classify_component(path, mixture: MixtureSpec, test_functions) -> ClassifyRe
         raise ValueError("empty path")
     fs = list(test_functions)
     emp = np.array([float(np.mean(f(path))) for f in fs])
-    grids = [_coerce_grid(c) for c in mixture.components]
-    comp_moments = np.array([[g.integrate(f(g.nodes)) for f in fs] for g in grids])
+    comp_moments = np.array([[g.integrate(f(g.nodes)) for f in fs]
+                             for g in mixture._grids])
     dists = np.sqrt(np.sum((comp_moments - emp[None, :]) ** 2, axis=1))
     order = np.argsort(dists, kind="stable")
     best = int(order[0])
@@ -447,12 +450,13 @@ class MixtureEntropyReport:
 
 
 def _log_density_table(component, x: np.ndarray) -> np.ndarray:
-    if isinstance(component, GaussianSpec) and component.dim == 1:
+    """Log density at x: closed form for a Gaussian, else the grid's (-inf
+    where it vanishes)."""
+    if isinstance(component, GaussianSpec):
         s = component.sigma
         m = float(component.mean[0])
         return -0.5 * ((x - m) / s) ** 2 - math.log(s * math.sqrt(2 * math.pi))
-    g = _coerce_grid(component)
-    dens = g.pdf(x)
+    dens = component.pdf(x)
     out = np.full_like(dens, -np.inf)
     pos = dens > 0
     out[pos] = np.log(dens[pos])
@@ -468,39 +472,48 @@ def mixture_entropy_bound_check(mixture: MixtureSpec, m: int, n: int,
     and last-(n-m) marginals, and checks that the mean log-ratio stays below
     -log(min_k lambda_k).  The ratio is bounded by that constant pointwise, so
     the assertion carries no statistical risk; zero-density samples are
-    skipped and counted.
+    skipped and counted.  ``m`` and ``n`` are integers with 0 < m < n and
+    ``samples`` an integer >= 2.
+
+    Log densities are held component-major, one length-``samples`` slab per
+    component and coordinate, and reduced by ``measures._row_sum`` and
+    ``measures._logsumexp``: the same bits as numpy's row sums and scipy's
+    ``logsumexp`` over a sample-major table, without reducing a short axis.
     """
-    if not 0 < m < n:
+    _require_integer("m", m, 1)
+    _require_integer("n", n, 2)
+    if not m < n:
         raise ValueError("need 0 < m < n")
     _require_integer("samples", samples, 2)  # two at least for a standard error
     rng = np.random.default_rng(seed)
     k = len(mixture)
     comp_idx = rng.choice(k, size=samples, p=mixture.weights)
-    draws = np.empty((samples, n))
+    coords = np.empty((n, samples))  # the draws, one row per coordinate
     for c in range(k):
-        rows = comp_idx == c
-        count = int(rows.sum())
-        if count == 0:
+        rows = np.flatnonzero(comp_idx == c)
+        if rows.size == 0:
             continue
         comp = mixture.components[c]
-        if isinstance(comp, GaussianSpec) and comp.dim == 1:
-            draws[rows] = (float(comp.mean[0])
-                           + comp.sigma * rng.standard_normal((count, n)))
+        if isinstance(comp, GaussianSpec):
+            block = (float(comp.mean[0])
+                     + comp.sigma * rng.standard_normal((rows.size, n)))
         else:
-            g = _coerce_grid(comp)
-            draws[rows] = g.sample((count, n), rng)
+            block = comp.sample((rows.size, n), rng)
+        coords[:, rows] = block.T
 
-    log_lam = np.log(mixture.weights)
-    # log p_i over the first m coords and log q_i over the rest, per component
-    lp = np.zeros((samples, k))
-    lq = np.zeros((samples, k))
+    log_lam = np.log(mixture.weights)[:, None]
+    # log p_k over the first m coords and log q_k over the rest, per component
+    lp = np.empty((k, samples))
+    lq = np.empty((k, samples))
     for c in range(k):
-        table = _log_density_table(mixture.components[c], draws.ravel()).reshape(samples, n)
-        lp[:, c] = table[:, :m].sum(axis=1)
-        lq[:, c] = table[:, m:].sum(axis=1)
-    joint = logsumexp(log_lam[None, :] + lp + lq, axis=1)
-    first = logsumexp(log_lam[None, :] + lp, axis=1)
-    second = logsumexp(log_lam[None, :] + lq, axis=1)
+        table = _log_density_table(mixture.components[c], coords)
+        lp[c] = _row_sum(table[:m])
+        lq[c] = _row_sum(table[m:])
+    lp += log_lam  # log lambda_k + log p_k, then + log q_k for the joint law
+    joint = _logsumexp(lp + lq)
+    first = _logsumexp(lp)
+    lq += log_lam
+    second = _logsumexp(lq)
     log_rho = joint - first - second
     valid = np.isfinite(log_rho)
     skipped = int(samples - valid.sum())

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from seqot.measures import (
     DiscreteMeasure,
     GaussianSpec,
     Grid1D,
     _discrete_quantile_at,
+    _logsumexp,
     _quantile_from_grid,
+    _row_sum,
     empirical_from_samples,
     gaussian1d,
     gaussian_grid,
@@ -207,3 +212,79 @@ PAIR = DiscreteMeasure([[0.0], [1.0]])
 def test_non_finite_input_rejected_by_name(build, field):
     with pytest.raises(ValueError, match=field):
         build()
+
+
+# ---------------------------------------------------------------------------
+# _row_sum and _logsumexp against numpy's and scipy's own reductions
+
+
+def same_bits(got, want) -> bool:
+    return np.array_equal(np.asarray(got, dtype=float).view(np.uint64),
+                          np.asarray(want, dtype=float).view(np.uint64))
+
+
+# values that tie, overflow exp, vanish or poison a row
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 700.0, -745.0, 1e308, -1e308,
+           math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def term_tables(draw):
+    """A term-last (N, k) table with k up to 12 terms, so that sums of 8 and
+    more go pairwise.  Bulk values are random on a per-row scale, so that the
+    order of a sum shows in its bits; a few cells hold special values, a few
+    tie with their row's first term, and a few rows are all -inf."""
+    k, n = draw(st.integers(1, 12)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    table = rng.uniform(-1, 1, (n, k)) * 10.0 ** rng.uniform(-1, 2.5, (n, 1))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, k - 1))
+    for (i, j), value in draw(st.lists(st.tuples(cells, st.sampled_from(SPECIAL)),
+                                       max_size=n)):
+        table[i, j] = value
+    for i, j in draw(st.lists(cells, max_size=n)):
+        table[i, j] = table[i, 0]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        table[i] = -math.inf
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_tables())
+def test_logsumexp_is_scipys_bit_for_bit(table):
+    with np.errstate(all="ignore"):
+        want = logsumexp(table, axis=1)
+    assert same_bits(_logsumexp(np.ascontiguousarray(table.T)), want)
+
+
+@st.composite
+def term_vectors(draw):
+    """Up to 3,000 terms, random on one scale, with a few special values."""
+    size = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    v = rng.uniform(-1, 1, size) * 10.0 ** rng.uniform(-1, 2.5)
+    for i, value in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                            st.sampled_from(SPECIAL)), max_size=3)):
+        v[i] = value
+    return v
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_vectors())
+def test_logsumexp_of_a_vector_is_scipys_bit_for_bit(v):
+    with np.errstate(all="ignore"):
+        want = logsumexp(v)
+    got = _logsumexp(v)
+    assert np.ndim(got) == 0 and same_bits(got, want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 15, 16, 17, 128, 129, 136, 300])
+def test_row_sum_is_numpys_row_order(k):
+    # a running sum matches numpy below 8 terms only; wider rows sum pairwise
+    # in unrolled blocks, split in halves above 128
+    rng = np.random.default_rng(k)
+    table = rng.standard_normal((500, k)) * 10.0 ** rng.uniform(-8, 8, (500, k))
+    table[0] = -0.0  # numpy starts from +0.0
+    assert same_bits(_row_sum(np.ascontiguousarray(table.T)), table.sum(axis=1))
+    wide = np.concatenate([table, table], axis=1)  # strided column slices
+    assert same_bits(_row_sum(np.ascontiguousarray(wide[:, k:].T)),
+                     wide[:, k:].sum(axis=1))

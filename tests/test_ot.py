@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from seqot.measures import (
     DiscreteMeasure,
+    GaussianSpec,
     Grid1D,
     empirical_from_samples,
     gaussian1d,
@@ -133,6 +134,22 @@ class TestQuantileTransport:
             got = quantile_transport_1d(gaussian_grid(m1, s1), gaussian_grid(m2, s2)).w2sq
             want = gaussian_w2(gaussian1d(m1, s1), gaussian1d(m2, s2))
             assert got == pytest.approx(want, abs=1e-4)
+
+    @pytest.mark.parametrize("resolution", [500, 10_000])
+    def test_gaussian_reads_as_its_tabulated_grid(self, resolution):
+        # a 1-D Gaussian raised "cannot interpret GaussianSpec as a 1D law"
+        got = quantile_transport_1d(gaussian1d(0, 1), gaussian1d(1, 1.5), resolution)
+        want = quantile_transport_1d(gaussian_grid(0, 1, resolution=resolution),
+                                     gaussian_grid(1, 1.5, resolution=resolution),
+                                     resolution)
+        for field in ("x", "y", "mass"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert got.w2sq == want.w2sq
+
+    def test_multidimensional_gaussian_named(self):
+        plane = GaussianSpec([0.0, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="GaussianSpec of dimension 2"):
+            quantile_transport_1d(plane, gaussian1d(0, 1))
 
     @pytest.mark.parametrize("resolution", [0, -3, 1, 2.5])
     @pytest.mark.parametrize("solve", [

@@ -1,12 +1,15 @@
+import hashlib
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from seqot import processes
 from seqot.cli import EXPERIMENTS, run_quasi_product
-from seqot.measures import gaussian1d, gaussian_grid, mixture_grid
+from seqot import measures
+from seqot.measures import Grid1D, gaussian1d, gaussian_grid, mixture_grid
 from seqot.processes import (
     HypothesisError,
     MixtureSpec,
@@ -233,6 +236,24 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_component([], mix, [lambda x: x])
 
+    def test_components_tabulated_once(self, monkeypatch):
+        # the build and every classify call each re-tabulated both Gaussians
+        calls = []
+        tabulate = measures.gaussian_grid
+        monkeypatch.setattr(measures, "gaussian_grid",
+                            lambda *a, **k: calls.append(1) or tabulate(*a, **k))
+        mix = MixtureSpec([0.5, 0.5], [gaussian1d(0, 1), gaussian1d(3, 1)])
+        path = np.random.default_rng(3).standard_normal(200)
+        results = [classify_component(path, mix, [lambda x: x, np.square])
+                   for _ in range(3)]
+        assert len(calls) == 2
+        want = [[g.integrate(g.nodes), g.integrate(g.nodes ** 2)]
+                for g in (gaussian_grid(0, 1), gaussian_grid(3, 1))]
+        emp = [np.mean(path), np.mean(path ** 2)]
+        dists = np.sqrt(np.sum((np.array(want) - np.array(emp)) ** 2, axis=1))
+        for res in results:
+            assert np.array_equal(res.distances, dists)
+
     def test_tie_reported_as_ambiguous(self):
         with pytest.warns(UserWarning):
             mix = MixtureSpec([0.5, 0.5], [gaussian1d(0, 1), gaussian1d(0, 1)])
@@ -275,6 +296,48 @@ class TestMixtureEntropy:
         mix = MixtureSpec([0.5, 0.5], [gaussian1d(0, 1), gaussian1d(3, 1)])
         with pytest.raises(ValueError, match="samples must be an integer >= 2"):
             mixture_entropy_bound_check(mix, m=1, n=2, samples=samples, seed=0)
+
+    @pytest.mark.parametrize("m, n, name", [(1.5, 4, "m"), (2, 4.0, "n")])
+    def test_non_integer_block_named(self, m, n, name):
+        # m=1.5 failed inside numpy slicing, n=4.0 inside np.empty
+        mix = MixtureSpec([0.5, 0.5], [gaussian1d(0, 1), gaussian1d(3, 1)])
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            mixture_entropy_bound_check(mix, m=m, n=n, samples=100, seed=0)
+
+    @staticmethod
+    def _comb_mixture():
+        """Three grids with bounded supports.  The third has nodes 4 ulps
+        apart and zero density on every other node, so its draws land on
+        zero-density nodes; where the other two vanish too, the sample is
+        skipped."""
+        nodes = 1.0 + 4 * np.finfo(float).eps * np.arange(9)
+        comb = Grid1D(nodes, np.arange(9) % 2)
+        x, y = np.linspace(-2, -1, 11), np.linspace(2, 4, 21)
+        return MixtureSpec([0.2, 0.3, 0.5], [Grid1D(x, np.ones_like(x)),
+                                             Grid1D(y, 1 - np.abs(y - 3)), comb])
+
+    # sha256 of (estimate, standard_error, n_samples, n_skipped) packed as
+    # "<ddqq", recorded with scipy.special.logsumexp over sample-major tables
+    PINNED = {
+        "default": "ecbbe90ee386133ba46d547b9eb94ce83a8756db0c7c5d1c2ece1bb52b1c3779",
+        "grid-skips": "c58854420960e6867994869a32c65aac480f77e8069f72fb9660aca758754100",
+        "m9-n18": "6368c10361bbceb4c5491194a3019a78aadb0f7c45c80b16d82779081132ac8b",
+    }
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_pinned_bits(self):
+        two = MixtureSpec([0.5, 0.5], [gaussian1d(0, 1), gaussian1d(3, 1)])
+        cases = {"default": (two, 2, 4, 100_000, 0),
+                 "grid-skips": (self._comb_mixture(), 2, 4, 20_000, 1),
+                 "m9-n18": (two, 9, 18, 20_000, 2)}
+        skipped = {}
+        for name, (mix, m, n, samples, seed) in cases.items():
+            rep = mixture_entropy_bound_check(mix, m, n, samples, seed)
+            packed = struct.pack("<ddqq", rep.estimate, rep.standard_error,
+                                 rep.n_samples, rep.n_skipped)
+            assert hashlib.sha256(packed).hexdigest() == self.PINNED[name], name
+            skipped[name] = rep.n_skipped
+        assert skipped == {"default": 0, "grid-skips": 4121, "m9-n18": 0}
 
 
 def test_quasi_product_solves_each_split_once(monkeypatch):
