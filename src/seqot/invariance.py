@@ -15,12 +15,11 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy import sparse
 
 from .measures import DiscreteMeasure, _distinct_rows, _find_rows
-from .ot import (_HIGHS_OPTIONS, Coupling, _transport_constraints, cost_matrix,
-                 graph_concentration, solve_discrete_ot)
+from .ot import (Coupling, _transport_constraints, cost_matrix, graph_concentration,
+                 linprog, solve_discrete_ot)
 
 MAX_GROUP_SIZE = 5040
 INVARIANCE_TOL = 1e-9
@@ -296,13 +295,9 @@ def _solve_orbit_lp(orb: _Orbits, cost) -> InvariantOTResult:
     np.add.at(obj, label.ravel(), c.ravel())
     # pair (i, j) adds one unit of its orbit's weight to row i and column j
     a_eq, b_eq = _transport_constraints(label, orb.mu.weights, orb.nu.weights)
-    res = linprog(obj, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-                  options=_HIGHS_OPTIONS)
-    if res.status != 0:
-        raise RuntimeError(f"invariant LP failed: {res.message}")
-    w = res.x[label]
-    plan = Coupling(orb.mu, orb.nu, np.maximum(w, 0.0))
-    return InvariantOTResult(plan, float(obj @ res.x), n_orbits)
+    x, _, _, _ = linprog(obj, a_eq, b_eq, b_eq, 0.0)
+    plan = Coupling(orb.mu, orb.nu, np.maximum(x[label], 0.0))
+    return InvariantOTResult(plan, float(obj @ x), n_orbits)
 
 
 def solve_invariant_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, group: GroupAction,
@@ -344,18 +339,13 @@ def invariant_duality_value(mu: DiscreteMeasure, nu: DiscreteMeasure, group: Gro
         (np.ones(2 * n_pairs),
          (np.concatenate([np.arange(n_pairs), np.arange(n_pairs)]),
           np.concatenate([src_lab[ri], n_src + tgt_lab[rj]]))),
-        shape=(n_pairs, n_src + n_tgt)).tocsr()
+        shape=(n_pairs, n_src + n_tgt)).tocsc()
     b_ub = cbar[ri, rj]
     obj = np.zeros(n_src + n_tgt)
     np.add.at(obj, src_lab, orb.mu.weights)
     np.add.at(obj, n_src + tgt_lab, orb.nu.weights)
-    res = linprog(-obj, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs",
-                  options=_HIGHS_OPTIONS)
-    if res.status != 0:
-        raise RuntimeError(f"invariant dual LP failed: {res.message}")
-    phi = res.x[:n_src][src_lab]
-    psi = res.x[n_src:][tgt_lab]
-    return InvariantDualResult(float(-res.fun), phi, psi, cbar)
+    x, _, fun, _ = linprog(-obj, a_ub, np.full(n_pairs, -np.inf), b_ub, -np.inf)
+    return InvariantDualResult(float(-fun), x[:n_src][src_lab], x[n_src:][tgt_lab], cbar)
 
 
 @dataclass(frozen=True)

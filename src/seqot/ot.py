@@ -15,6 +15,13 @@ closed form via quantile functions, on the same staircase for two discrete
 measures; a grid's quantiles come from the one inverse CDF of its
 ``Grid1D.cdf_table``.  Plan diagnostics: cyclical monotonicity over short
 cycles, graph concentration, barycentric map extraction.
+
+Every LP in seqot, here and in ``invariance``, is one call of ``linprog``
+below.  It drives scipy's own bundled HiGHS binding,
+``scipy.optimize._highspy._core``, with the model as numpy arrays and one
+option set built at import, rather than ``scipy.optimize.linprog``: on these
+LPs that wrapper's option checks, field-by-field model copy and per-column
+loop over bound marginals took longer than HiGHS's simplex itself.
 """
 
 from __future__ import annotations
@@ -25,7 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
+# scipy's own build of HiGHS, the solver behind linprog(method="highs")
+from scipy.optimize._highspy import _core as _highs
 
 from .measures import (DEFAULT_RESOLUTION, DiscreteMeasure, Grid1D, _coerce_grid,
                        _discrete_quantile_at, _quantile_from_grid, _require_finite,
@@ -44,18 +53,28 @@ CYCLE_SUPPORT_THRESHOLD = 1e-12
 CYCLE_MAX_SUPPORT = 80
 CYCLE_LENGTH_MAX = 3
 CYCLE_TOL = 1e-9
-# HiGHS options for every transport LP.  Feasibility tolerances: the 1e-7
-# defaults let a solution miss the marginals by more than MARGINAL_TOL.
-# Presolve off: on a dense transportation LP it removes only the one redundant
-# equality row and no column, yet it and the postsolve re-solve cost about as
-# much as the simplex itself.  Without it, on a 2-core x86 box with scipy
-# 1.17.1 and the shortlist LP below, criterion 01's 200 solves take 3.7-4.3 s
-# instead of 5.1-5.2 s and the benchmark's exact_lp and invariant_orbits
-# rounds 0.43 and 0.67 s instead of 0.58 and 1.03 s, with the same optimal
-# values
+# HiGHS options for every transport LP, passed to HiGHS directly by
+# ``linprog`` below.  Feasibility tolerances: the 1e-7 defaults let a
+# solution miss the marginals by more than MARGINAL_TOL.  Presolve off: on a
+# dense transportation LP it removes only the one redundant equality row and
+# no column, yet it and the postsolve re-solve cost about as much as the
+# simplex itself.  The dict keeps scipy.optimize.linprog's option form, so
+# the tests can solve the same LP through linprog for reference.
 _HIGHS_OPTIONS = {"presolve": False,
                   "primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10}
+# the same options plus the ones linprog(method="highs") always sets: dual
+# simplex, no debug checks and no log output
+_OPTIONS = _highs.HighsOptions()
+for _key, _value in {
+        **_HIGHS_OPTIONS, "presolve": "off",
+        "simplex_strategy": _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+        "highs_debug_level": _highs.HighsDebugLevel.kHighsDebugLevelNone,
+        "output_flag": False, "log_to_console": False}.items():
+    setattr(_OPTIONS, _key, _value)
+# linprog's test of the returned point: bounds and row activity within
+# 10 * sqrt(1e-9)
+_POINT_TOL = 10 * np.sqrt(1e-9)
 # cheapest cells per row and per column that seed the exact LP's shortlist
 _SHORTLIST = 24
 
@@ -325,8 +344,57 @@ def _transport_constraints(label, a, b):
     var = label[rows, cols]
     a_eq = sparse.coo_matrix(
         (np.ones(2 * var.size), (np.concatenate([rows, n + cols]), np.tile(var, 2))),
-        shape=(n + m, int(label.max()) + 1)).tocsr()
+        shape=(n + m, int(label.max()) + 1)).tocsc()
     return a_eq, np.concatenate([a, b])
+
+
+def linprog(c, a, lhs, rhs, lb):
+    """min c @ x subject to lhs <= a @ x <= rhs and x >= lb, one HiGHS solve.
+
+    ``a`` is a scipy sparse matrix, held as CSC, and ``lb`` a scalar or one
+    bound per column; no column has an upper bound.  The model and
+    ``_OPTIONS`` go to HiGHS as they are, which is the solve
+    ``scipy.optimize.linprog(method="highs")`` makes with
+    ``options=_HIGHS_OPTIONS``, without the wrapper's per-call option checks
+    and per-column marginal loop.  Vectors that do not fit ``a`` raise
+    ValueError; a HiGHS error, a model status other than optimal, or a
+    returned point outside its bounds or rows by more than linprog's
+    tolerance raises RuntimeError.  Returns the point, the row duals, the
+    objective value and the simplex iteration count.  It keeps the name of
+    the scipy function it replaces, under which perfbench's tracer times the
+    HiGHS call in ``ot`` and ``invariance``.
+    """
+    a = a.tocsc()
+    num_row, num_col = a.shape
+    # HiGHS reads num_col and num_row entries through these arrays' pointers
+    if (np.shape(c), np.shape(lhs), np.shape(rhs)) != ((num_col,), (num_row,), (num_row,)):
+        raise ValueError(f"LP vectors do not fit a {num_row}x{num_col} constraint matrix")
+    lb = np.full(num_col, lb, dtype=float)
+    h = _highs._Highs()
+    if h.passOptions(_OPTIONS) == _highs.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the solver options")
+    # column starts without the end marker, and every column continuous: the
+    # numpy overload rejects an empty integrality array
+    if h.passModel(num_col, num_row, a.nnz, _highs.MatrixFormat.kColwise,
+                   _highs.ObjSense.kMinimize, 0.0, c, lb, np.full(num_col, np.inf),
+                   lhs, rhs, a.indptr[:-1], a.indices, a.data,
+                   np.zeros(num_col, dtype=np.int32)) == _highs.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the LP model")
+    run_status = h.run()
+    status = h.getModelStatus()
+    if run_status == _highs.HighsStatus.kError or status != _highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"LP solver failed: model status is "
+                           f"{h.modelStatusToString(status)}")
+    solution, info = h.getSolution(), h.getInfo()
+    x = np.array(solution.col_value)
+    row = np.array(solution.row_value)
+    fun = info.objective_function_value
+    if (np.isnan(x).any() or np.isnan(fun) or np.isnan(row).any()
+            or np.any(x < lb - _POINT_TOL) or np.any(rhs - row < -_POINT_TOL)
+            or np.any(row - lhs < -_POINT_TOL)):
+        raise RuntimeError("LP solver failed: the returned point misses its "
+                           f"bounds or rows by more than {_POINT_TOL:.2e}")
+    return x, np.array(solution.row_dual), fun, info.simplex_iteration_count
 
 
 def _lp_result(mu, nu, c, t0) -> OTResult:
@@ -356,12 +424,8 @@ def _lp_result(mu, nu, c, t0) -> OTResult:
         label = np.full((n, m), -1)
         label[listed] = np.arange(np.count_nonzero(listed))
         a_eq, b_eq = _transport_constraints(label, mu.weights, nu.weights)
-        res = linprog(c[listed], A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                      method="highs", options=_HIGHS_OPTIONS)
-        if res.status != 0:
-            raise RuntimeError(f"LP solver failed: {res.message}")
-        iterations += int(res.nit)
-        lam = res.eqlin.marginals
+        x, lam, _, nit = linprog(c[listed], a_eq, b_eq, b_eq, 0.0)
+        iterations += nit
         reduced = c - lam[:n, None] - lam[None, n:]
         reduced[listed] = np.inf
         best_col = np.argmin(reduced, axis=1)
@@ -375,7 +439,7 @@ def _lp_result(mu, nu, c, t0) -> OTResult:
     # clean tiny negatives from the solver; the c-transform makes its
     # column duals exactly feasible
     w = np.zeros((n, m))
-    w[listed] = np.maximum(res.x, 0.0)
+    w[listed] = np.maximum(x, 0.0)
     return _certified(mu, nu, c, w, lam[n:], t0, "lp", iterations, False)
 
 

@@ -329,10 +329,11 @@ class MixtureSpec:
 
     Components may be Grid1D or 1D Gaussians.  Each is tabulated once, at the
     default resolution, for the moment readers (the indistinguishability
-    warning and ``classify_component``); ``definetti_ot`` tabulates at its
-    own resolution.  Components that are indistinguishable through their
-    first three moments trigger a warning (classification and outer transport
-    remain well defined, the assignment simply stops being unique).
+    warning and ``classify_component``) and for ``definetti_ot`` at that
+    resolution; ``definetti_ot`` at another resolution tabulates again.
+    Components that are indistinguishable through their first three moments
+    trigger a warning (classification and outer transport remain well
+    defined, the assignment simply stops being unique).
     """
 
     def __init__(self, weights, components):
@@ -352,6 +353,13 @@ class MixtureSpec:
 
     def __len__(self):
         return self.weights.size
+
+    def _grids_at(self, resolution):
+        """The components as Grid1D at a resolution: the stored tables at the
+        default one."""
+        if resolution == DEFAULT_RESOLUTION:
+            return self._grids
+        return [_coerce_grid(c, resolution) for c in self.components]
 
     def _warn_if_indistinguishable(self):
         moments = [np.array([g.integrate(g.nodes ** p) for p in (1, 2, 3)])
@@ -388,8 +396,8 @@ def definetti_ot(pi_mu: MixtureSpec, pi_nu: MixtureSpec,
     no mixture-preserving map exists.
     """
     _require_integer("resolution", resolution, 2)
-    qm, qn = ([_quantile_from_grid(_coerce_grid(c, resolution), resolution)
-               for c in pi.components] for pi in (pi_mu, pi_nu))
+    qm, qn = ([_quantile_from_grid(g, resolution) for g in pi._grids_at(resolution)]
+              for pi in (pi_mu, pi_nu))
     cost = np.array([[_midpoint_map(a, b).w2sq for b in qn] for a in qm])
     outer_mu = DiscreteMeasure(np.arange(len(pi_mu), dtype=float)[:, None], pi_mu.weights,
                                normalize=False, prune=False)
@@ -514,7 +522,8 @@ def mixture_entropy_bound_check(mixture: MixtureSpec, m: int, n: int,
     first = _logsumexp(lp)
     lq += log_lam
     second = _logsumexp(lq)
-    log_rho = joint - first - second
+    with np.errstate(invalid="ignore"):  # -inf - -inf at a skipped sample
+        log_rho = joint - first - second
     valid = np.isfinite(log_rho)
     skipped = int(samples - valid.sum())
     vals = log_rho[valid]

@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from seqot.measures import (
     gaussian_grid,
     gaussian_w2,
 )
-from seqot import ot
+from seqot import invariance, ot
+from seqot.cli import _random_invariant_pair
+from seqot.invariance import cyclic_group, symmetric_group
 from seqot.ot import (
     GAP_TOL,
     MARGINAL_TOL,
@@ -305,6 +308,104 @@ def test_shortlist_grows_to_a_cell_it_did_not_list(monkeypatch):
     _, value = full_lp(mu, nu, cost_matrix(mu, nu))
     assert abs(res.value - value) <= 1e-12 * (1 + abs(value))
     assert_certified(mu, nu, res)
+
+
+def scipy_linprog(c, a, lhs, rhs, lb):
+    """The LP of ``ot.linprog`` through ``scipy.optimize.linprog``'s HiGHS
+    wrapper with the solver's options, its rows as equalities (lhs == rhs)
+    or as upper bounds (lhs all -inf): the point, row duals, objective and
+    iteration count."""
+    if np.array_equal(lhs, rhs):
+        res = linprog(c, A_eq=a, b_eq=rhs, bounds=(lb, None), method="highs",
+                      options=_HIGHS_OPTIONS)
+        duals = res.eqlin.marginals
+    else:
+        assert np.all(lhs == -np.inf)
+        res = linprog(c, A_ub=a, b_ub=rhs, bounds=(lb, None), method="highs",
+                      options=_HIGHS_OPTIONS)
+        duals = res.ineqlin.marginals
+    assert res.status == 0, res.message
+    return res.x, duals, res.fun, res.nit
+
+
+def recorded_lps(solve, *args):
+    """Every LP that ``solve(*args)`` hands to ``linprog``, in either module."""
+    lps, direct = [], ot.linprog
+
+    def record(*lp):
+        lps.append(lp)
+        return direct(*lp)
+
+    with mock.patch.object(ot, "linprog", record), \
+            mock.patch.object(invariance, "linprog", record):
+        solve(*args)
+    return lps
+
+
+def assert_same_bits_as_scipy_linprog(lp):
+    got, want = ot.linprog(*lp), scipy_linprog(*lp)
+    for g, w in zip(got[:3], want[:3]):
+        assert np.array_equal(np.asarray(g, dtype=float).view(np.uint64),
+                              np.asarray(w, dtype=float).view(np.uint64))
+    assert got[3] == want[3]
+
+
+def diagonal_atom_pair(name, seed, k):
+    """An invariant pair whose source carries an atom on the diagonal, fixed by
+    every group element: all pairs (diagonal, g.y) share one orbit, so that
+    orbit's column meets the diagonal atom's row more than once."""
+    group = {"S3": symmetric_group(3), "S4": symmetric_group(4),
+             "C4": cyclic_group(4), "C5": cyclic_group(5)}[name]
+    mu, nu = _random_invariant_pair(group, np.random.default_rng(seed), k)
+    mu = DiscreteMeasure(np.vstack([mu.points, np.full(group.dim, 0.5)]),
+                         np.append(mu.weights, 0.3))
+    return mu, nu, group
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["square", "wide", "tall"]),
+       st.sampled_from(["gaussian", "integer", "duplicates"]))
+def test_direct_highs_matches_scipy_linprog_on_shortlist_lps(seed, shape, points):
+    # ot.linprog drives scipy's private HiGHS binding; a scipy release that
+    # changes that binding shows here first
+    mu, nu = shortlist_instance(seed, shape, points)
+    lps = recorded_lps(ot._lp_result, mu, nu, cost_matrix(mu, nu), 0.0)
+    assert lps
+    for lp in lps:
+        assert_same_bits_as_scipy_linprog(lp)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["S3", "S4", "C4", "C5"]), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 3))
+def test_direct_highs_matches_scipy_linprog_on_orbit_lps(name, seed, k):
+    mu, nu, group = diagonal_atom_pair(name, seed, k)
+    (primal,) = recorded_lps(invariance.solve_invariant_ot, mu, nu, group)
+    assert primal[1].data.max() > 1  # summed entries in one row
+    (dual,) = recorded_lps(invariance.invariant_duality_value, mu, nu, group)
+    assert np.all(dual[2] == -np.inf) and dual[4] == -np.inf  # free variables
+    for lp in (primal, dual):
+        assert_same_bits_as_scipy_linprog(lp)
+
+
+def test_infeasible_lp_raises_naming_the_model_status():
+    # rows carry mass 1 and columns mass 2: no plan meets both
+    label = np.arange(4).reshape(2, 2)
+    a_eq, b_eq = ot._transport_constraints(label, np.array([0.5, 0.5]),
+                                           np.array([1.0, 1.0]))
+    with pytest.raises(RuntimeError, match="model status is Infeasible"):
+        ot.linprog(np.ones(4), a_eq, b_eq, b_eq, 0.0)
+
+
+@pytest.mark.parametrize("short", ["c", "lhs", "rhs"])
+def test_lp_vectors_that_do_not_fit_the_matrix_are_named(short):
+    # HiGHS would read past the end of a short vector
+    a_eq, b_eq = ot._transport_constraints(np.arange(4).reshape(2, 2),
+                                           np.full(2, 0.5), np.full(2, 0.5))
+    lp = {"c": np.ones(4), "lhs": b_eq, "rhs": b_eq}
+    lp[short] = lp[short][:-1]
+    with pytest.raises(ValueError, match="do not fit a 4x4 constraint matrix"):
+        ot.linprog(lp["c"], a_eq, lp["lhs"], lp["rhs"], 0.0)
 
 
 def uniform_clouds(seed, n, d, kind):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,24 @@ class TestDeFinetti:
                     assert got.w2sq == want.w2sq
         assert list(res.assignment) == [0, 1]
 
+    def test_default_resolution_reuses_stored_grids(self, monkeypatch):
+        # each Gaussian is tabulated once, by MixtureSpec; definetti_ot at the
+        # default resolution reads those tables, at another it tabulates again
+        calls = []
+        tabulate = measures.gaussian_grid
+        monkeypatch.setattr(measures, "gaussian_grid",
+                            lambda *a, **k: calls.append(1) or tabulate(*a, **k))
+        pi_mu = MixtureSpec([0.5, 0.5], [gaussian1d(0, 1), gaussian1d(4, 1.3)])
+        pi_nu = MixtureSpec([0.5, 0.5], [gaussian1d(1, 0.8), gaussian1d(5, 1)])
+        assert len(calls) == 4
+        res = definetti_ot(pi_mu, pi_nu)
+        assert len(calls) == 4
+        definetti_ot(pi_mu, pi_nu, resolution=500)
+        assert len(calls) == 8
+        want = np.array([[quantile_transport_1d(a, b).w2sq for b in pi_nu.components]
+                         for a in pi_mu.components])
+        assert np.array_equal(res.ground_cost, want)
+
     def test_indistinguishable_components_warn(self):
         with pytest.warns(UserWarning):
             MixtureSpec([0.5, 0.5], [gaussian1d(0, 1), gaussian1d(0, 1)])
@@ -324,7 +343,6 @@ class TestMixtureEntropy:
         "m9-n18": "6368c10361bbceb4c5491194a3019a78aadb0f7c45c80b16d82779081132ac8b",
     }
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_pinned_bits(self):
         two = MixtureSpec([0.5, 0.5], [gaussian1d(0, 1), gaussian1d(3, 1)])
         cases = {"default": (two, 2, 4, 100_000, 0),
@@ -332,7 +350,10 @@ class TestMixtureEntropy:
                  "m9-n18": (two, 9, 18, 20_000, 2)}
         skipped = {}
         for name, (mix, m, n, samples, seed) in cases.items():
-            rep = mixture_entropy_bound_check(mix, m, n, samples, seed)
+            # a skipped sample is counted, not warned about
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rep = mixture_entropy_bound_check(mix, m, n, samples, seed)
             packed = struct.pack("<ddqq", rep.estimate, rep.standard_error,
                                  rep.n_samples, rep.n_skipped)
             assert hashlib.sha256(packed).hexdigest() == self.PINNED[name], name
