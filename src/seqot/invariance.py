@@ -2,9 +2,9 @@
 
 Groups are materialized as explicit element lists (capped at |S_7| = 5040), so
 Haar averages and orbit enumeration are exact.  The invariant Kantorovich
-problem is solved as an LP over one variable per orbit of support pairs under
-the diagonal action, which enforces invariance exactly and shrinks the LP by
-roughly a factor |G| (symmetric-LP reduction, Boedi-Herr-Joswig 2013).  Each
+problem and its dual are one LP on the orbit quotient, a variable per orbit of
+support pairs under the diagonal action and a row per orbit of atoms: about |G|
+times smaller each way (symmetric-LP reduction, Boedi-Herr-Joswig 2013).  Each
 problem builds its orbit structure once; a pair (i, j) or an atom is labelled
 by the least flat index in its orbit, one vectorized pass per group element.
 """
@@ -15,11 +15,10 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .measures import DiscreteMeasure, _distinct_rows, _find_rows
-from .ot import (Coupling, _transport_constraints, cost_matrix, graph_concentration,
-                 linprog, solve_discrete_ot)
+from .measures import DiscreteMeasure, _distinct_rows, _find_rows, _require_integer
+from .ot import (Coupling, DualPair, _transport_constraints, cost_matrix,
+                 graph_concentration, linprog, solve_discrete_ot)
 
 MAX_GROUP_SIZE = 5040
 INVARIANCE_TOL = 1e-9
@@ -38,14 +37,20 @@ __all__ = [
     "no_map_counterexample",
     "first_coordinate_cost",
     "close_support",
-    "merge_atoms",
 ]
+
+
+def _identity(dim: int) -> np.ndarray:
+    """The identity of 0..dim-1; every group's dim is checked here."""
+    _require_integer("group dim", dim, 1)
+    return np.arange(dim, dtype=np.intp)
 
 
 def _permutations(dim: int, rows) -> np.ndarray:
     """Rows of coordinate indices as a (k, dim) intp array of permutations of
     0..dim-1.  A boolean or non-integer entry is rejected, not cast to an
     index; the error names the first bad row."""
+    identity = _identity(dim)
     if not isinstance(rows, np.ndarray):
         rows = np.array(rows, dtype=object)  # keeps booleans among integers
     raw = np.atleast_2d(rows)
@@ -57,7 +62,7 @@ def _permutations(dim: int, rows) -> np.ndarray:
         boolean = np.vectorize(lambda x: isinstance(x, (bool, np.bool_)),
                                otypes=[bool])(raw).any(axis=1)
     bad = (boolean | ~np.all(raw == perms, axis=1)
-           | ~np.all(np.sort(perms, axis=1) == np.arange(dim), axis=1))
+           | ~np.all(np.sort(perms, axis=1) == identity, axis=1))
     if bad.any():
         raise ValueError(f"not a permutation of 0..{dim-1}: "
                          f"{raw[int(np.argmax(bad))].tolist()}")
@@ -80,7 +85,7 @@ class GroupAction:
     def __init__(self, dim: int, elements, _verified: bool = False):
         keyed = {e.tobytes(): e for e in _permutations(dim, elements)}
         els = np.array(sorted(keyed.values(), key=lambda e: tuple(e)))
-        if np.arange(dim, dtype=np.intp).tobytes() not in keyed:
+        if _identity(dim).tobytes() not in keyed:
             raise ValueError("identity not present")
         if not _verified:
             # a set already closed by construction (generator closure, full
@@ -111,7 +116,7 @@ def closure_from_generators(dim: int, generators) -> GroupAction:
     """Generate the group closure of the given permutations (BFS); a closure
     larger than MAX_GROUP_SIZE elements is an error."""
     gens = _permutations(dim, generators)
-    identity = np.arange(dim, dtype=np.intp)
+    identity = _identity(dim)
     els = {identity.tobytes(): identity}
     frontier = [identity]
     while frontier:
@@ -131,19 +136,20 @@ def closure_from_generators(dim: int, generators) -> GroupAction:
 
 
 def symmetric_group(dim: int) -> GroupAction:
+    identity = _identity(dim)
     if dim > 7:
         raise ValueError("symmetric group materialization capped at dim 7")
-    return GroupAction(dim, np.array(list(itertools.permutations(range(dim)))),
+    return GroupAction(dim, np.array(list(itertools.permutations(identity))),
                        _verified=True)
 
 
 def cyclic_group(dim: int) -> GroupAction:
-    shift = np.roll(np.arange(dim), 1)
+    shift = np.roll(_identity(dim), 1)
     return closure_from_generators(dim, [shift])
 
 
 def trivial_group(dim: int) -> GroupAction:
-    return GroupAction(dim, [np.arange(dim)])
+    return GroupAction(dim, [_identity(dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +167,9 @@ def _index_maps(points: np.ndarray, group: GroupAction) -> np.ndarray:
     Raises if the set is not stable under the action.  Exact float equality is
     used; permuting coordinates never changes the stored values.
     """
-    if points.shape[1] != group.dim:
-        raise ValueError("dimension mismatch between points and group")
+    if points.ndim != 2 or points.shape[1] != group.dim:
+        raise ValueError(f"dimension mismatch: points of shape {points.shape} "
+                         f"for a group on {group.dim} coordinates")
     maps = _find_rows(points, _moved_rows(points, group))
     if np.any(maps < 0):
         raise ValueError("point set is not stable under the group action")
@@ -184,7 +191,7 @@ def close_support(m: DiscreteMeasure, group: GroupAction) -> DiscreteMeasure:
     return DiscreteMeasure(points, weights, normalize=False, prune=False)
 
 
-def merge_atoms(m: DiscreteMeasure) -> DiscreteMeasure:
+def _merge_atoms(m: DiscreteMeasure) -> DiscreteMeasure:
     """Sum the weights of exactly coincident atoms."""
     first, label = _distinct_rows(m.points)
     return DiscreteMeasure(m.points[first], np.bincount(label, weights=m.weights),
@@ -286,32 +293,6 @@ class InvariantOTResult:
     n_orbits: int
 
 
-def _solve_orbit_lp(orb: _Orbits, cost) -> InvariantOTResult:
-    label = orb.pair_label
-    n_orbits = orb.pair_reps.size
-    c = cost_matrix(orb.mu, orb.nu, cost)
-    # objective: total cost of one unit of per-pair weight on each orbit
-    obj = np.zeros(n_orbits)
-    np.add.at(obj, label.ravel(), c.ravel())
-    # pair (i, j) adds one unit of its orbit's weight to row i and column j
-    a_eq, b_eq = _transport_constraints(label, orb.mu.weights, orb.nu.weights)
-    x, _, _, _ = linprog(obj, a_eq, b_eq, b_eq, 0.0)
-    plan = Coupling(orb.mu, orb.nu, np.maximum(x[label], 0.0))
-    return InvariantOTResult(plan, float(obj @ x), n_orbits)
-
-
-def solve_invariant_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, group: GroupAction,
-                       cost=first_coordinate_cost) -> InvariantOTResult:
-    """Minimize the cost over couplings invariant under the diagonal action.
-
-    Formulated on orbit-representative variables: an invariant plan is
-    constant on each orbit of support pairs, so one LP variable per orbit
-    enforces invariance exactly.  The default cost is the single-coordinate
-    quadratic (x_1 - y_1)^2.
-    """
-    return _solve_orbit_lp(_orbits(mu, nu, group), cost)
-
-
 @dataclass(frozen=True)
 class InvariantDualResult:
     value: float
@@ -320,32 +301,47 @@ class InvariantDualResult:
     projected_cost: np.ndarray
 
 
+def _solve_quotient(orb: _Orbits, cost) -> tuple[InvariantOTResult, InvariantDualResult]:
+    """The invariant problem and its dual from one LP on the orbit quotient:
+    y_P, the mass of pair orbit P at its mean cost cbar_P, feeds the rows of
+    its source and target atom orbits, which hold the orbit masses.  The plan
+    spreads y_P evenly over P; the target row duals on atoms are psi, and phi
+    their c-transform under cbar, so the dual pair is exactly feasible."""
+    label = orb.pair_label
+    size = np.bincount(label.ravel())
+    cbar = np.bincount(label.ravel(), cost_matrix(orb.mu, orb.nu, cost).ravel()) / size
+    ri, rj = np.divmod(orb.pair_reps, len(orb.nu))
+    src_mass = np.bincount(orb.src_label, weights=orb.mu.weights)
+    a_eq, b_eq = _transport_constraints(orb.src_label[ri], orb.tgt_label[rj], src_mass,
+                                        np.bincount(orb.tgt_label, weights=orb.nu.weights))
+    y, lam, _, _ = linprog(cbar, a_eq, b_eq, b_eq, 0.0)
+    plan = Coupling(orb.mu, orb.nu, np.maximum(y, 0.0)[label] / size[label])
+    projected, psi = cbar[label], lam[src_mass.size:][orb.tgt_label]
+    dual = DualPair(np.min(projected - psi[None, :], axis=1), psi)
+    return (InvariantOTResult(plan, float(cbar @ y), size.size),
+            InvariantDualResult(dual.value(orb.mu, orb.nu), dual.phi, psi, projected))
+
+
+def solve_invariant_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, group: GroupAction,
+                       cost=first_coordinate_cost) -> InvariantOTResult:
+    """Minimize the cost over couplings invariant under the diagonal action.
+
+    An invariant plan is constant on each orbit of support pairs, so it is
+    solved as one LP with a variable per pair orbit and a row per atom orbit.
+    The default cost is the single-coordinate quadratic (x_1 - y_1)^2.
+    """
+    return _solve_quotient(_orbits(mu, nu, group), cost)[0]
+
+
 def invariant_duality_value(mu: DiscreteMeasure, nu: DiscreteMeasure, group: GroupAction,
                             cost=first_coordinate_cost) -> InvariantDualResult:
     """Maximize int phi dmu + int psi dnu over invariant potentials with
     phi(x) + psi(y) <= cbar(x, y), cbar the Haar projection of the cost under
-    the diagonal action.  On finite supports this is the dual LP of
-    ``solve_invariant_ot`` and certifies its value.
+    the diagonal action.  On finite supports these are the row duals of the
+    quotient LP of ``solve_invariant_ot``, phi made the c-transform of psi
+    under cbar, so the pair is exactly feasible and certifies its value.
     """
-    orb = _orbits(mu, nu, group)
-    cbar = _average_pairs(cost_matrix(orb.mu, orb.nu, cost), orb.src_maps, orb.tgt_maps)
-    # invariant potentials are constant on atom orbits: one variable each,
-    # and one constraint phi_O + psi_P <= cbar per pair orbit representative
-    src_lab, tgt_lab = orb.src_label, orb.tgt_label
-    n_src, n_tgt = src_lab.max() + 1, tgt_lab.max() + 1
-    n_pairs = orb.pair_reps.size
-    ri, rj = np.divmod(orb.pair_reps, len(orb.nu))
-    a_ub = sparse.coo_matrix(
-        (np.ones(2 * n_pairs),
-         (np.concatenate([np.arange(n_pairs), np.arange(n_pairs)]),
-          np.concatenate([src_lab[ri], n_src + tgt_lab[rj]]))),
-        shape=(n_pairs, n_src + n_tgt)).tocsc()
-    b_ub = cbar[ri, rj]
-    obj = np.zeros(n_src + n_tgt)
-    np.add.at(obj, src_lab, orb.mu.weights)
-    np.add.at(obj, n_src + tgt_lab, orb.nu.weights)
-    x, _, fun, _ = linprog(-obj, a_ub, np.full(n_pairs, -np.inf), b_ub, -np.inf)
-    return InvariantDualResult(float(-fun), x[:n_src][src_lab], x[n_src:][tgt_lab], cbar)
+    return _solve_quotient(_orbits(mu, nu, group), cost)[1]
 
 
 @dataclass(frozen=True)
@@ -372,7 +368,7 @@ def transitive_identity_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
     orb = _orbits(mu, nu, group)
     mu, nu = orb.mu, orb.nu
     full = solve_discrete_ot(mu, nu)
-    inv = _solve_orbit_lp(orb, first_coordinate_cost)
+    inv = _solve_quotient(orb, first_coordinate_cost)[0]
     d = group.dim
     sym_plan = Coupling(mu, nu, _average_pairs(full.plan.weights, orb.src_maps,
                                                orb.tgt_maps))
@@ -396,8 +392,8 @@ def product_power(component: DiscreteMeasure, d: int) -> DiscreteMeasure:
     """The d-fold product of a 1D discrete measure."""
     if component.dim != 1:
         raise ValueError("component must be 1D")
-    if d < 1:
-        raise ValueError(f"product power needs d >= 1, got {d}")
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"product power needs an integer d >= 1, got {d!r}")
     # atom indices of every product atom, the last coordinate fastest
     idx = np.indices((len(component),) * d).reshape(d, -1)
     weights = np.ones(idx.shape[1])
@@ -426,7 +422,7 @@ def no_map_counterexample(component_a: DiscreteMeasure, component_b: DiscreteMea
     """
     mu = product_power(component_a, d)
     pb = product_power(component_b, d)
-    nu = merge_atoms(DiscreteMeasure(
+    nu = _merge_atoms(DiscreteMeasure(
         np.vstack([mu.points, pb.points]),
         np.concatenate([0.5 * mu.weights, 0.5 * pb.weights]),
         normalize=False, prune=False))

@@ -334,17 +334,15 @@ def _assignment_result(mu, nu, c, t0) -> OTResult | None:
     return _certified(mu, nu, c, w, psi, t0, "assignment", sweep, True)
 
 
-def _transport_constraints(label, a, b):
-    """Row-sum and column-sum equalities of a transportation LP in which
-    pair (i, j) puts one unit of variable ``label[i, j]`` into row i and
-    column j, and a pair with a negative label feeds no variable: the
-    (n + m) x (label.max() + 1) matrix and the right side (a, b)."""
-    n, m = label.shape
-    rows, cols = np.nonzero(label >= 0)
-    var = label[rows, cols]
-    a_eq = sparse.coo_matrix(
-        (np.ones(2 * var.size), (np.concatenate([rows, n + cols]), np.tile(var, 2))),
-        shape=(n + m, int(label.max()) + 1)).tocsc()
+def _transport_constraints(rows, cols, a, b):
+    """Row-sum and column-sum equalities of a transportation LP whose
+    variable k puts one unit into row ``rows[k]`` and one into column
+    ``cols[k]``: the (len(a) + len(b)) x len(rows) matrix, two unit entries
+    a column, and the right side (a, b)."""
+    n, k = len(a), len(rows)
+    a_eq = sparse.csc_matrix(
+        (np.ones(2 * k), np.column_stack([rows, n + cols]).ravel(),
+         np.arange(0, 2 * k + 1, 2)), shape=(n + len(b), k))
     return a_eq, np.concatenate([a, b])
 
 
@@ -421,9 +419,7 @@ def _lp_result(mu, nu, c, t0) -> OTResult:
     listed[rows, cols] = True
     iterations = 0
     while True:
-        label = np.full((n, m), -1)
-        label[listed] = np.arange(np.count_nonzero(listed))
-        a_eq, b_eq = _transport_constraints(label, mu.weights, nu.weights)
+        a_eq, b_eq = _transport_constraints(*np.nonzero(listed), mu.weights, nu.weights)
         x, lam, _, nit = linprog(c[listed], a_eq, b_eq, b_eq, 0.0)
         iterations += nit
         reduced = c - lam[:n, None] - lam[None, n:]

@@ -27,6 +27,7 @@ from seqot.invariance import (
     close_support,
     cyclic_group,
     first_coordinate_cost,
+    invariant_duality_value,
     solve_invariant_ot,
     symmetric_group,
 )
@@ -108,7 +109,15 @@ def test_orbit_structure_matches_enumerated_orbits(problem):
     }
     assert orb.pair_reps.size == len(orbit_sets) == label.max() + 1
     value = solve_invariant_ot(mu, nu, group).value
-    assert value == pytest.approx(brute_force_invariant_value(mu, nu, group), abs=1e-9)
+    slow = brute_force_invariant_value(mu, nu, group)
+    assert value == pytest.approx(slow, abs=1e-9)
+    # the dual of the same quotient LP: its value, exact feasibility of its
+    # potentials up to the one rounding of phi + psi, and weak duality
+    dual = invariant_duality_value(mu, nu, group)
+    assert dual.value == pytest.approx(slow, abs=1e-9)
+    phi, psi, cbar = dual.phi_bar[:, None], dual.psi_bar[None, :], dual.projected_cost
+    assert np.all(phi + psi - cbar <= np.spacing(np.abs(phi) + np.abs(psi) + np.abs(cbar)))
+    assert value - dual.value >= -1e-12 * (1 + abs(value))
 
 
 def test_reweighting_decouples_ring_blocks_exactly():

@@ -7,13 +7,13 @@ import pytest
 
 from seqot.invariance import (
     GroupAction,
+    _merge_atoms,
     close_support,
     closure_from_generators,
     cyclic_group,
     first_coordinate_cost,
     haar_project,
     invariant_duality_value,
-    merge_atoms,
     no_map_counterexample,
     product_power,
     solve_invariant_ot,
@@ -89,6 +89,14 @@ class TestGroups:
         with pytest.raises(ValueError, match=f"not a permutation .*{re.escape(str(row))}"):
             GroupAction(len(row), rows)
 
+    @pytest.mark.parametrize("make", [symmetric_group, cyclic_group, trivial_group])
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, 2.0])
+    def test_dim_must_be_a_positive_integer(self, make, dim):
+        # dim 0 built an empty group; 2.5 and 2.0 raised a TypeError from
+        # itertools or numpy, and -1 a mismatch of element length
+        with pytest.raises(ValueError, match=f"group dim must be an integer >= 1, got {dim}"):
+            make(dim)
+
     def test_integral_float_entries_accepted(self):
         assert len(closure_from_generators(3, [[1.0, 2.0, 0.0]])) == 3
 
@@ -134,6 +142,9 @@ class TestHaarProject:
             haar_project(np.array([1.0]), pts, g)
         with pytest.raises(ValueError, match="dimension"):
             haar_project(np.array([1.0]), pts[:, :2], g)
+        # one point as a vector, not a (1, 3) table
+        with pytest.raises(ValueError, match=r"dimension mismatch: points of shape \(3,\)"):
+            haar_project(np.zeros(3), pts[0], g)
 
     @pytest.mark.parametrize("n_values", [2, 4])
     def test_length_mismatch_named(self, n_values):
@@ -357,7 +368,7 @@ def test_product_power_matches_its_meshgrid_definition():
         assert p.weights.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("d", [0, -1, 2.5])
 def test_product_power_needs_a_positive_power(d):
     a = DiscreteMeasure([[0.0], [1.0]], [0.25, 0.75])
     with pytest.raises(ValueError, match="d >= 1"):
@@ -383,7 +394,7 @@ def test_trivial_group_orbit_lp_is_the_exact_lp(seed):
 def test_merge_atoms():
     m = DiscreteMeasure([[0.0], [0.0], [1.0]], [0.25, 0.25, 0.5],
                         normalize=False, prune=False)
-    merged = merge_atoms(m)
+    merged = _merge_atoms(m)
     assert len(merged) == 2
     assert merged.weights.sum() == pytest.approx(1.0)
 

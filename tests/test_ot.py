@@ -295,37 +295,36 @@ def test_shortlist_grows_to_a_cell_it_did_not_list(monkeypatch):
     mu = DiscreteMeasure(rng.normal(size=(40, 2)) * [10.0, 1.0], rng.random(40) + 0.1)
     nu = DiscreteMeasure(rng.normal(size=(40, 2)) * [1.0, 10.0] + [50.0, 0.0],
                          rng.random(40) + 0.1)
-    labels = []
+    listed = []
     build = ot._transport_constraints
-    monkeypatch.setattr(ot, "_transport_constraints",
-                        lambda label, a, b: labels.append(label.copy()) or build(label, a, b))
+
+    def record(rows, cols, a, b):
+        cells = np.zeros((len(a), len(b)), dtype=bool)
+        cells[rows, cols] = True
+        listed.append(cells)
+        return build(rows, cols, a, b)
+
+    monkeypatch.setattr(ot, "_transport_constraints", record)
     res = solve_discrete_ot(mu, nu)
     assert res.method == "lp"
-    assert len(labels) >= 2
+    assert len(listed) >= 2
     support = res.plan.weights > 0
-    assert np.any(support & (labels[0] < 0))
-    assert np.all(labels[-1][support] >= 0)
+    assert np.any(support & ~listed[0])
+    assert np.all(listed[-1][support])
     _, value = full_lp(mu, nu, cost_matrix(mu, nu))
     assert abs(res.value - value) <= 1e-12 * (1 + abs(value))
     assert_certified(mu, nu, res)
 
 
 def scipy_linprog(c, a, lhs, rhs, lb):
-    """The LP of ``ot.linprog`` through ``scipy.optimize.linprog``'s HiGHS
-    wrapper with the solver's options, its rows as equalities (lhs == rhs)
-    or as upper bounds (lhs all -inf): the point, row duals, objective and
-    iteration count."""
-    if np.array_equal(lhs, rhs):
-        res = linprog(c, A_eq=a, b_eq=rhs, bounds=(lb, None), method="highs",
-                      options=_HIGHS_OPTIONS)
-        duals = res.eqlin.marginals
-    else:
-        assert np.all(lhs == -np.inf)
-        res = linprog(c, A_ub=a, b_ub=rhs, bounds=(lb, None), method="highs",
-                      options=_HIGHS_OPTIONS)
-        duals = res.ineqlin.marginals
+    """The LP of ``ot.linprog``, its rows equalities (lhs == rhs), through
+    ``scipy.optimize.linprog``'s HiGHS wrapper with the solver's options: the
+    point, row duals, objective and iteration count."""
+    assert np.array_equal(lhs, rhs)
+    res = linprog(c, A_eq=a, b_eq=rhs, bounds=(lb, None), method="highs",
+                  options=_HIGHS_OPTIONS)
     assert res.status == 0, res.message
-    return res.x, duals, res.fun, res.nit
+    return res.x, res.eqlin.marginals, res.fun, res.nit
 
 
 def recorded_lps(solve, *args):
@@ -352,8 +351,9 @@ def assert_same_bits_as_scipy_linprog(lp):
 
 def diagonal_atom_pair(name, seed, k):
     """An invariant pair whose source carries an atom on the diagonal, fixed by
-    every group element: all pairs (diagonal, g.y) share one orbit, so that
-    orbit's column meets the diagonal atom's row more than once."""
+    every group element: that atom is an orbit of its own, and the pairs
+    (diagonal, g.y) form an orbit no larger than the atom orbit of y, so the
+    quotient LP mixes orbits of different sizes."""
     group = {"S3": symmetric_group(3), "S4": symmetric_group(4),
              "C4": cyclic_group(4), "C5": cyclic_group(5)}[name]
     mu, nu = _random_invariant_pair(group, np.random.default_rng(seed), k)
@@ -380,18 +380,29 @@ def test_direct_highs_matches_scipy_linprog_on_shortlist_lps(seed, shape, points
        st.integers(1, 3))
 def test_direct_highs_matches_scipy_linprog_on_orbit_lps(name, seed, k):
     mu, nu, group = diagonal_atom_pair(name, seed, k)
+    # atom orbits enumerated from coordinates alone
+    n_src, n_tgt = (
+        len({frozenset(tuple(x[p]) for p in group.elements)
+             for x in invariance.close_support(m, group).points})
+        for m in (mu, nu))
+    # one LP each, the same quotient LP
     (primal,) = recorded_lps(invariance.solve_invariant_ot, mu, nu, group)
-    assert primal[1].data.max() > 1  # summed entries in one row
     (dual,) = recorded_lps(invariance.invariant_duality_value, mu, nu, group)
-    assert np.all(dual[2] == -np.inf) and dual[4] == -np.inf  # free variables
     for lp in (primal, dual):
+        a = lp[1]
+        assert a.shape[0] == n_src + n_tgt
+        # per column a unit entry in a source orbit's row and one in a
+        # target orbit's
+        assert np.array_equal(a.indptr, np.arange(0, 2 * a.shape[1] + 1, 2))
+        assert np.all(a.data == 1.0)
+        assert np.all(a.indices[0::2] < n_src) and np.all(a.indices[1::2] >= n_src)
         assert_same_bits_as_scipy_linprog(lp)
 
 
 def test_infeasible_lp_raises_naming_the_model_status():
     # rows carry mass 1 and columns mass 2: no plan meets both
-    label = np.arange(4).reshape(2, 2)
-    a_eq, b_eq = ot._transport_constraints(label, np.array([0.5, 0.5]),
+    rows, cols = np.divmod(np.arange(4), 2)
+    a_eq, b_eq = ot._transport_constraints(rows, cols, np.array([0.5, 0.5]),
                                            np.array([1.0, 1.0]))
     with pytest.raises(RuntimeError, match="model status is Infeasible"):
         ot.linprog(np.ones(4), a_eq, b_eq, b_eq, 0.0)
@@ -400,7 +411,7 @@ def test_infeasible_lp_raises_naming_the_model_status():
 @pytest.mark.parametrize("short", ["c", "lhs", "rhs"])
 def test_lp_vectors_that_do_not_fit_the_matrix_are_named(short):
     # HiGHS would read past the end of a short vector
-    a_eq, b_eq = ot._transport_constraints(np.arange(4).reshape(2, 2),
+    a_eq, b_eq = ot._transport_constraints(*np.divmod(np.arange(4), 2),
                                            np.full(2, 0.5), np.full(2, 0.5))
     lp = {"c": np.ones(4), "lhs": b_eq, "rhs": b_eq}
     lp[short] = lp[short][:-1]
