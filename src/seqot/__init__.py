@@ -61,7 +61,6 @@ from .gibbs import (
     GibbsParams,
     GibbsSpec,
     LatticeSample,
-    MCMCConfig,
     cauchy_convergence_experiment,
     cyclic_symmetrize,
     empirical_map_to_gaussian,

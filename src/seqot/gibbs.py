@@ -36,7 +36,6 @@ __all__ = [
     "GibbsParams",
     "GibbsSpec",
     "GibbsAssumptionError",
-    "MCMCConfig",
     "LatticeSample",
     "sample_periodic_gibbs",
     "cyclic_symmetrize",
@@ -184,25 +183,12 @@ def quartic_spec(coupling: float = 0.0) -> GibbsSpec:
 # MCMC
 
 
-@dataclass(frozen=True)
-class MCMCConfig:
-    num_chains: int = 64
-    burn_in: int = 400           # sweeps per chain before any state is kept
-    thinning: int = 2            # sweeps between kept states
-    step_init: float = 0.8
-    adapt_interval: int = 25     # sweeps per adaptation window during burn-in
-    target_accept: float = 0.44
-
-    def __post_init__(self):
-        for name, low in (("num_chains", 1), ("thinning", 1), ("adapt_interval", 1),
-                          ("burn_in", 0)):
-            _require_integer(f"MCMC {name}", getattr(self, name), low)
-        if not (math.isfinite(self.step_init) and self.step_init > 0):
-            raise ValueError(f"MCMC step_init must be finite and positive, "
-                             f"got {self.step_init}")
-        if not 0 < self.target_accept < 1:
-            raise ValueError(f"MCMC target_accept must lie in (0, 1), "
-                             f"got {self.target_accept}")
+NUM_CHAINS = 64
+BURN_IN = 400           # sweeps per chain before any state is kept
+THINNING = 2            # sweeps between kept states
+STEP_INIT = 0.8
+ADAPT_INTERVAL = 25     # sweeps per adaptation window during burn-in
+TARGET_ACCEPT = 0.44
 
 
 @dataclass
@@ -210,8 +196,6 @@ class LatticeSample:
     n: int
     states: np.ndarray           # (num_samples, 2n+1)
     seed: int
-    burn_in: int
-    thinning: int
     acceptance: np.ndarray       # per site, measured after adaptation froze
     ess: np.ndarray              # per coordinate
     steps: np.ndarray
@@ -260,15 +244,16 @@ def _site_runs(num_sites: int, bonds) -> list:
 
 
 def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
-                  seeds, config: MCMCConfig, null_seeds=()) -> list:
+                  seeds, null_seeds=()) -> list:
     """Metropolis samplers for exp(-sum V(x_i) - sum_bonds W) on a bond graph,
     one per seed, run in lockstep; returns one (states, acceptance, steps)
     per seed of ``seeds``, then per seed of ``null_seeds``, whose lanes
     sample the zero-coupling clone of ``spec`` (the same V, no W).
 
-    Each seed owns a lane of ``config.num_chains`` independent chains and its
-    own random stream, drawn in the order a sampler run alone draws it, so
-    every lane is bitwise the output of its seed and spec alone.  Site sweeps
+    Each seed owns a lane of ``NUM_CHAINS`` independent chains (the MCMC
+    constants are read at each call) and its own random stream, drawn in the
+    order a sampler run alone draws it, so every lane is bitwise the output
+    of its seed and spec alone.  Site sweeps
     are sequential in effect: a sweep splits into the maximal runs of
     consecutive sites no two of which share a bond of the coupled lanes' W
     (``_site_runs``), and as no site of a run sees another's move, updating
@@ -287,10 +272,10 @@ def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
     nbrs = _site_neighbors(num_sites, bonds)
     others = [np.array([j for j, _ in nb if j != i], dtype=np.intp)
               for i, nb in enumerate(nbrs)]
-    chains = config.num_chains
+    chains = NUM_CHAINS
     width = lanes * chains
     keep_per_chain = -(-num_samples // chains)  # ceil
-    steps = np.full((num_sites, lanes), config.step_init)
+    steps = np.full((num_sites, lanes), STEP_INIT)
     chain_steps = np.repeat(steps, chains, axis=1)  # refreshed at each adaptation
     x = np.empty((num_sites, width))  # site-major; lane k is the k-th column block
     for rng, lane in zip(rngs, np.split(x, lanes, axis=1)):
@@ -345,20 +330,20 @@ def _sample_sites(spec: GibbsSpec, num_sites: int, bonds, num_samples: int,
         tally = accept_count if adapting else accept_total
         tally += np.add.reduce(acc.reshape(num_sites, lanes, chains), axis=2) / chains
 
-    for s in range(config.burn_in):
+    for s in range(BURN_IN):
         sweep(adapting=True)
-        if (s + 1) % config.adapt_interval == 0:
-            rate = accept_count / config.adapt_interval
-            steps *= np.exp(0.8 * (rate - config.target_accept))
+        if (s + 1) % ADAPT_INTERVAL == 0:
+            rate = accept_count / ADAPT_INTERVAL
+            steps *= np.exp(0.8 * (rate - TARGET_ACCEPT))
             chain_steps[:] = np.repeat(steps, chains, axis=1)
             accept_count[:] = 0.0
 
     kept = np.empty((lanes, keep_per_chain, chains, num_sites))
     for k in range(keep_per_chain):
-        for _ in range(config.thinning):
+        for _ in range(THINNING):
             sweep(adapting=False)
         kept[:, k] = x.T.reshape(lanes, chains, num_sites)
-    acceptance = accept_total / max(keep_per_chain * config.thinning, 1)
+    acceptance = accept_total / max(keep_per_chain * THINNING, 1)
     return [(kept[k].reshape(keep_per_chain * chains, num_sites)[:num_samples],
              acceptance[:, k].copy(), steps[:, k].copy()) for k in range(lanes)]
 
@@ -393,25 +378,27 @@ def _ess_per_coordinate(states: np.ndarray, chains: int = None) -> np.ndarray:
     return n / np.maximum(tau, 1.0)
 
 
-def sample_periodic_gibbs(spec: GibbsSpec, n: int, num_samples: int, seed: int,
-                          config: MCMCConfig = MCMCConfig()) -> LatticeSample:
+def sample_periodic_gibbs(spec: GibbsSpec, n: int, num_samples: int,
+                          seed: int) -> LatticeSample:
     """Sample the periodic-ring measure on sites -n..n.
 
-    Per-site random-walk Metropolis with step adaptation during burn-in only
-    (frozen afterwards, preserving detailed balance).  Identical seeds give
-    bitwise-identical output.  A post-adaptation acceptance rate outside
-    [0.05, 0.95] is flagged as a tuning failure and warned about, never
-    silently accepted.
+    Per-site random-walk Metropolis at the module's MCMC constants, with step
+    adaptation during burn-in only (frozen afterwards, preserving detailed
+    balance).  Identical seeds give bitwise-identical output.  A
+    post-adaptation acceptance rate outside [0.05, 0.95] is flagged as a
+    tuning failure and warned about, never silently accepted.  ValueError
+    names an ``n`` not an integer >= 0, ``num_samples`` >= 1 or ``seed`` >= 0.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_integer("n", n, 0)
+    _require_integer("num_samples", num_samples, 1)
+    _require_integer("seed", seed, 0)
     num_sites = 2 * n + 1
     [lane] = _sample_sites(spec, num_sites, ring_bonds(num_sites), num_samples,
-                           [seed], config)
-    return _lattice_sample(n, seed, lane, config)
+                           [seed])
+    return _lattice_sample(n, seed, lane)
 
 
-def _lattice_sample(n: int, seed: int, lane, config: MCMCConfig) -> LatticeSample:
+def _lattice_sample(n: int, seed: int, lane) -> LatticeSample:
     """The ring sample of one sampler lane, with its ESS and tuning flag; a
     tuning failure is warned about at the caller of the caller."""
     states, acceptance, steps = lane
@@ -419,9 +406,8 @@ def _lattice_sample(n: int, seed: int, lane, config: MCMCConfig) -> LatticeSampl
     if not tuning_ok:
         warnings.warn(f"MCMC tuning failure: acceptance rates {acceptance}",
                       stacklevel=3)
-    return LatticeSample(n, states, seed, config.burn_in, config.thinning,
-                         acceptance, _ess_per_coordinate(states, config.num_chains),
-                         steps, tuning_ok)
+    return LatticeSample(n, states, seed, acceptance,
+                         _ess_per_coordinate(states, NUM_CHAINS), steps, tuning_ok)
 
 
 def cyclic_symmetrize(sample: LatticeSample) -> LatticeSample:
@@ -429,8 +415,7 @@ def cyclic_symmetrize(sample: LatticeSample) -> LatticeSample:
     state with all its cyclic shifts."""
     states = np.concatenate([np.roll(sample.states, s, axis=1)
                              for s in range(sample.num_sites)])
-    return LatticeSample(sample.n, states, sample.seed, sample.burn_in,
-                         sample.thinning, sample.acceptance,
+    return LatticeSample(sample.n, states, sample.seed, sample.acceptance,
                          _ess_per_coordinate(states), sample.steps, sample.tuning_ok)
 
 
@@ -656,8 +641,7 @@ class CauchyReport:
 
 
 def _replicate_d(spec: GibbsSpec, ring_states, n: int, m_list, ot_points: int,
-                 replicates: int, epsilon: float, seeds,
-                 config: MCMCConfig) -> list:
+                 replicates: int, epsilon: float, seeds) -> list:
     """Per-replicate estimates of D(m) = E || T_n - (T_m ⊕ T_{m,n}) ||^2, one
     dict m -> list per run: the run of ``spec``, then its zero-coupling
     control, with ring states and seeds given in that order."""
@@ -667,7 +651,7 @@ def _replicate_d(spec: GibbsSpec, ring_states, n: int, m_list, ot_points: int,
         # every replicate's block of both runs is a lane of one sampler, the
         # control's lanes after the main run's
         main, null = ([s + step * r + shift for r in range(replicates)] for s in seeds)
-        lanes = _sample_sites(spec, sites, bonds(sites), ot_points, main, config,
+        lanes = _sample_sites(spec, sites, bonds(sites), ot_points, main,
                               null_seeds=null)
         return lanes[:replicates], lanes[replicates:]
 
@@ -699,8 +683,7 @@ def _replicate_d(spec: GibbsSpec, ring_states, n: int, m_list, ot_points: int,
 
 def cauchy_convergence_experiment(spec: GibbsSpec, m_list, n: int, samples: int,
                                   epsilon: float, seed: int, ot_points: int = 2000,
-                                  replicates: int = 3,
-                                  config: MCMCConfig = MCMCConfig()) -> CauchyReport:
+                                  replicates: int = 3) -> CauchyReport:
     """Test the entropy-transport bound D(m) <= 2 Ent on the periodic ring.
 
     T_n is the empirical map of the ring law onto the Gaussian; the block map
@@ -720,8 +703,15 @@ def cauchy_convergence_experiment(spec: GibbsSpec, m_list, n: int, samples: int,
     path-block call over all replicates of both runs, 1 + 2 |m_list| calls
     in all.  Every lane is bitwise the sample of its seed and spec alone, so
     the report does not depend on this fusion.  A tuning failure of either
-    ring run is warned about, the main run's first.
+    ring run is warned about, the main run's first.  ValueError names an
+    ``n`` or ``seed`` not an integer >= 0, ``samples`` or ``ot_points`` >= 1,
+    or ``replicates`` >= 2 (a standard error needs two).
     """
+    _require_integer("n", n, 0)
+    _require_integer("samples", samples, 1)
+    _require_integer("ot_points", ot_points, 1)
+    _require_integer("replicates", replicates, 2)
+    _require_integer("seed", seed, 0)
     m_list = sorted(int(m) for m in m_list)
     if m_list and (m_list[0] < 0 or m_list[-1] >= n):
         raise ValueError("m_list entries must satisfy 0 <= m < n")
@@ -733,12 +723,12 @@ def cauchy_convergence_experiment(spec: GibbsSpec, m_list, n: int, samples: int,
     null_seed = seed if spec.coupled else seed + 424243
     num_sites = 2 * n + 1
     main, null = _sample_sites(spec, num_sites, ring_bonds(num_sites), samples,
-                               [seed], config, null_seeds=[null_seed])
-    sample = _lattice_sample(n, seed, main, config)
-    null_sample = _lattice_sample(n, null_seed, null, config)
+                               [seed], null_seeds=[null_seed])
+    sample = _lattice_sample(n, seed, main)
+    null_sample = _lattice_sample(n, null_seed, null)
     d_raw, d_null = _replicate_d(spec, (sample.states, null_sample.states), n,
                                  m_list, ot_points, replicates, epsilon,
-                                 (seed, null_seed), config)
+                                 (seed, null_seed))
 
     rows = []
     for m in m_list:

@@ -17,11 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DiscreteMeasure, _distinct_rows, _find_rows, _require_integer
-from .ot import (Coupling, DualPair, _transport_constraints, cost_matrix,
-                 graph_concentration, linprog, solve_discrete_ot)
+from .ot import (MARGINAL_TOL, Coupling, DualPair, cost_matrix, graph_concentration,
+                 linprog, solve_discrete_ot)
 
 MAX_GROUP_SIZE = 5040
-INVARIANCE_TOL = 1e-9
+# the most weights may differ within an orbit: an invariant plan gives each atom
+# its orbit's mean weight, and the solver's error needs the other half
+INVARIANCE_TOL = MARGINAL_TOL / 2
 
 __all__ = [
     "GroupAction",
@@ -312,9 +314,8 @@ def _solve_quotient(orb: _Orbits, cost) -> tuple[InvariantOTResult, InvariantDua
     cbar = np.bincount(label.ravel(), cost_matrix(orb.mu, orb.nu, cost).ravel()) / size
     ri, rj = np.divmod(orb.pair_reps, len(orb.nu))
     src_mass = np.bincount(orb.src_label, weights=orb.mu.weights)
-    a_eq, b_eq = _transport_constraints(orb.src_label[ri], orb.tgt_label[rj], src_mass,
-                                        np.bincount(orb.tgt_label, weights=orb.nu.weights))
-    y, lam, _, _ = linprog(cbar, a_eq, b_eq, b_eq, 0.0)
+    y, lam, _ = linprog(cbar, orb.src_label[ri], orb.tgt_label[rj], src_mass,
+                        np.bincount(orb.tgt_label, weights=orb.nu.weights))
     plan = Coupling(orb.mu, orb.nu, np.maximum(y, 0.0)[label] / size[label])
     projected, psi = cbar[label], lam[src_mass.size:][orb.tgt_label]
     dual = DualPair(np.min(projected - psi[None, :], axis=1), psi)

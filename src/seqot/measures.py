@@ -371,10 +371,22 @@ def _coerce_grid(obj, resolution: int = DEFAULT_RESOLUTION) -> Grid1D:
 
 def mixture_grid(weights, means, sigmas, lo: float = None, hi: float = None,
                  resolution: int = DEFAULT_RESOLUTION) -> Grid1D:
-    """Gaussian mixture density on a common grid covering all components."""
+    """Gaussian mixture density on a common grid covering all components:
+    one finite weight (>= 0, positive sum), mean and sigma (> 0) each, and an
+    integer ``resolution`` >= 2, else a ValueError naming the field."""
     weights = np.asarray(weights, dtype=float)
     means = np.asarray(means, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
+    if weights.ndim != 1 or not weights.shape == means.shape == sigmas.shape:
+        raise ValueError(f"weights, means and sigmas need one entry per component, "
+                         f"got shapes {weights.shape}, {means.shape} and {sigmas.shape}")
+    for name, values in (("weights", weights), ("means", means), ("sigmas", sigmas)):
+        _require_finite(name, values)
+    if np.any(weights < 0) or weights.sum() <= 0:
+        raise ValueError("weights must be >= 0 with a positive sum")
+    if np.any(sigmas <= 0):
+        raise ValueError("sigmas must be > 0")
+    _require_integer("resolution", resolution, 2)
     if lo is None:
         lo = float(np.min(means - DEFAULT_RADIUS * sigmas))
     if hi is None:

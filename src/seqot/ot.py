@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 # scipy's own build of HiGHS, the solver behind linprog(method="highs")
 from scipy.optimize._highspy import _core as _highs
@@ -334,49 +333,44 @@ def _assignment_result(mu, nu, c, t0) -> OTResult | None:
     return _certified(mu, nu, c, w, psi, t0, "assignment", sweep, True)
 
 
-def _transport_constraints(rows, cols, a, b):
-    """Row-sum and column-sum equalities of a transportation LP whose
-    variable k puts one unit into row ``rows[k]`` and one into column
-    ``cols[k]``: the (len(a) + len(b)) x len(rows) matrix, two unit entries
-    a column, and the right side (a, b)."""
-    n, k = len(a), len(rows)
-    a_eq = sparse.csc_matrix(
-        (np.ones(2 * k), np.column_stack([rows, n + cols]).ravel(),
-         np.arange(0, 2 * k + 1, 2)), shape=(n + len(b), k))
-    return a_eq, np.concatenate([a, b])
+def linprog(c, rows, cols, a, b):
+    """The transportation LP min c @ x over x >= 0 whose variable k puts one
+    unit into row sum ``rows[k]`` and one into column sum ``cols[k]``, the
+    row sums equal to ``a`` and the column sums to ``b``: one HiGHS solve.
 
-
-def linprog(c, a, lhs, rhs, lb):
-    """min c @ x subject to lhs <= a @ x <= rhs and x >= lb, one HiGHS solve.
-
-    ``a`` is a scipy sparse matrix, held as CSC, and ``lb`` a scalar or one
-    bound per column; no column has an upper bound.  The model and
-    ``_OPTIONS`` go to HiGHS as they are, which is the solve
-    ``scipy.optimize.linprog(method="highs")`` makes with
-    ``options=_HIGHS_OPTIONS``, without the wrapper's per-call option checks
-    and per-column marginal loop.  Vectors that do not fit ``a`` raise
-    ValueError; a HiGHS error, a model status other than optimal, or a
-    returned point outside its bounds or rows by more than linprog's
-    tolerance raises RuntimeError.  Returns the point, the row duals, the
-    objective value and the simplex iteration count.  It keeps the name of
-    the scipy function it replaces, under which perfbench's tracer times the
-    HiGHS call in ``ot`` and ``invariance``.
+    The constraint matrix goes to HiGHS by columns, two unit entries each,
+    laid out by numpy as int32 like a scipy CSC matrix, with ``_OPTIONS``:
+    the solve ``scipy.optimize.linprog(method="highs")`` makes on that
+    matrix with ``options=_HIGHS_OPTIONS``, without the wrapper's per-call
+    option checks and per-column marginal loop.  Vectors that do not fit and
+    indices out of range raise ValueError; a HiGHS error, a model status
+    other than optimal, or a returned point outside its bounds or rows by
+    more than linprog's tolerance raises RuntimeError.  Returns the point,
+    the row duals (the ``a`` rows, then the ``b`` rows) and the simplex
+    iteration count.  It keeps the name of the scipy function it replaces,
+    under which perfbench's tracer times the HiGHS call in ``ot`` and
+    ``invariance``.
     """
-    a = a.tocsc()
-    num_row, num_col = a.shape
-    # HiGHS reads num_col and num_row entries through these arrays' pointers
-    if (np.shape(c), np.shape(lhs), np.shape(rhs)) != ((num_col,), (num_row,), (num_row,)):
-        raise ValueError(f"LP vectors do not fit a {num_row}x{num_col} constraint matrix")
-    lb = np.full(num_col, lb, dtype=float)
+    # HiGHS reads every entry through raw pointers
+    if ((np.ndim(c), np.ndim(a), np.ndim(b)) != (1, 1, 1)
+            or not np.shape(rows) == np.shape(cols) == np.shape(c)):
+        raise ValueError(f"LP vectors do not fit: shapes {np.shape(c)} of the costs, "
+                         f"{np.shape(rows)} and {np.shape(cols)} of the indices")
+    n, k = len(a), len(c)
+    for name, index, size in (("row", rows, n), ("column", cols, len(b))):
+        if k and (np.min(index) < 0 or np.max(index) >= size):
+            raise ValueError(f"LP {name} index out of range [0, {size})")
+    rhs = np.concatenate([a, b])
     h = _highs._Highs()
     if h.passOptions(_OPTIONS) == _highs.HighsStatus.kError:
         raise RuntimeError("HiGHS rejected the solver options")
     # column starts without the end marker, and every column continuous: the
     # numpy overload rejects an empty integrality array
-    if h.passModel(num_col, num_row, a.nnz, _highs.MatrixFormat.kColwise,
-                   _highs.ObjSense.kMinimize, 0.0, c, lb, np.full(num_col, np.inf),
-                   lhs, rhs, a.indptr[:-1], a.indices, a.data,
-                   np.zeros(num_col, dtype=np.int32)) == _highs.HighsStatus.kError:
+    indices = np.column_stack([rows, n + np.asarray(cols)]).ravel().astype(np.int32)
+    if h.passModel(k, len(rhs), 2 * k, _highs.MatrixFormat.kColwise,
+                   _highs.ObjSense.kMinimize, 0.0, c, np.zeros(k), np.full(k, np.inf),
+                   rhs, rhs, np.arange(0, 2 * k, 2, dtype=np.int32), indices,
+                   np.ones(2 * k), np.zeros(k, dtype=np.int32)) == _highs.HighsStatus.kError:
         raise RuntimeError("HiGHS rejected the LP model")
     run_status = h.run()
     status = h.getModelStatus()
@@ -386,13 +380,12 @@ def linprog(c, a, lhs, rhs, lb):
     solution, info = h.getSolution(), h.getInfo()
     x = np.array(solution.col_value)
     row = np.array(solution.row_value)
-    fun = info.objective_function_value
-    if (np.isnan(x).any() or np.isnan(fun) or np.isnan(row).any()
-            or np.any(x < lb - _POINT_TOL) or np.any(rhs - row < -_POINT_TOL)
-            or np.any(row - lhs < -_POINT_TOL)):
+    if (np.isnan(x).any() or np.isnan(info.objective_function_value)
+            or np.isnan(row).any() or np.any(x < -_POINT_TOL)
+            or np.any(np.abs(row - rhs) > _POINT_TOL)):
         raise RuntimeError("LP solver failed: the returned point misses its "
                            f"bounds or rows by more than {_POINT_TOL:.2e}")
-    return x, np.array(solution.row_dual), fun, info.simplex_iteration_count
+    return x, np.array(solution.row_dual), info.simplex_iteration_count
 
 
 def _lp_result(mu, nu, c, t0) -> OTResult:
@@ -419,8 +412,7 @@ def _lp_result(mu, nu, c, t0) -> OTResult:
     listed[rows, cols] = True
     iterations = 0
     while True:
-        a_eq, b_eq = _transport_constraints(*np.nonzero(listed), mu.weights, nu.weights)
-        x, lam, _, nit = linprog(c[listed], a_eq, b_eq, b_eq, 0.0)
+        x, lam, nit = linprog(c[listed], *np.nonzero(listed), mu.weights, nu.weights)
         iterations += nit
         reduced = c - lam[:n, None] - lam[None, n:]
         reduced[listed] = np.inf

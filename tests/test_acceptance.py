@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
+from seqot import gibbs
 from seqot.bounds import lemma21_check, talagrand_gap
 from seqot.cli import ExperimentConfig, _random_invariant_pair, run_experiment
 from seqot.gibbs import (
-    MCMCConfig,
     cauchy_convergence_experiment,
     cyclic_symmetrize,
     empirical_map_to_gaussian,
@@ -236,14 +236,13 @@ def test_criterion_09_mixture_transport_matchings():
 
 
 def test_criterion_10_gibbs_product_oracle():
-    config = MCMCConfig()
+    chains = gibbs.NUM_CHAINS
     keep = 312  # 312 * 64 = 19968 states of 5 sites ~ 1e5 site draws
     spec = quartic_spec(0.0)
-    sample = sample_periodic_gibbs(spec, 2, keep * config.num_chains, seed=8114,
-                                   config=config)
-    per_chain = sample.states.reshape(keep, config.num_chains, 5)
+    sample = sample_periodic_gibbs(spec, 2, keep * chains, seed=8114)
+    per_chain = sample.states.reshape(keep, chains, 5)
     chain_m2 = (per_chain ** 2).mean(axis=(0, 2))
-    se = chain_m2.std(ddof=1) / math.sqrt(config.num_chains)
+    se = chain_m2.std(ddof=1) / math.sqrt(chains)
     m2 = float((sample.states ** 2).mean())
     # quadrature oracle for E[x^2] under exp(-x^4), cross-checked in closed form
     x = np.linspace(-4.0, 4.0, 200_001)

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
+from seqot import gibbs
 from seqot.cli import _random_invariant_pair
 from seqot.gibbs import (
-    MCMCConfig,
     _z_values,
     entropy_mn_estimate,
     quartic_spec,
@@ -144,7 +144,7 @@ def test_reweighting_decouples_ring_blocks_exactly():
     assert s_raw[1] > 1e-6 * s_raw[0]
 
 
-def test_entropy_estimator_matches_quadrature():
+def test_entropy_estimator_matches_quadrature(monkeypatch):
     spec = quartic_spec(0.3)
     # quadrature route on the three-site ring (m=0 split)
     g = np.linspace(-2.2, 2.2, 81)
@@ -157,7 +157,7 @@ def test_entropy_estimator_matches_quadrature():
     ent_quad = float(np.log(np.sum(w * np.exp(z))) - np.sum(w * z))
     assert ent_quad >= 0.0
 
-    sample = sample_periodic_gibbs(spec, 1, 20_000, seed=404,
-                                   config=MCMCConfig(burn_in=600))
+    monkeypatch.setattr(gibbs, "BURN_IN", 600)
+    sample = sample_periodic_gibbs(spec, 1, 20_000, seed=404)
     est = entropy_mn_estimate(spec, sample, 0)
     assert est.value == pytest.approx(ent_quad, abs=4 * est.standard_error + 2e-3)

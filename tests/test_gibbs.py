@@ -2,6 +2,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from seqot.gibbs import (
     GibbsAssumptionError,
     GibbsParams,
     GibbsSpec,
-    MCMCConfig,
     cauchy_convergence_experiment,
     cyclic_symmetrize,
     empirical_map_to_gaussian,
@@ -116,7 +116,7 @@ def test_potentials_equal_numpy_polynomial_bitwise(args):
 class TestSampler:
     # sha256 of the states, acceptance and step bytes, recorded with the
     # numpy.polynomial evaluation and chain-major state (numpy 2.4, x86-64)
-    SHORT = MCMCConfig(burn_in=50, thinning=2, adapt_interval=25)
+    SHORT = {"BURN_IN": 50, "THINNING": 2, "ADAPT_INTERVAL": 25}
     PINNED = {
         "coupled ring": (
             0.1, 5, gibbs.ring_bonds(5), SHORT,
@@ -131,15 +131,15 @@ class TestSampler:
             0.0, 5, gibbs.ring_bonds(5), SHORT,
             "167e1b2764489927fc3e2952cba09ad729ec51fff24ea640ae0fc8ef56bc759a"),
         "24 chains": (
-            0.5, 5, gibbs.ring_bonds(5), replace(SHORT, num_chains=24),
+            0.5, 5, gibbs.ring_bonds(5), {**SHORT, "NUM_CHAINS": 24},
             "4f8fc79dcf9c32ea4a7faa096eb9ede7056fa32b7d1fa2c8e1ee1823b0c5e24e"),
     }
 
     @pytest.mark.parametrize("case", PINNED)
     def test_sampler_output_bits_pinned(self, case):
-        coupling, sites, bonds, config, digest = self.PINNED[case]
-        [out] = gibbs._sample_sites(quartic_spec(coupling), sites, bonds, 300, [77],
-                                    config)
+        coupling, sites, bonds, constants, digest = self.PINNED[case]
+        with mock.patch.multiple(gibbs, **constants):
+            [out] = gibbs._sample_sites(quartic_spec(coupling), sites, bonds, 300, [77])
         data = b"".join(np.ascontiguousarray(a).tobytes() for a in out)
         assert hashlib.sha256(data).hexdigest() == digest
 
@@ -155,22 +155,22 @@ class TestSampler:
         # last row of chains.  Lanes of the spec and of its zero-coupling
         # clone share the call; a shared seed is the experiment's
         # common-random-numbers pairing of a main and a control lane
-        config = MCMCConfig(num_chains=chains, burn_in=10, thinning=2,
-                            adapt_interval=5)
         bonds = gibbs.ring_bonds(sites) if ring else gibbs.path_bonds(sites)
         spec = quartic_spec(coupling)
         null_seeds = seeds[:1] + null_seeds if shared else null_seeds
         num_samples = 2 * chains + extra % chains + 1
-        lanes = gibbs._sample_sites(spec, sites, bonds, num_samples, seeds, config,
-                                    null_seeds=null_seeds)
         runs = ([(spec, s) for s in seeds]
                 + [(spec.zero_coupling_clone(), s) for s in null_seeds])
-        assert len(lanes) == len(runs)
-        for (lane_spec, seed), lane in zip(runs, lanes):
-            [alone] = gibbs._sample_sites(lane_spec, sites, bonds, num_samples,
-                                          [seed], config)
-            for a, b in zip(lane, alone):
-                assert a.shape == b.shape and np.array_equal(a, b)
+        with mock.patch.multiple(gibbs, NUM_CHAINS=chains, BURN_IN=10, THINNING=2,
+                                 ADAPT_INTERVAL=5):
+            lanes = gibbs._sample_sites(spec, sites, bonds, num_samples, seeds,
+                                        null_seeds=null_seeds)
+            assert len(lanes) == len(runs)
+            for (lane_spec, seed), lane in zip(runs, lanes):
+                [alone] = gibbs._sample_sites(lane_spec, sites, bonds, num_samples,
+                                              [seed])
+                for a, b in zip(lane, alone):
+                    assert a.shape == b.shape and np.array_equal(a, b)
 
     def test_bitwise_reproducibility(self):
         a = sample_periodic_gibbs(quartic_spec(0.1), 2, 500, seed=99)
@@ -179,33 +179,31 @@ class TestSampler:
         assert np.array_equal(a.acceptance, b.acceptance)
 
     def test_uncoupled_quartic_moments(self):
-        config = MCMCConfig()
+        chains = gibbs.NUM_CHAINS
         keep = 312  # 312 * 64 chains = 19968 states ~ 1e5 site draws on 5 sites
-        s = sample_periodic_gibbs(quartic_spec(0.0), 2, keep * config.num_chains,
-                                  seed=7, config=config)
+        s = sample_periodic_gibbs(quartic_spec(0.0), 2, keep * chains, seed=7)
         assert s.tuning_ok
-        per_chain = s.states.reshape(keep, config.num_chains, 5)
+        per_chain = s.states.reshape(keep, chains, 5)
         chain_mean = per_chain.mean(axis=(0, 2))
-        se_mean = chain_mean.std(ddof=1) / math.sqrt(config.num_chains)
+        se_mean = chain_mean.std(ddof=1) / math.sqrt(chains)
         assert abs(s.states.mean()) <= 3 * se_mean
         chain_m2 = (per_chain ** 2).mean(axis=(0, 2))
-        se_m2 = chain_m2.std(ddof=1) / math.sqrt(config.num_chains)
+        se_m2 = chain_m2.std(ddof=1) / math.sqrt(chains)
         oracle = quartic_second_moment_oracle()
         assert oracle == pytest.approx(gamma_fn(0.75) / gamma_fn(0.25), abs=1e-6)
         assert abs(s.states.mean() ** 2 + s.states.var() - oracle) <= 3 * se_m2 + 1e-3
 
     def test_coupled_ring_edge_symmetry(self):
-        config = MCMCConfig()
+        chains = gibbs.NUM_CHAINS
         keep = 250
-        s = sample_periodic_gibbs(quartic_spec(0.1), 3, keep * config.num_chains,
-                                  seed=17, config=config)
+        s = sample_periodic_gibbs(quartic_spec(0.1), 3, keep * chains, seed=17)
         d = 7
-        per_chain = s.states.reshape(keep, config.num_chains, d)
+        per_chain = s.states.reshape(keep, chains, d)
         edge_cov = []
         for i in range(d):
             j = (i + 1) % d
             cov_chain = (per_chain[:, :, i] * per_chain[:, :, j]).mean(axis=0)
-            edge_cov.append((cov_chain.mean(), cov_chain.std(ddof=1) / math.sqrt(config.num_chains)))
+            edge_cov.append((cov_chain.mean(), cov_chain.std(ddof=1) / math.sqrt(chains)))
         vals = np.array([v for v, _ in edge_cov])
         ses = np.array([e for _, e in edge_cov])
         # negative lag-1 coupling, statistically equal across all ring edges
@@ -213,9 +211,9 @@ class TestSampler:
         assert vals.max() - vals.min() <= 3 * (ses.max() + ses.min()) + 2 * ses.mean()
 
     def test_tuning_failure_is_flagged(self):
-        cfg = MCMCConfig(num_chains=16, burn_in=0, thinning=1, step_init=80.0)
-        with pytest.warns(UserWarning):
-            s = sample_periodic_gibbs(quartic_spec(0.0), 1, 160, seed=3, config=cfg)
+        with mock.patch.multiple(gibbs, NUM_CHAINS=16, BURN_IN=0, THINNING=1,
+                                 STEP_INIT=80.0), pytest.warns(UserWarning):
+            s = sample_periodic_gibbs(quartic_spec(0.0), 1, 160, seed=3)
         assert not s.tuning_ok
 
     def test_exp_moment_probe_stable_in_n(self):
@@ -231,22 +229,22 @@ class TestSampler:
         assert maxima[1] < 2.0 * maxima[0]
 
 
-def site_by_site_sample_sites(spec, num_sites, bonds, num_samples, seeds, config,
+def site_by_site_sample_sites(spec, num_sites, bonds, num_samples, seeds,
                               null_seeds=()):
     """The lockstep sampler as it was before sweeps split into runs of
-    unbonded sites, kept verbatim as the reference: one site update after
-    another, each drawing its lanes' normals and uniforms and tallying its
-    own acceptance."""
+    unbonded sites, kept verbatim as the reference, at the MCMC constants
+    ``gibbs`` holds when called: one site update after another, each drawing
+    its lanes' normals and uniforms and tallying its own acceptance."""
     rngs = [np.random.default_rng(np.random.SeedSequence(s))
             for s in [*seeds, *null_seeds]]
     lanes = len(rngs)
     nbrs = gibbs._site_neighbors(num_sites, bonds)
     others = [np.array([j for j, _ in nb if j != i], dtype=np.intp)
               for i, nb in enumerate(nbrs)]
-    chains = config.num_chains
+    chains = gibbs.NUM_CHAINS
     width = lanes * chains
     keep_per_chain = -(-num_samples // chains)  # ceil
-    steps = np.full((num_sites, lanes), config.step_init)
+    steps = np.full((num_sites, lanes), gibbs.STEP_INIT)
     chain_steps = np.repeat(steps, chains, axis=1)  # refreshed at each adaptation
     x = np.empty((num_sites, width))  # site-major; lane k is the k-th column block
     for rng, lane in zip(rngs, np.split(x, lanes, axis=1)):
@@ -297,20 +295,20 @@ def site_by_site_sample_sites(spec, num_sites, bonds, num_samples, seeds, config
             np.copyto(rows[i], proposal, where=acc)
             tally[i] += np.add.reduce(acc.reshape(lanes, chains), axis=1) / chains
 
-    for s in range(config.burn_in):
+    for s in range(gibbs.BURN_IN):
         sweep(adapting=True)
-        if (s + 1) % config.adapt_interval == 0:
-            rate = accept_count / config.adapt_interval
-            steps *= np.exp(0.8 * (rate - config.target_accept))
+        if (s + 1) % gibbs.ADAPT_INTERVAL == 0:
+            rate = accept_count / gibbs.ADAPT_INTERVAL
+            steps *= np.exp(0.8 * (rate - gibbs.TARGET_ACCEPT))
             chain_steps[:] = np.repeat(steps, chains, axis=1)
             accept_count[:] = 0.0
 
     kept = np.empty((lanes, keep_per_chain, chains, num_sites))
     for k in range(keep_per_chain):
-        for _ in range(config.thinning):
+        for _ in range(gibbs.THINNING):
             sweep(adapting=False)
         kept[:, k] = x.T.reshape(lanes, chains, num_sites)
-    acceptance = accept_total / max(keep_per_chain * config.thinning, 1)
+    acceptance = accept_total / max(keep_per_chain * gibbs.THINNING, 1)
     return [(kept[k].reshape(keep_per_chain * chains, num_sites)[:num_samples],
              acceptance[:, k].copy(), steps[:, k].copy()) for k in range(lanes)]
 
@@ -330,7 +328,7 @@ def bond_lists(draw):
 
 
 class TestRunSplit:
-    REFERENCE = MCMCConfig(burn_in=50, thinning=2, adapt_interval=25)
+    REFERENCE = {"BURN_IN": 50, "THINNING": 2, "ADAPT_INTERVAL": 25}
     GRAPHS = {"ring": (5, gibbs.ring_bonds(5)), "path": (4, gibbs.path_bonds(4)),
               "one-site ring": (1, gibbs.ring_bonds(1))}
     LANES = {"one lane": ([77], []), "six lanes": ([77, 5, 2 ** 33], [77, 9, 11])}
@@ -344,11 +342,10 @@ class TestRunSplit:
         # last row of chains; a shared seed pairs a main and a control lane
         sites, bonds = self.GRAPHS[graph]
         seeds, null_seeds = self.LANES[lanes]
-        config = replace(self.REFERENCE, num_chains=chains)
-        args = (quartic_spec(coupling), sites, bonds, 3 * chains + 7, seeds, config,
-                null_seeds)
-        assert_lanes_identical(gibbs._sample_sites(*args),
-                               site_by_site_sample_sites(*args))
+        args = (quartic_spec(coupling), sites, bonds, 3 * chains + 7, seeds, null_seeds)
+        with mock.patch.multiple(gibbs, **self.REFERENCE, NUM_CHAINS=chains):
+            assert_lanes_identical(gibbs._sample_sites(*args),
+                                   site_by_site_sample_sites(*args))
 
     @settings(max_examples=40, deadline=None)
     @given(graph=bond_lists(), coupling=st.sampled_from([0.0, 0.5]),
@@ -357,11 +354,12 @@ class TestRunSplit:
         # arbitrary bond lists give coupled runs of several sites, each
         # site's W read against neighbours outside its run
         sites, bonds = graph
-        config = MCMCConfig(num_chains=5, burn_in=6, thinning=1, adapt_interval=3)
         args = (quartic_spec(coupling), sites, bonds, 12, [3, 4],
-                config, list(range(10, 10 + null_lanes)))
-        assert_lanes_identical(gibbs._sample_sites(*args),
-                               site_by_site_sample_sites(*args))
+                list(range(10, 10 + null_lanes)))
+        with mock.patch.multiple(gibbs, NUM_CHAINS=5, BURN_IN=6, THINNING=1,
+                                 ADAPT_INTERVAL=3):
+            assert_lanes_identical(gibbs._sample_sites(*args),
+                                   site_by_site_sample_sites(*args))
 
     @settings(max_examples=200, deadline=None)
     @given(bond_lists())
@@ -392,25 +390,10 @@ class TestRunSplit:
             seen.append(split(num_sites, bonds))
             return seen[-1]
         monkeypatch.setattr(gibbs, "_site_runs", recorded)
-        sample_periodic_gibbs(quartic_spec(coupling), 2, 8,
-                              seed=1, config=MCMCConfig(num_chains=4, burn_in=2))
+        monkeypatch.setattr(gibbs, "NUM_CHAINS", 4)
+        monkeypatch.setattr(gibbs, "BURN_IN", 2)
+        sample_periodic_gibbs(quartic_spec(coupling), 2, 8, seed=1)
         assert seen == [runs]
-
-
-class TestMCMCConfig:
-    @pytest.mark.parametrize("field, value", [
-        ("num_chains", 0), ("adapt_interval", 0), ("thinning", 0), ("burn_in", -1),
-        ("num_chains", 2.5), ("adapt_interval", 2.5), ("thinning", 1.5), ("burn_in", 1.5),
-        ("step_init", math.nan), ("step_init", -1.0), ("step_init", 0.0),
-        ("step_init", math.inf), ("target_accept", 0.0), ("target_accept", 1.0),
-        ("target_accept", math.nan)])
-    def test_bad_value_named(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            MCMCConfig(**{field: value})
-
-    def test_edge_values_accepted(self):
-        MCMCConfig(num_chains=np.int64(1), burn_in=0, thinning=1, adapt_interval=1,
-                   step_init=1e-300, target_accept=0.999)
 
 
 class TestCyclicSymmetrize:
@@ -662,18 +645,18 @@ def entropy_mn_crosscheck(spec, sample, m, product_states):
                            n_samples=z_mu.size + z_prod.size)
 
 
-def sample_decoupled_product(spec, n, m, num_samples, seed, config=MCMCConfig()):
+def sample_decoupled_product(spec, n, m, num_samples, seed):
     """Sample the decoupled law: the m-ring on the inner block times the
     complementary open chain (bonds along m+1..n, the wrap to -n, up to -m-1)."""
     inner, outer = gibbs._block_slots(n, m)
     states = np.empty((num_samples, 2 * n + 1))
     [(ring, _, _)] = gibbs._sample_sites(spec, len(inner), gibbs.ring_bonds(len(inner)),
-                                         num_samples, [seed], config)
+                                         num_samples, [seed])
     states[:, inner] = ring
     if outer:
         [(block, _, _)] = gibbs._sample_sites(spec, len(outer),
                                               gibbs.path_bonds(len(outer)),
-                                              num_samples, [seed + 1], config)
+                                              num_samples, [seed + 1])
         states[:, outer] = block
     return states
 
@@ -724,28 +707,29 @@ class TestCauchyExperiment:
     }
 
     @pytest.mark.parametrize("coupling", PINNED_ROWS)
-    def test_rows_pinned(self, coupling):
+    def test_rows_pinned(self, monkeypatch, coupling):
+        monkeypatch.setattr(gibbs, "NUM_CHAINS", 16)
+        monkeypatch.setattr(gibbs, "BURN_IN", 100)
         rep = cauchy_convergence_experiment(
             quartic_spec(coupling), m_list=[0, 1], n=2, samples=600, epsilon=0.1,
-            seed=3, ot_points=150, replicates=3,
-            config=MCMCConfig(num_chains=16, burn_in=100))
+            seed=3, ot_points=150, replicates=3)
         digest = hashlib.sha256(repr(rep.rows).encode()).hexdigest()
         assert digest == self.PINNED_ROWS[coupling]
 
     @pytest.mark.parametrize("coupling", [0.1, 0.0])
+    @mock.patch.multiple(gibbs, NUM_CHAINS=8, BURN_IN=0, STEP_INIT=50)
     def test_tuning_warnings_main_then_control(self, coupling):
         spec = quartic_spec(coupling)
-        config = MCMCConfig(num_chains=8, burn_in=0, step_init=50)
         null_seed = 5 if coupling else 5 + 424243
         with warnings.catch_warnings(record=True) as alone:
             warnings.simplefilter("always")
-            sample_periodic_gibbs(spec, 1, 40, 5, config)
-            sample_periodic_gibbs(spec.zero_coupling_clone(), 1, 40, null_seed, config)
+            sample_periodic_gibbs(spec, 1, 40, 5)
+            sample_periodic_gibbs(spec.zero_coupling_clone(), 1, 40, null_seed)
         with warnings.catch_warnings(record=True) as fused:
             warnings.simplefilter("always")
             cauchy_convergence_experiment(spec, m_list=[0], n=1, samples=40,
                                           epsilon=0.1, seed=5, ot_points=20,
-                                          replicates=2, config=config)
+                                          replicates=2)
         messages = [str(w.message) for w in fused]
         assert messages == [str(w.message) for w in alone]
         if coupling:
@@ -757,14 +741,15 @@ class TestCauchyExperiment:
         calls = []
         sample = gibbs._sample_sites
 
-        def counted(spec, num_sites, bonds, num_samples, seeds, config, null_seeds=()):
+        def counted(spec, num_sites, bonds, num_samples, seeds, null_seeds=()):
             calls.append((num_sites, len(seeds), len(null_seeds)))
-            return sample(spec, num_sites, bonds, num_samples, seeds, config,
-                          null_seeds)
+            return sample(spec, num_sites, bonds, num_samples, seeds, null_seeds)
         monkeypatch.setattr(gibbs, "_sample_sites", counted)
+        monkeypatch.setattr(gibbs, "NUM_CHAINS", 4)
+        monkeypatch.setattr(gibbs, "BURN_IN", 10)
         cauchy_convergence_experiment(
             quartic_spec(0.1), m_list=[1, 0], n=2, samples=60, epsilon=0.1, seed=3,
-            ot_points=20, replicates=3, config=MCMCConfig(num_chains=4, burn_in=10))
+            ot_points=20, replicates=3)
         # 1 + 2 |m_list| calls: both rings, then ring and path blocks per m
         assert calls == [(5, 1, 1), (1, 3, 3), (3, 3, 3), (4, 3, 3), (2, 3, 3)]
 
@@ -777,3 +762,23 @@ class TestCauchyExperiment:
             cauchy_convergence_experiment(quartic_spec(0.0), m_list=[1], n=2,
                                           samples=100, epsilon=0.1, seed=1,
                                           ot_points=90, replicates=2)
+
+
+@pytest.mark.parametrize("run, field, value", [
+    ("sampler", "n", 1.5), ("sampler", "n", -1), ("sampler", "num_samples", 2.5),
+    ("sampler", "num_samples", 0), ("sampler", "num_samples", -3), ("sampler", "seed", -1),
+    ("experiment", "n", 1.5), ("experiment", "samples", 2.5),
+    ("experiment", "replicates", 1), ("experiment", "ot_points", 0),
+    ("experiment", "seed", -1)])
+def test_run_inputs_out_of_range_named(run, field, value):
+    # before: a TypeError from range or numpy, numpy's seed error, an empty
+    # sample with a false tuning warning, or a NaN standard error
+    call, args = {
+        "sampler": (sample_periodic_gibbs, dict(n=1, num_samples=8, seed=0)),
+        "experiment": (cauchy_convergence_experiment,
+                       dict(m_list=[0], n=1, samples=40, epsilon=0.1, seed=5,
+                            ot_points=20, replicates=2))}[run]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            call(quartic_spec(0.1), **{**args, field: value})

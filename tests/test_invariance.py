@@ -267,6 +267,21 @@ class TestInvariantLP:
         with pytest.raises(ValueError, match="invariant"):
             invariant_duality_value(mu, nu, g)
 
+    @pytest.mark.parametrize("spread, value", [(2e-10, None), (1e-11, 0.5)])
+    def test_orbit_weight_spread_within_marginal_tolerance(self, spread, value):
+        # an invariant plan gives both atoms of the orbit their mean weight, so
+        # a spread of 2e-10 missed Coupling's 1e-10 marginal tolerance deep in
+        # the solve; it is now rejected up front, and 1e-11 still solves
+        g = symmetric_group(2)
+        mu = DiscreteMeasure([[0.0, 1.0], [1.0, 0.0]], [0.5 + spread, 0.5 - spread])
+        nu = DiscreteMeasure([[1.0, 1.0]], [1.0])
+        for solve in (solve_invariant_ot, invariant_duality_value):
+            if value is None:
+                with pytest.raises(ValueError, match="marginal is not invariant"):
+                    solve(mu, nu, g)
+            else:
+                assert solve(mu, nu, g).value == pytest.approx(value, abs=1e-12)
+
     def test_invariant_cost_projection_noop(self):
         # cost already invariant: cbar = c and values coincide
         mu, nu, g = worked_instance()

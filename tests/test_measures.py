@@ -18,6 +18,7 @@ from seqot.measures import (
     gaussian1d,
     gaussian_grid,
     gaussian_w2,
+    mixture_grid,
 )
 from seqot.gibbs import GibbsParams
 from seqot.ot import Coupling, sinkhorn, solve_discrete_ot
@@ -212,6 +213,29 @@ PAIR = DiscreteMeasure([[0.0], [1.0]])
 def test_non_finite_input_rejected_by_name(build, field):
     with pytest.raises(ValueError, match=field):
         build()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weights, means, sigmas, resolution, field", [
+    pytest.param([1.0, 1.0], [0.0], [1.0], 100, "weights, means and sigmas",
+                 id="extra-weight"),
+    pytest.param([1.0], [0.0], [1.0, 2.0], 100, "weights, means and sigmas",
+                 id="extra-sigma"),
+    pytest.param([-1.0, 2.0], [0.0, 1.0], [1.0, 1.0], 100, "weights must be >= 0",
+                 id="negative-weight"),
+    pytest.param([0.0, 0.0], [0.0, 1.0], [1.0, 1.0], 100, "positive sum", id="zero-sum"),
+    pytest.param([1.0], [NAN], [1.0], 100, "means", id="nan-mean"),
+    pytest.param([1.0], [0.0], [-1.0], 100, "sigmas", id="negative-sigma"),
+    pytest.param([1.0], [0.0], [0.0], 100, "sigmas", id="zero-sigma"),
+    pytest.param([1.0], [0.0], [INF], 100, "sigmas", id="infinite-sigma"),
+    pytest.param([1.0], [0.0], [1.0], 1.5, "resolution", id="fractional-resolution"),
+    pytest.param([1.0], [0.0], [1.0], 1, "resolution", id="one-node"),
+])
+def test_mixture_grid_inputs_named(weights, means, sigmas, resolution, field):
+    # before: zip dropped an extra entry, a bad sigma failed in Grid1D under
+    # another name, and a fractional resolution raised numpy's TypeError
+    with pytest.raises(ValueError, match=field):
+        mixture_grid(weights, means, sigmas, resolution=resolution)
 
 
 # ---------------------------------------------------------------------------

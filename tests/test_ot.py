@@ -296,15 +296,15 @@ def test_shortlist_grows_to_a_cell_it_did_not_list(monkeypatch):
     nu = DiscreteMeasure(rng.normal(size=(40, 2)) * [1.0, 10.0] + [50.0, 0.0],
                          rng.random(40) + 0.1)
     listed = []
-    build = ot._transport_constraints
+    direct = ot.linprog
 
-    def record(rows, cols, a, b):
+    def record(c, rows, cols, a, b):
         cells = np.zeros((len(a), len(b)), dtype=bool)
         cells[rows, cols] = True
         listed.append(cells)
-        return build(rows, cols, a, b)
+        return direct(c, rows, cols, a, b)
 
-    monkeypatch.setattr(ot, "_transport_constraints", record)
+    monkeypatch.setattr(ot, "linprog", record)
     res = solve_discrete_ot(mu, nu)
     assert res.method == "lp"
     assert len(listed) >= 2
@@ -316,15 +316,19 @@ def test_shortlist_grows_to_a_cell_it_did_not_list(monkeypatch):
     assert_certified(mu, nu, res)
 
 
-def scipy_linprog(c, a, lhs, rhs, lb):
-    """The LP of ``ot.linprog``, its rows equalities (lhs == rhs), through
+def scipy_linprog(c, rows, cols, a, b):
+    """The LP of ``ot.linprog`` as a scipy sparse matrix, a unit entry in row
+    ``rows[k]`` and one in row ``len(a) + cols[k]`` of column k, through
     ``scipy.optimize.linprog``'s HiGHS wrapper with the solver's options: the
-    point, row duals, objective and iteration count."""
-    assert np.array_equal(lhs, rhs)
-    res = linprog(c, A_eq=a, b_eq=rhs, bounds=(lb, None), method="highs",
-                  options=_HIGHS_OPTIONS)
+    point, row duals and iteration count."""
+    k = len(c)
+    a_eq = sparse.coo_matrix(
+        (np.ones(2 * k), (np.concatenate([rows, len(a) + np.asarray(cols)]),
+                          np.tile(np.arange(k), 2))), shape=(len(a) + len(b), k))
+    res = linprog(c, A_eq=a_eq, b_eq=np.concatenate([a, b]), bounds=(0.0, None),
+                  method="highs", options=_HIGHS_OPTIONS)
     assert res.status == 0, res.message
-    return res.x, res.eqlin.marginals, res.fun, res.nit
+    return res.x, res.eqlin.marginals, res.nit
 
 
 def recorded_lps(solve, *args):
@@ -343,10 +347,10 @@ def recorded_lps(solve, *args):
 
 def assert_same_bits_as_scipy_linprog(lp):
     got, want = ot.linprog(*lp), scipy_linprog(*lp)
-    for g, w in zip(got[:3], want[:3]):
+    for g, w in zip(got[:2], want[:2]):
         assert np.array_equal(np.asarray(g, dtype=float).view(np.uint64),
                               np.asarray(w, dtype=float).view(np.uint64))
-    assert got[3] == want[3]
+    assert got[2] == want[2]
 
 
 def diagonal_atom_pair(name, seed, k):
@@ -389,34 +393,43 @@ def test_direct_highs_matches_scipy_linprog_on_orbit_lps(name, seed, k):
     (primal,) = recorded_lps(invariance.solve_invariant_ot, mu, nu, group)
     (dual,) = recorded_lps(invariance.invariant_duality_value, mu, nu, group)
     for lp in (primal, dual):
-        a = lp[1]
-        assert a.shape[0] == n_src + n_tgt
-        # per column a unit entry in a source orbit's row and one in a
-        # target orbit's
-        assert np.array_equal(a.indptr, np.arange(0, 2 * a.shape[1] + 1, 2))
-        assert np.all(a.data == 1.0)
-        assert np.all(a.indices[0::2] < n_src) and np.all(a.indices[1::2] >= n_src)
+        # a row per source orbit and one per target orbit
+        assert (len(lp[3]), len(lp[4])) == (n_src, n_tgt)
         assert_same_bits_as_scipy_linprog(lp)
+
+
+def two_by_two_lp():
+    """The transportation LP of a 2 x 2 table with uniform marginals."""
+    rows, cols = np.divmod(np.arange(4), 2)
+    return {"c": np.ones(4), "rows": rows, "cols": cols,
+            "a": np.full(2, 0.5), "b": np.full(2, 0.5)}
 
 
 def test_infeasible_lp_raises_naming_the_model_status():
     # rows carry mass 1 and columns mass 2: no plan meets both
-    rows, cols = np.divmod(np.arange(4), 2)
-    a_eq, b_eq = ot._transport_constraints(rows, cols, np.array([0.5, 0.5]),
-                                           np.array([1.0, 1.0]))
+    lp = {**two_by_two_lp(), "b": np.array([1.0, 1.0])}
     with pytest.raises(RuntimeError, match="model status is Infeasible"):
-        ot.linprog(np.ones(4), a_eq, b_eq, b_eq, 0.0)
+        ot.linprog(**lp)
 
 
-@pytest.mark.parametrize("short", ["c", "lhs", "rhs"])
+@pytest.mark.parametrize("short", ["c", "rows", "cols"])
 def test_lp_vectors_that_do_not_fit_the_matrix_are_named(short):
     # HiGHS would read past the end of a short vector
-    a_eq, b_eq = ot._transport_constraints(*np.divmod(np.arange(4), 2),
-                                           np.full(2, 0.5), np.full(2, 0.5))
-    lp = {"c": np.ones(4), "lhs": b_eq, "rhs": b_eq}
+    lp = two_by_two_lp()
     lp[short] = lp[short][:-1]
-    with pytest.raises(ValueError, match="do not fit a 4x4 constraint matrix"):
-        ot.linprog(lp["c"], a_eq, lp["lhs"], lp["rhs"], 0.0)
+    with pytest.raises(ValueError, match="LP vectors do not fit"):
+        ot.linprog(**lp)
+
+
+@pytest.mark.parametrize("field", ["a", "b", "rows", "cols"])
+def test_lp_indices_out_of_range_are_named(field):
+    # HiGHS would read and write outside its rows: a short a or b leaves an
+    # index past the last of its rows, a shifted index falls before the first
+    lp = two_by_two_lp()
+    lp[field] = lp[field][:-1] if field in ("a", "b") else lp[field] - 1
+    kind = "row" if field in ("a", "rows") else "column"
+    with pytest.raises(ValueError, match=f"LP {kind} index out of range"):
+        ot.linprog(**lp)
 
 
 def uniform_clouds(seed, n, d, kind):
