@@ -705,8 +705,10 @@ def cauchy_convergence_experiment(spec: GibbsSpec, m_list, n: int, samples: int,
     the report does not depend on this fusion.  A tuning failure of either
     ring run is warned about, the main run's first.  ValueError names an
     ``n`` or ``seed`` not an integer >= 0, ``samples`` or ``ot_points`` >= 1,
-    or ``replicates`` >= 2 (a standard error needs two).
+    ``replicates`` >= 2 (a standard error needs two), or ``epsilon`` > 0.
     """
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     _require_integer("n", n, 0)
     _require_integer("samples", samples, 1)
     _require_integer("ot_points", ot_points, 1)

@@ -6,7 +6,7 @@ problem and its dual are one LP on the orbit quotient, a variable per orbit of
 support pairs under the diagonal action and a row per orbit of atoms: about |G|
 times smaller each way (symmetric-LP reduction, Boedi-Herr-Joswig 2013).  Each
 problem builds its orbit structure once; a pair (i, j) or an atom is labelled
-by the least flat index in its orbit, one vectorized pass per group element.
+by the least flat index in its orbit, and every Haar average is an orbit mean.
 """
 
 from __future__ import annotations
@@ -101,11 +101,8 @@ class GroupAction:
         self.dim = dim
         self.elements = els
         self.elements.flags.writeable = False
-        # reach[i, j]: some element sends coordinate i to slot j
-        reach = np.zeros((dim, dim), dtype=bool)
-        for p in els:
-            reach[p, np.arange(dim)] = True
-        self.transitive = bool(reach.all())
+        # in a group, coordinate 0's orbit is everything iff every orbit is
+        self.transitive = bool(np.unique(els[:, 0]).size == dim)
 
     def __len__(self):
         return self.elements.shape[0]
@@ -158,39 +155,43 @@ def trivial_group(dim: int) -> GroupAction:
 # index maps of the action on a finite point set
 
 
-def _moved_rows(points: np.ndarray, group: GroupAction) -> np.ndarray:
-    """Every point moved by every element, element-major: (|G| * n, dim)."""
-    return points[:, group.elements].swapaxes(0, 1).reshape(-1, points.shape[1])
-
-
-def _index_maps(points: np.ndarray, group: GroupAction) -> np.ndarray:
-    """(|G|, n) table: maps[g, a] = index of points[a][p_g] in the set.
-
-    Raises if the set is not stable under the action.  Exact float equality is
-    used; permuting coordinates never changes the stored values.
+def _closure(points: np.ndarray, group: GroupAction) -> tuple[np.ndarray, np.ndarray]:
+    """The points with their missing images appended (in order of group element,
+    then point) and the (|G|, n) table maps[g, a] = index of points[a][p_g].
+    Exact float equality is used; permuting coordinates never changes a value.
     """
     if points.ndim != 2 or points.shape[1] != group.dim:
         raise ValueError(f"dimension mismatch: points of shape {points.shape} "
                          f"for a group on {group.dim} coordinates")
-    maps = _find_rows(points, _moved_rows(points, group))
-    if np.any(maps < 0):
+    moved = points[:, group.elements].swapaxes(0, 1).reshape(-1, group.dim)
+    found = _find_rows(points, moved)
+    if np.any(found < 0):  # the closed set is stable: one more search
+        moved = moved[found < 0]
+        return _closure(np.vstack([points, moved[_distinct_rows(moved)[0]]]), group)
+    return points, found.reshape(len(group), points.shape[0])
+
+
+def _index_maps(points: np.ndarray, group: GroupAction) -> np.ndarray:
+    """The index maps of a set; raises if it is not stable under the action."""
+    closed, maps = _closure(points, group)
+    if closed.shape[0] > points.shape[0]:
         raise ValueError("point set is not stable under the group action")
-    return maps.reshape(len(group), points.shape[0])
+    return maps
+
+
+def _closed_support(m: DiscreteMeasure, group: GroupAction):
+    """``close_support`` of m and the index maps of the closed support."""
+    points, maps = _closure(m.points, group)
+    if points.shape[0] > len(m):
+        m = DiscreteMeasure(points, np.pad(m.weights, (0, points.shape[0] - len(m))),
+                            normalize=False, prune=False)
+    return m, maps
 
 
 def close_support(m: DiscreteMeasure, group: GroupAction) -> DiscreteMeasure:
     """Close the support under the action, appending the missing images as
     zero-weight atoms in order of group element, then atom."""
-    if m.dim != group.dim:
-        raise ValueError("dimension mismatch between measure and group")
-    moved = _moved_rows(m.points, group)
-    moved = moved[_find_rows(m.points, moved) < 0]
-    if moved.shape[0] == 0:
-        return m
-    extra = moved[_distinct_rows(moved)[0]]
-    points = np.vstack([m.points, extra])
-    weights = np.concatenate([m.weights, np.zeros(len(extra))])
-    return DiscreteMeasure(points, weights, normalize=False, prune=False)
+    return _closed_support(m, group)[0]
 
 
 def _merge_atoms(m: DiscreteMeasure) -> DiscreteMeasure:
@@ -206,16 +207,40 @@ def _check_invariant_weights(m: DiscreteMeasure, maps: np.ndarray, tol=INVARIANC
             raise ValueError("marginal is not invariant under the group action")
 
 
+def _labels(src_maps: np.ndarray, tgt_maps: np.ndarray | None = None):
+    """Orbits of atoms, or of support pairs (flat index i*m + j) under the
+    diagonal action: each orbit's least index, ascending, and for every atom
+    or pair the position of its orbit in that list."""
+    if tgt_maps is None:
+        least = src_maps.min(axis=0)
+    else:
+        # the orbit of a pair is its image under every element
+        m = tgt_maps.shape[1]
+        least = src_maps[0][:, None] * m + tgt_maps[0]
+        for s, t in zip(src_maps[1:], tgt_maps[1:]):
+            np.minimum(least, s[:, None] * m + t, out=least)
+    reps, label = np.unique(least.ravel(), return_inverse=True)
+    return reps, label.reshape(least.shape)
+
+
+def _orbit_mean(table: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """The mean of ``table`` over each orbit of ``label``, which labels its
+    leading axes, on every entry; trailing axes are averaged one at a time."""
+    trailing = table.shape[label.ndim:]
+    k, size = int(np.prod(trailing)), np.bincount(label.ravel())
+    index = (label.reshape(-1, 1) * k + np.arange(k)).ravel()
+    sums = np.bincount(index, table.ravel(), size.size * k).reshape(size.size, k)
+    return (sums / size[:, None]).reshape(size.shape + trailing)[label]
+
+
 @dataclass(frozen=True)
 class _Orbits:
-    """Closed supports, their index maps and orbit labels of one problem.
-    Orbits are numbered by their least index; ``pair_reps`` holds those of
-    the pair orbits (flat indices i*m + j)."""
+    """Closed supports and orbit labels of one problem.  Orbits are numbered
+    by their least index; ``pair_reps`` holds those of the pair orbits (flat
+    indices i*m + j)."""
 
     mu: DiscreteMeasure
     nu: DiscreteMeasure
-    src_maps: np.ndarray
-    tgt_maps: np.ndarray
     pair_label: np.ndarray
     pair_reps: np.ndarray
     src_label: np.ndarray
@@ -223,21 +248,12 @@ class _Orbits:
 
 
 def _orbits(mu: DiscreteMeasure, nu: DiscreteMeasure, group: GroupAction) -> _Orbits:
-    mu = close_support(mu, group)
-    nu = close_support(nu, group)
-    src_maps = _index_maps(mu.points, group)
-    tgt_maps = _index_maps(nu.points, group)
+    (mu, src_maps), (nu, tgt_maps) = _closed_support(mu, group), _closed_support(nu, group)
     _check_invariant_weights(mu, src_maps)
     _check_invariant_weights(nu, tgt_maps)
-    # the orbit of a pair is its image under every element
-    m = len(nu)
-    least = src_maps[0][:, None] * m + tgt_maps[0]
-    for s, t in zip(src_maps[1:], tgt_maps[1:]):
-        np.minimum(least, s[:, None] * m + t, out=least)
-    pair_reps, pair_label = np.unique(least.ravel(), return_inverse=True)
-    return _Orbits(mu, nu, src_maps, tgt_maps, pair_label.reshape(least.shape),
-                   pair_reps, np.unique(src_maps.min(axis=0), return_inverse=True)[1],
-                   np.unique(tgt_maps.min(axis=0), return_inverse=True)[1])
+    pair_reps, pair_label = _labels(src_maps, tgt_maps)
+    return _Orbits(mu, nu, pair_label, pair_reps, _labels(src_maps)[1],
+                   _labels(tgt_maps)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -245,42 +261,27 @@ def _orbits(mu: DiscreteMeasure, nu: DiscreteMeasure, group: GroupAction) -> _Or
 
 
 def haar_project(values, points, group: GroupAction) -> np.ndarray:
-    """Group-average a function table: (1/|G|) sum_g f(g^-1 x) on every point.
-
-    Idempotent, linear, and sup-norm nonexpansive; the residual f - fbar
-    averages to zero over every orbit.
+    """Group-average a function table, (n,) or (n, k): (1/|G|) sum_g f(g^-1 x)
+    is the mean of f over the orbit of x.  Idempotent, linear, sup-norm
+    nonexpansive and exactly orbit-constant; f - fbar averages to 0 on orbits.
     """
     values = np.asarray(values, dtype=float)
     points = np.asarray(points, dtype=float)
     if len(values) != len(points):
         raise ValueError(f"{len(values)} values for {len(points)} points")
-    maps = _index_maps(points, group)
-    out = np.zeros_like(values, dtype=float)
-    for gi in range(len(group)):
-        out += values[maps[gi]]
-    return out / len(group)
-
-
-def _average_pairs(table: np.ndarray, src_maps: np.ndarray, tgt_maps: np.ndarray) -> np.ndarray:
-    """Average a table on support pairs over the diagonal action."""
-    out = np.zeros_like(table)
-    for s, t in zip(src_maps, tgt_maps):
-        out += table[np.ix_(s, t)]
-    return out / src_maps.shape[0]
+    return _orbit_mean(values, _labels(_index_maps(points, group))[1])
 
 
 def symmetrize_coupling(plan: Coupling, group: GroupAction) -> Coupling:
-    """Average g . plan over the group (diagonal action on pairs).
+    """Average g . plan over the group: its mean over each orbit of pairs.
 
     Requires both marginals invariant and both supports stable; preserves the
     marginals exactly and the cost of any invariant cost function exactly.
     """
-    src_maps = _index_maps(plan.source.points, group)
-    tgt_maps = _index_maps(plan.target.points, group)
-    _check_invariant_weights(plan.source, src_maps)
-    _check_invariant_weights(plan.target, tgt_maps)
-    return Coupling(plan.source, plan.target,
-                    _average_pairs(plan.weights, src_maps, tgt_maps))
+    label = _orbits(plan.source, plan.target, group).pair_label
+    if label.shape != plan.weights.shape:  # closing a support added atoms
+        raise ValueError("point set is not stable under the group action")
+    return Coupling(plan.source, plan.target, _orbit_mean(plan.weights, label))
 
 
 def first_coordinate_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -311,13 +312,14 @@ def _solve_quotient(orb: _Orbits, cost) -> tuple[InvariantOTResult, InvariantDua
     their c-transform under cbar, so the dual pair is exactly feasible."""
     label = orb.pair_label
     size = np.bincount(label.ravel())
-    cbar = np.bincount(label.ravel(), cost_matrix(orb.mu, orb.nu, cost).ravel()) / size
+    projected = _orbit_mean(cost_matrix(orb.mu, orb.nu, cost), label)
+    cbar = projected.ravel()[orb.pair_reps]
     ri, rj = np.divmod(orb.pair_reps, len(orb.nu))
     src_mass = np.bincount(orb.src_label, weights=orb.mu.weights)
     y, lam, _ = linprog(cbar, orb.src_label[ri], orb.tgt_label[rj], src_mass,
                         np.bincount(orb.tgt_label, weights=orb.nu.weights))
     plan = Coupling(orb.mu, orb.nu, np.maximum(y, 0.0)[label] / size[label])
-    projected, psi = cbar[label], lam[src_mass.size:][orb.tgt_label]
+    psi = lam[src_mass.size:][orb.tgt_label]
     dual = DualPair(np.min(projected - psi[None, :], axis=1), psi)
     return (InvariantOTResult(plan, float(cbar @ y), size.size),
             InvariantDualResult(dual.value(orb.mu, orb.nu), dual.phi, psi, projected))
@@ -371,13 +373,9 @@ def transitive_identity_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
     full = solve_discrete_ot(mu, nu)
     inv = _solve_quotient(orb, first_coordinate_cost)[0]
     d = group.dim
-    sym_plan = Coupling(mu, nu, _average_pairs(full.plan.weights, orb.src_maps,
-                                               orb.tgt_maps))
-    per_coord = np.array([
-        float(np.sum(sym_plan.weights *
-                     (mu.points[:, k][:, None] - nu.points[:, k][None, :]) ** 2))
-        for k in range(d)
-    ])
+    sym_plan = Coupling(mu, nu, _orbit_mean(full.plan.weights, orb.pair_label))
+    per_coord = np.array([float(np.sum(sym_plan.weights * first_coordinate_cost(
+        mu.points[:, k:], nu.points[:, k:]))) for k in range(d)])
     rel = abs(full.value - d * inv.value) / max(1.0, abs(full.value))
     return TransitiveIdentityReport(
         full_value=full.value,

@@ -371,9 +371,9 @@ def _coerce_grid(obj, resolution: int = DEFAULT_RESOLUTION) -> Grid1D:
 
 def mixture_grid(weights, means, sigmas, lo: float = None, hi: float = None,
                  resolution: int = DEFAULT_RESOLUTION) -> Grid1D:
-    """Gaussian mixture density on a common grid covering all components:
-    one finite weight (>= 0, positive sum), mean and sigma (> 0) each, and an
-    integer ``resolution`` >= 2, else a ValueError naming the field."""
+    """Gaussian mixture density on a common grid covering all components: one
+    finite weight (>= 0, positive sum), mean and sigma (> 0) each, finite lo < hi
+    and an integer ``resolution`` >= 2, else a ValueError naming the field."""
     weights = np.asarray(weights, dtype=float)
     means = np.asarray(means, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
@@ -391,6 +391,8 @@ def mixture_grid(weights, means, sigmas, lo: float = None, hi: float = None,
         lo = float(np.min(means - DEFAULT_RADIUS * sigmas))
     if hi is None:
         hi = float(np.max(means + DEFAULT_RADIUS * sigmas))
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"lo and hi must be finite with lo < hi, got {lo} and {hi}")
     x = np.linspace(lo, hi, resolution)
     dens = np.zeros_like(x)
     for w, mu, s in zip(weights / weights.sum(), means, sigmas):

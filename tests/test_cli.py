@@ -246,6 +246,17 @@ class TestValidate:
         out = json.loads(capsys.readouterr().out)
         assert not out["ok"]
 
+    @pytest.mark.parametrize("lo, hi", [(2.0, -2.0), (1.0, 1.0)])
+    def test_validate_names_mixture_range(self, tmp_path, capsys, lo, hi):
+        # before: "nodes must be strictly increasing", naming neither end
+        mu = {"weights": [1.0], "means": [0.0], "sigmas": [1.0], "lo": lo, "hi": hi}
+        cfg = write_config(tmp_path, "talagrand", params={"mu": mu})
+        assert main(["validate", cfg]) == 2
+        failing = [c for c in json.loads(capsys.readouterr().out)["checks"]
+                   if not c["passed"]]
+        assert [c["check"] for c in failing] == ["param mu"]
+        assert "lo and hi must be finite with lo < hi" in failing[0]["detail"]
+
     def test_validate_names_asymmetric_pair_potential(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "gibbs_cauchy", seed=1,

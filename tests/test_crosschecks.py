@@ -27,11 +27,13 @@ from seqot.invariance import (
     close_support,
     cyclic_group,
     first_coordinate_cost,
+    haar_project,
     invariant_duality_value,
     solve_invariant_ot,
     symmetric_group,
+    symmetrize_coupling,
 )
-from seqot.ot import cost_matrix
+from seqot.ot import cost_matrix, solve_discrete_ot
 
 
 def brute_force_invariant_value(mu, nu, group, cost=first_coordinate_cost):
@@ -99,7 +101,7 @@ def test_orbit_structure_matches_enumerated_orbits(problem):
     mu, nu = _random_invariant_pair(group, rng, k)
     orb = _orbits(mu, nu, group)
     label = orb.pair_label
-    for s, t in zip(orb.src_maps, orb.tgt_maps):
+    for s, t in zip(_index_maps(orb.mu.points, group), _index_maps(orb.nu.points, group)):
         assert np.array_equal(label[np.ix_(s, t)], label)
     # orbits enumerated from coordinates alone, one set of point pairs each
     x, y = orb.mu.points, orb.nu.points
@@ -118,6 +120,59 @@ def test_orbit_structure_matches_enumerated_orbits(problem):
     phi, psi, cbar = dual.phi_bar[:, None], dual.psi_bar[None, :], dual.projected_cost
     assert np.all(phi + psi - cbar <= np.spacing(np.abs(phi) + np.abs(psi) + np.abs(cbar)))
     assert value - dual.value >= -1e-12 * (1 + abs(value))
+
+
+def loop_haar_project(values, points, group):
+    """The Haar average as a sum over group elements, one element at a time."""
+    maps = _index_maps(points, group)
+    out = np.zeros_like(values)
+    for gi in range(len(group)):
+        out += values[maps[gi]]
+    return out / len(group)
+
+
+def loop_average_pairs(table, src_maps, tgt_maps):
+    """The diagonal-action average of a pair table, one element at a time."""
+    out = np.zeros_like(table)
+    for s, t in zip(src_maps, tgt_maps):
+        out += table[np.ix_(s, t)]
+    return out / src_maps.shape[0]
+
+
+def assert_orbit_constant(table, src_maps, tgt_maps=None):
+    """Bitwise equal on every orbit: unchanged by every group element."""
+    for gi, s in enumerate(src_maps):
+        moved = table[s] if tgt_maps is None else table[np.ix_(s, tgt_maps[gi])]
+        assert np.array_equal(moved, table)
+
+
+def within_summation_error(got, want, scale, group):
+    # the orbit mean and the element loop each sum at most |G| terms of
+    # magnitude <= scale, so each is within |G| eps scale of the exact average
+    return np.all(np.abs(got - want) <= 2 * len(group) * np.finfo(float).eps * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(invariant_problems)
+def test_haar_averages_are_orbit_means(problem):
+    group, rng, k = problem
+    mu, nu = _random_invariant_pair(group, rng, k)
+    pts = mu.points
+    maps = _index_maps(pts, group)
+    table = rng.normal(size=(len(pts), 2))
+    for values in (table[:, 0].copy(), table):  # a function and an (n, 2) value table
+        fbar = haar_project(values, pts, group)
+        assert fbar.shape == values.shape
+        assert_orbit_constant(fbar, maps)
+        assert within_summation_error(fbar, loop_haar_project(values, pts, group),
+                                      loop_haar_project(np.abs(values), pts, group), group)
+    # an asymmetric feasible plan: the full optimum of the pair
+    plan = solve_discrete_ot(mu, nu).plan
+    tmaps = _index_maps(nu.points, group)
+    sym = symmetrize_coupling(plan, group).weights
+    assert_orbit_constant(sym, maps, tmaps)
+    want = loop_average_pairs(plan.weights, maps, tmaps)  # weights >= 0: its own scale
+    assert within_summation_error(sym, want, want, group)
 
 
 def test_reweighting_decouples_ring_blocks_exactly():

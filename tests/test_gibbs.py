@@ -782,3 +782,13 @@ def test_run_inputs_out_of_range_named(run, field, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             call(quartic_spec(0.1), **{**args, field: value})
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+def test_experiment_epsilon_named_on_the_lp_branch(epsilon):
+    # at ot_points <= LP_THRESHOLD the exact-LP maps ignore epsilon: before,
+    # the run passed and recorded the invalid value in its report
+    assert 20 <= gibbs.LP_THRESHOLD
+    with pytest.raises(ValueError, match="^epsilon must be finite and positive"):
+        cauchy_convergence_experiment(quartic_spec(0.1), m_list=[0], n=1, samples=40,
+                                      epsilon=epsilon, seed=5, ot_points=20, replicates=2)

@@ -68,6 +68,17 @@ class TestGroups:
         assert len(g) == 1
         assert not g.transitive
 
+    @pytest.mark.parametrize("group", [
+        *(symmetric_group(d) for d in (2, 3, 4, 5)), *(cyclic_group(d) for d in range(2, 7)),
+        trivial_group(2), closure_from_generators(3, [[1, 0, 2]])], ids=repr)
+    def test_transitive_matches_reach_table(self, group):
+        # reach[i, j]: some element sends coordinate i to slot j
+        reach = np.zeros((group.dim, group.dim), dtype=bool)
+        for p in group.elements:
+            for j, i in enumerate(p):
+                reach[i, j] = True
+        assert group.transitive == bool(reach.all())
+
     def test_closure_cap(self):
         # S8 has 40,320 elements, past the cap of MAX_GROUP_SIZE = 5,040
         with pytest.raises(ValueError, match="MAX_GROUP_SIZE"):

@@ -238,6 +238,16 @@ def test_mixture_grid_inputs_named(weights, means, sigmas, resolution, field):
         mixture_grid(weights, means, sigmas, resolution=resolution)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lo, hi", [(2.0, -2.0), (1.0, 1.0), (NAN, 1.0), (-1.0, INF),
+                                    (None, -100.0), (100.0, None)])
+def test_mixture_grid_range_named(lo, hi):
+    # before: a reversed or empty range read "nodes must be strictly
+    # increasing" and a NaN end "nodes must be finite", naming neither
+    with pytest.raises(ValueError, match="lo and hi must be finite with lo < hi"):
+        mixture_grid([1.0], [0.0], [1.0], lo=lo, hi=hi)
+
+
 # ---------------------------------------------------------------------------
 # _row_sum and _logsumexp against numpy's and scipy's own reductions
 
