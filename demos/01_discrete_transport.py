@@ -1,7 +1,10 @@
 """Exact and entropic discrete transport, with the certificates that make the
 answers trustworthy: dual feasibility, the duality gap, and cyclical
-monotonicity of the support.
+monotonicity of the support, over every cycle on the whole support, by one
+Bellman-Ford relaxation shared with the assignment duals.
 """
+
+import time
 
 import numpy as np
 
@@ -19,16 +22,18 @@ rng = np.random.default_rng(1)
 mu = DiscreteMeasure(rng.normal(size=(40, 2)), rng.random(40) + 0.1)
 nu = DiscreteMeasure(rng.normal(size=(55, 2)) + [1.0, 0.5], rng.random(55) + 0.1)
 
+t0 = time.perf_counter()
 res = solve_discrete_ot(mu, nu)
+solve_time = time.perf_counter() - t0
 print(f"optimal value      {res.value:.6f}")
 print(f"dual value         {res.dual.value(mu, nu):.6f}")
 print(f"duality gap        {abs(res.gap):.2e}   (certified <= 1e-9 (1+|value|))")
-print(f"solver time        {res.wall_time*1e3:.1f} ms")
+print(f"solver time        {solve_time*1e3:.1f} ms")
 
 cyc = check_cyclical_monotonicity(res.plan)
-print(f"cyclical monotonicity over {cyc.cycles_checked} cycles: "
-      f"{'pass' if cyc.passed else cyc.violating_cycle}, "
-      f"worst slack {cyc.worst_slack:.3e}")
+verdict = "pass" if cyc.passed else f"fails on {cyc.violating_cycle}, slack {cyc.slack:.3e}"
+print(f"cyclical monotonicity over every cycle on the whole support "
+      f"({cyc.sweeps} Bellman-Ford sweeps): {verdict}")
 print(f"graph concentration {graph_concentration(res.plan):.3f} "
       "(fraction of mass moved by a single destination)")
 

@@ -13,8 +13,9 @@ next path, and the LP comes last.  Entropic plans
 come from a stabilized Sinkhorn with epsilon-annealing.  1D transport is
 closed form via quantile functions, on the same staircase for two discrete
 measures; a grid's quantiles come from the one inverse CDF of its
-``Grid1D.cdf_table``.  Plan diagnostics: cyclical monotonicity over short
-cycles, graph concentration, barycentric map extraction.
+``Grid1D.cdf_table``.  Plan diagnostics: cyclical monotonicity over every
+cycle on the whole support, by one Bellman-Ford relaxation shared with the
+assignment duals; graph concentration; barycentric map extraction.
 
 Every LP in seqot, here and in ``invariance``, is one call of ``linprog``
 below.  It drives scipy's own bundled HiGHS binding,
@@ -26,8 +27,6 @@ loop over bound marginals took longer than HiGHS's simplex itself.
 
 from __future__ import annotations
 
-import itertools
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,12 +44,8 @@ GAP_TOL = 1e-9
 # the product, monotone and assignment paths take larger instances (a
 # uniform 1001x1001 assignment solves in about half a second)
 MAX_LP_CELLS = 1_000_000
-# cyclical-monotonicity check: support pairs above this weight, the heaviest
-# CYCLE_MAX_SUPPORT of them, cycles of up to CYCLE_LENGTH_MAX pairs, and the
-# slack below -CYCLE_TOL that fails a cycle
+# cyclical-monotonicity check: support weight threshold and settle bound
 CYCLE_SUPPORT_THRESHOLD = 1e-12
-CYCLE_MAX_SUPPORT = 80
-CYCLE_LENGTH_MAX = 3
 CYCLE_TOL = 1e-9
 # HiGHS options for every transport LP, passed to HiGHS directly by
 # ``linprog`` below.  Feasibility tolerances: the 1e-7 defaults let a
@@ -149,7 +144,6 @@ class OTResult:
     value: float
     gap: float
     iterations: int
-    wall_time: float
     method: str
 
 
@@ -207,7 +201,7 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> np.ndarr
     return c
 
 
-def _certified(mu, nu, c, w, psi, t0, method, iterations, require_gap):
+def _certified(mu, nu, c, w, psi, method, iterations, require_gap):
     """The exact result for plan ``w`` and column potentials ``psi``.
 
     phi is the c-transform of psi, so the dual pair is exactly feasible, and
@@ -221,15 +215,14 @@ def _certified(mu, nu, c, w, psi, t0, method, iterations, require_gap):
     gap = value - dual.value(mu, nu)
     if require_gap and abs(gap) > GAP_TOL * (1 + abs(value)):
         return None
-    return OTResult(Coupling(mu, nu, w), dual, value, gap, iterations,
-                    time.perf_counter() - t0, method)
+    return OTResult(Coupling(mu, nu, w), dual, value, gap, iterations, method)
 
 
-def _product_result(mu, nu, c, t0) -> OTResult:
+def _product_result(mu, nu, c) -> OTResult:
     # a single-atom marginal forces the product plan; psi = c_0j for a
     # single source atom, else 0, makes the c-transform its exact dual
     psi = c[0, :].copy() if len(mu) == 1 else np.zeros(1)
-    return _certified(mu, nu, c, np.outer(mu.weights, nu.weights), psi, t0,
+    return _certified(mu, nu, c, np.outer(mu.weights, nu.weights), psi,
                       "product", 0, False)
 
 
@@ -263,7 +256,7 @@ def _staircase(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return (order_a, order_b) + _north_west(cum_a, cum_b)
 
 
-def _monotone_result(mu, nu, c, t0) -> OTResult | None:
+def _monotone_result(mu, nu, c) -> OTResult | None:
     """1D quadratic cost: the staircase plan with duals walked along it.
 
     On sorted supports the quadratic cost table is Monge, so the
@@ -297,40 +290,59 @@ def _monotone_result(mu, nu, c, t0) -> OTResult | None:
         [[0.0], np.cumsum(c[cross, order_b[1:]] - c[cross, order_b[:-1]])])
     psi = np.empty(m)
     psi[order_b] = psi_sorted
-    return _certified(mu, nu, c, w, psi, t0, "monotone", 0, True)
+    return _certified(mu, nu, c, w, psi, "monotone", 0, True)
 
 
-def _assignment_result(mu, nu, c, t0) -> OTResult | None:
+def _relax(c, rows, cols, settle):
+    """Column potentials psi_j <= psi_cols[p] + c_rows[p],j - c_rows[p],cols[p]
+    on the support pairs p of cost table c by Bellman-Ford sweeps from 0, edge
+    lengths C-ordered a row per column (the edge cols[p] -> cols[p] is exactly
+    0).  Returns (psi, sweeps, None) once no psi_j drops by more than
+    ``settle``, else, after one sweep per column, (None, sweeps, cycle): the
+    pairs in cyclic order of the predecessor cycle reached from the largest
+    drop, negative since each predecessor is the argmin of a strict drop."""
+    lengths = np.subtract(c[rows].T, c[rows, cols], order="C")
+    m = lengths.shape[0]
+    nodes = np.arange(m)
+    psi, pred = np.zeros(m), np.full(m, -1)
+    cand = np.empty_like(lengths)
+    for sweep in range(1, m + 1):
+        np.add(lengths, psi[cols], out=cand)
+        arg = np.argmin(cand, axis=1)
+        best = cand[nodes, arg]
+        drop = psi - best
+        pred[drop > 0] = arg[drop > 0]
+        psi = np.minimum(psi, best)
+        if np.max(drop) <= settle:
+            return psi, sweep, None
+    node = np.argmax(drop)
+    for _ in range(m):
+        node = cols[pred[node]]
+    cycle = [pred[node]]
+    while cols[cycle[-1]] != node:
+        cycle.append(pred[cols[cycle[-1]]])
+    return None, m, cycle[::-1]
+
+
+def _assignment_result(mu, nu, c) -> OTResult | None:
     """Uniform n x n instance: an optimal permutation with recovered duals.
 
     Complementary slackness phi_i + psi_sigma(i) = c_i,sigma(i) turns dual
-    feasibility into the difference constraints
-    psi_j <= psi_sigma(i) + c_ij - c_i,sigma(i), whose shortest-path solution
-    vectorized Bellman-Ford sweeps find; optimality of sigma rules out
-    negative cycles, so they settle within n sweeps.  Returns None when they
-    do not or the certified gap is over tolerance.
+    feasibility into ``_relax``'s constraints on the permutation's cells;
+    optimality of sigma rules out negative cycles, so its sweeps settle
+    within n.  Returns None when they do not or the gap is over tolerance.
     """
-    n = len(mu)
     rows, sigma = linear_sum_assignment(c)
-    # reduced costs: edge sigma(i) -> j has length c_ij - c_i,sigma(i); the
-    # edge sigma(i) -> sigma(i) is exactly 0, so rounding cannot shorten it
-    reduced = c - c[rows, sigma][:, None]
     # around a zero-length cycle (duplicate atoms) rounding still shaves an
     # ulp or two off psi each sweep: drops this small are not shorter paths,
     # and the gap check below bounds what stopping on them costs
     settle = 1e-13 * (1.0 + np.max(np.abs(c)))
-    psi = np.zeros(n)
-    for sweep in range(1, n + 1):
-        relaxed = np.minimum(psi, np.min(reduced + psi[sigma][:, None], axis=0))
-        drop = np.max(psi - relaxed)
-        psi = relaxed
-        if drop <= settle:
-            break
-    else:
+    psi, sweeps, _ = _relax(c, rows, sigma, settle)
+    if psi is None:
         return None
-    w = np.zeros((n, n))
+    w = np.zeros(c.shape)
     w[rows, sigma] = mu.weights
-    return _certified(mu, nu, c, w, psi, t0, "assignment", sweep, True)
+    return _certified(mu, nu, c, w, psi, "assignment", sweeps, True)
 
 
 def linprog(c, rows, cols, a, b):
@@ -388,7 +400,7 @@ def linprog(c, rows, cols, a, b):
     return x, np.array(solution.row_dual), info.simplex_iteration_count
 
 
-def _lp_result(mu, nu, c, t0) -> OTResult:
+def _lp_result(mu, nu, c) -> OTResult:
     """The transportation LP by column generation on a shortlist of cells.
 
     The shortlist starts from each row's and each column's ``_SHORTLIST``
@@ -428,7 +440,7 @@ def _lp_result(mu, nu, c, t0) -> OTResult:
     # column duals exactly feasible
     w = np.zeros((n, m))
     w[listed] = np.maximum(x, 0.0)
-    return _certified(mu, nu, c, w, lam[n:], t0, "lp", iterations, False)
+    return _certified(mu, nu, c, w, lam[n:], "lp", iterations, False)
 
 
 def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OTResult:
@@ -460,7 +472,6 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OT
     weighted or with a fast path's certificate that failed, raises
     ValueError.
     """
-    t0 = time.perf_counter()
     n, m = len(mu), len(nu)
     fast = [path for path, applies in (
         (_product_result, n == 1 or m == 1),
@@ -476,12 +487,12 @@ def solve_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None) -> OT
         raise ValueError("infeasible marginals: mass mismatch")
     c = cost_matrix(mu, nu, cost)
     for path in fast:
-        res = path(mu, nu, c, t0)
+        res = path(mu, nu, c)
         if res is not None:
             return res
     if over_cap:
         raise ValueError(f"instance {n}x{m} over the exact-solver size limit")
-    return _lp_result(mu, nu, c, t0)
+    return _lp_result(mu, nu, c)
 
 
 # ---------------------------------------------------------------------------
@@ -687,44 +698,32 @@ def barycentric_map(plan: Coupling) -> np.ndarray:
 @dataclass(frozen=True)
 class CycleReport:
     passed: bool
-    cycles_checked: int
-    worst_slack: float
+    sweeps: int
+    slack: float
     violating_cycle: tuple | None
 
 
 def check_cyclical_monotonicity(plan: Coupling) -> CycleReport:
     """Check cyclical monotonicity of the plan's support for quadratic cost.
 
-    For every cycle of up to ``CYCLE_LENGTH_MAX`` support pairs, the assigned
-    cost must not exceed the cyclically shifted one.  Returns the first
-    violating cycle if any.  Report-only: never raises on failure.
+    Every cycle on the whole support, by one Bellman-Ford relaxation shared
+    with the assignment duals (Villani, *Optimal Transport*, 2009, Thm 5.10).
+    A cycle's nodes lose its slack in total each sweep, so any cycle with
+    slack below -``CYCLE_TOL`` times its length fails; one comes back as (i, j)
+    pairs in cyclic order with its shifted minus assigned cost.  k support
+    pairs over m target atoms with k * m > ``MAX_LP_CELLS`` raise ValueError.
     """
     i_idx, j_idx = np.nonzero(plan.weights > CYCLE_SUPPORT_THRESHOLD)
-    if i_idx.size > CYCLE_MAX_SUPPORT:
-        order = np.argsort(plan.weights[i_idx, j_idx])[::-1][:CYCLE_MAX_SUPPORT]
-        i_idx, j_idx = i_idx[order], j_idx[order]
-    k = i_idx.size
-    c = _sq_dist_table(plan.source.points[i_idx], plan.target.points[j_idx])
-
-    checked = 0
-    worst = np.inf
-    for length in range(2, CYCLE_LENGTH_MAX + 1):
-        for combo in itertools.combinations(range(k), length):
-            base = sum(c[p, p] for p in combo)
-            # distinct cyclic orders of the chosen pairs
-            rest = combo[1:]
-            for perm in itertools.permutations(rest):
-                cyc = (combo[0],) + perm
-                shifted = sum(c[cyc[t], cyc[(t + 1) % length]] for t in range(length))
-                slack = shifted - base
-                checked += 1
-                worst = min(worst, slack)
-                if slack < -CYCLE_TOL:
-                    cycle = tuple((int(i_idx[p]), int(j_idx[p])) for p in cyc)
-                    return CycleReport(False, checked, float(slack), cycle)
-    if checked == 0:
-        worst = 0.0
-    return CycleReport(True, checked, float(worst), None)
+    if i_idx.size * len(plan.target) > MAX_LP_CELLS:
+        raise ValueError(f"support of {i_idx.size} pairs over the size limit")
+    c = cost_matrix(plan.source, plan.target)
+    _, sweeps, cycle = _relax(c, i_idx, j_idx, CYCLE_TOL)
+    if cycle is None:
+        return CycleReport(True, sweeps, 0.0, None)
+    i_cyc, j_cyc = i_idx[cycle], j_idx[cycle]
+    slack = np.sum(c[i_cyc, np.roll(j_cyc, -1)]) - np.sum(c[i_cyc, j_cyc])
+    return CycleReport(False, sweeps, float(slack),
+                       tuple(zip(i_cyc.tolist(), j_cyc.tolist())))
 
 
 def graph_concentration(plan: Coupling, tol: float = 0.05) -> float:

@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(seqot.__path__)
                  if m.name != "__main__")
 # parameters of every public function and public method, constructors included
-SETTABLE_VALUES = 345
+SETTABLE_VALUES = 344
 
 
 @pytest.mark.parametrize("name", MODULES)

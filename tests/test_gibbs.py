@@ -574,7 +574,7 @@ class TestTieBreakIndependence:
         base = empirical_map_to_gaussian(pts, 200, seed=5)
         assert base.method == "lp"
         monkeypatch.setattr(gibbs, "solve_discrete_ot",
-                            lambda mu, nu: _lp_result(mu, nu, cost_matrix(mu, nu), 0.0))
+                            lambda mu, nu: _lp_result(mu, nu, cost_matrix(mu, nu)))
         other = empirical_map_to_gaussian(pts, 200, seed=5)
         # HiGHS masses are 1/n only to within an ulp, so not bit-identical
         assert np.allclose(other.values, base.values, rtol=0, atol=1e-12)

@@ -413,7 +413,7 @@ def test_trivial_group_orbit_lp_is_the_exact_lp(seed):
     nu = DiscreteMeasure(rng.normal(size=(m, dim)), rng.random(m) + 0.1)
     res = solve_invariant_ot(mu, nu, trivial_group(dim))
     assert res.n_orbits == n * m
-    lp = _lp_result(mu, nu, cost_matrix(mu, nu, first_coordinate_cost), 0.0)
+    lp = _lp_result(mu, nu, cost_matrix(mu, nu, first_coordinate_cost))
     assert res.plan.weights.tobytes() == lp.plan.weights.tobytes()
 
 

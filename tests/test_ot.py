@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -278,7 +279,7 @@ def shortlist_instance(seed, shape, points):
 def test_shortlist_lp_matches_the_full_lp(seed, shape, points):
     mu, nu = shortlist_instance(seed, shape, points)
     c = cost_matrix(mu, nu)
-    res = ot._lp_result(mu, nu, c, 0.0)
+    res = ot._lp_result(mu, nu, c)
     w, value = full_lp(mu, nu, c)
     assert abs(res.value - value) <= 1e-12 * (1 + abs(value))
     assert_certified(mu, nu, res)
@@ -373,7 +374,7 @@ def test_direct_highs_matches_scipy_linprog_on_shortlist_lps(seed, shape, points
     # ot.linprog drives scipy's private HiGHS binding; a scipy release that
     # changes that binding shows here first
     mu, nu = shortlist_instance(seed, shape, points)
-    lps = recorded_lps(ot._lp_result, mu, nu, cost_matrix(mu, nu), 0.0)
+    lps = recorded_lps(ot._lp_result, mu, nu, cost_matrix(mu, nu))
     assert lps
     for lp in lps:
         assert_same_bits_as_scipy_linprog(lp)
@@ -497,6 +498,27 @@ class TestAssignmentPath:
             assert_exact_certificates(mu, nu, res)
         assert solve_discrete_ot(delta(0.0, 0.0), uniform).method == "product"
 
+    # seed, n, d, sweeps and the sha256 of the psi, phi and plan bytes with
+    # repr((value, gap, sweeps)) (numpy 2.4, x86-64), taken while the sweeps
+    # were still a loop of their own inside the assignment path
+    PINNED = ((0, 100, 2, 24, "fd7ad6ed05ca3c215bfa74976a657d0c2698869da2d3580e2e1f8ad5e17d02e4"),
+              (1, 150, 3, 30, "8193710e3c0b924e4ec8b0f2543c4fee292ed34f6257a05a3fe8ab939a9c0827"),
+              (4, 200, 2, 55, "9783534b6291b5eb0f766a58edb0d2aecd0aae2004477832356142c6813b94b8"),
+              (2, 300, 4, 37, "59261667fb31d19fde1254ef8250ce9ffad946be92cd64794be2d8682cd33d87"),
+              (3, 450, 5, 52, "de04958120b596c227390f835e1fe572198acade69d21be2eb3f35e62ecc9040"))
+
+    def test_output_bits_pinned(self):
+        for seed, n, d, sweeps, digest in self.PINNED:
+            rng = np.random.default_rng(seed)
+            mu = DiscreteMeasure(rng.normal(size=(n, d)))
+            nu = DiscreteMeasure(rng.normal(size=(n, d)) + 0.5)
+            res = solve_discrete_ot(mu, nu)
+            assert (res.method, res.iterations) == ("assignment", sweeps), n
+            data = b"".join(np.ascontiguousarray(a).tobytes()
+                            for a in (res.dual.psi, res.dual.phi, res.plan.weights))
+            data += repr((res.value, res.gap, res.iterations)).encode()
+            assert hashlib.sha256(data).hexdigest() == digest, n
+
 
 def one_dim_instance(seed, n, m, points, weights):
     """Two 1D measures of n and m atoms in unsorted order.
@@ -537,7 +559,7 @@ def test_monotone_path_matches_lp_with_certificates(seed, n, m, points, weights)
     assert res.method == "monotone"
     assert res.iterations == 0
     assert_exact_certificates(mu, nu, res)
-    lp = ot._lp_result(mu, nu, cost_matrix(mu, nu), 0.0)
+    lp = ot._lp_result(mu, nu, cost_matrix(mu, nu))
     assert abs(res.value - lp.value) <= 1e-12 * (1 + abs(lp.value))
 
 
@@ -856,6 +878,57 @@ class TestDiagnostics:
         rep = check_cyclical_monotonicity(Coupling(src, tgt, w))
         assert not rep.passed
         assert len(rep.violating_cycle) == 2
+        assert rep.slack == -2.0
+
+    def test_light_swapped_pair_fails(self):
+        # the swapped pairs are the two lightest of the support's 90: a check
+        # on the heaviest pairs alone passes this plan
+        x = np.arange(90.0)[:, None]
+        mu = DiscreteMeasure(x, np.append(np.ones(88), [0.01, 0.01]))
+        w = np.diag(mu.weights)
+        w[88:, 88:] = [[0.0, mu.weights[88]], [mu.weights[89], 0.0]]
+        plan = Coupling(mu, mu, w)
+        rep = check_cyclical_monotonicity(plan)
+        assert not rep.passed
+        assert sorted(rep.violating_cycle) == [(88, 89), (89, 88)]
+        assert rep.slack == cycle_slack(plan, rep.violating_cycle) == -2.0
+
+    def test_only_a_four_cycle_is_negative(self):
+        mu = DiscreteMeasure([[-1.0, 1.0], [0.0, 0.0], [2.0, 1.0], [1.0, 0.0]])
+        nu = DiscreteMeasure([[-1.0, -2.0], [0.0, 0.0], [-1.0, 2.0], [-2.0, 1.0]])
+        w = np.zeros((4, 4))
+        w[np.arange(4), [2, 3, 1, 0]] = 0.25
+        plan = Coupling(mu, nu, w)
+        pairs = list(zip(*np.nonzero(w)))
+        for length in (2, 3):
+            for cycle in itertools.permutations(pairs, length):
+                assert cycle_slack(plan, cycle) >= 0
+        rep = check_cyclical_monotonicity(plan)
+        assert not rep.passed
+        assert len(rep.violating_cycle) == 4
+        assert rep.slack == cycle_slack(plan, rep.violating_cycle) == -2.0
+
+    def test_duplicate_atoms_pass(self):
+        # swapping two copies of one atom leaves cycles of length zero
+        mu = DiscreteMeasure([[0.0, 1.0], [0.0, 1.0], [2.0, 0.0], [2.0, 0.0]])
+        nu = DiscreteMeasure([[0.5, 1.0], [0.5, 1.0], [2.0, 0.5], [2.0, 0.5]])
+        w = np.zeros((4, 4))
+        w[np.arange(4), [1, 0, 3, 2]] = 0.25
+        rep = check_cyclical_monotonicity(Coupling(mu, nu, w))
+        assert rep.passed and rep.slack == 0.0 and rep.violating_cycle is None
+
+    def test_support_over_the_size_limit_rejected(self):
+        m = DiscreteMeasure(np.arange(120.0)[:, None])
+        plan = Coupling(m, m, np.full((120, 120), 1.0 / 120 ** 2))
+        with pytest.raises(ValueError, match="support of 14400 pairs"):
+            check_cyclical_monotonicity(plan)
+
+    def test_mixed_dimension_plan_named_error(self):
+        mu = DiscreteMeasure([[0.0], [1.0]])
+        nu = DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]])
+        res = solve_discrete_ot(mu, nu, cost=lambda x, y: np.abs(x - y[:, 0]))
+        with pytest.raises(ValueError, match="dimension 1 and 2"):
+            check_cyclical_monotonicity(res.plan)
 
     def test_single_atom_vacuous_pass(self):
         plan = solve_discrete_ot(delta(0.0), delta(1.0)).plan
@@ -866,6 +939,35 @@ class TestDiagnostics:
         m = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
         plan = Coupling(m, m, np.full((2, 2), 0.25))
         assert graph_concentration(plan, tol=0.1) == 0.0
+
+
+def cycle_slack(plan, cycle):
+    """Shifted minus assigned quadratic cost of a cycle of (i, j) support
+    pairs, each row moved to the next pair's column."""
+    rows, cols = np.array(cycle).T
+    assert np.all(plan.weights[rows, cols] > 0)
+    x, y = plan.source.points, plan.target.points
+    return float(np.sum((x[rows] - y[np.roll(cols, -1)]) ** 2)
+                 - np.sum((x[rows] - y[cols]) ** 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.booleans())
+def test_cycle_check_passes_exactly_the_optimal_permutations(seed, n, optimal):
+    # small integer coordinates: costs, and so the optimality test, are exact
+    rng = np.random.default_rng(seed)
+    mu = DiscreteMeasure(rng.integers(-3, 4, size=(n, 2)))
+    nu = DiscreteMeasure(rng.integers(-3, 4, size=(n, 2)))
+    c = cost_matrix(mu, nu)
+    rows, best = linear_sum_assignment(c)
+    sigma = best if optimal else rng.permutation(n)
+    w = np.zeros((n, n))
+    w[rows, sigma] = 1.0 / n
+    plan = Coupling(mu, nu, w)
+    rep = check_cyclical_monotonicity(plan)
+    assert rep.passed == (c[rows, sigma].sum() == c[rows, best].sum())
+    if not rep.passed:
+        assert rep.slack == cycle_slack(plan, rep.violating_cycle) < 0
 
 
 def test_coupling_marginal_validation():
