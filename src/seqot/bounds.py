@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import (DiscreteMeasure, GaussianSpec, Grid1D, _coerce_grid,
-                       _distinct_rows, _find_rows, _invert_cdf)
+                       _cumulative_trapezoid, _distinct_rows, _find_rows, _invert_cdf)
 
 # log-concavity certificate: grid nodes whose density is at most this are left out
 CERT_MIN_DENSITY = 1e-12
@@ -271,8 +271,7 @@ def lemma21_check(mu: Grid1D, nu: Grid1D, t: float, epsilon: float,
         raise ValueError("t must be nonnegative")
     x = mu.nodes
     tmap = _transport_map_values(mu, nu, x)
-    incr = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(x) * (tmap[:-1] + tmap[1:]))])
-    phi = incr  # phi(x) = int_{x0}^x T
+    phi = _cumulative_trapezoid(tmap, x)  # phi(x) = int_{x0}^x T
 
     window = x <= x[-1] - t
     xs = x[window]

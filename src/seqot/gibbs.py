@@ -22,7 +22,8 @@ from numpy.polynomial import polynomial as npoly
 from .bounds import EntropyEstimate
 from .measures import (_distinct_rows, _find_rows, _logsumexp, _require_integer,
                        empirical_from_samples)
-from .ot import _sq_dist_table, barycentric_map, sinkhorn, solve_discrete_ot
+from .ot import (_barycenters, _sq_dist_table, barycentric_map, sinkhorn,
+                 solve_discrete_ot)
 
 PROBE_BOX = 4.0         # the assumption probes sample [-PROBE_BOX, PROBE_BOX]
 PROBE_POINTS = 41       # grid points per axis of the envelope probes
@@ -456,7 +457,7 @@ class EmpiricalMap:
                 w += self.log_b
                 w -= w.max(axis=1, keepdims=True)
                 np.exp(w, out=w)
-                out[lo:lo + EVAL_CHUNK] = (w @ self.target_points) / w.sum(axis=1)[:, None]
+                out[lo:lo + EVAL_CHUNK] = _barycenters(w, self.target_points)
             return out
         # nearest-source extension for exact plans
         out = np.empty((x.shape[0], self.values.shape[1]))
@@ -477,7 +478,7 @@ def _merged_barycenters(points: np.ndarray, plan) -> np.ndarray:
     first, group = _distinct_rows(points)
     merged = np.zeros((first.size, plan.weights.shape[1]))
     np.add.at(merged, group, plan.weights)
-    return (merged @ plan.target.points / merged.sum(axis=1)[:, None])[group]
+    return _barycenters(merged, plan.target.points)[group]
 
 
 def empirical_map_to_gaussian(points, gaussian_samples, epsilon: float = None,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _distinct_rows, _find_rows, _require_integer
+from .measures import (DiscreteMeasure, _distinct_rows, _find_rows, _product_grid,
+                       _require_integer)
 from .ot import (MARGINAL_TOL, Coupling, DualPair, cost_matrix, graph_concentration,
                  linprog, solve_discrete_ot)
 
@@ -201,10 +202,14 @@ def _merge_atoms(m: DiscreteMeasure) -> DiscreteMeasure:
                            normalize=False, prune=False)
 
 
-def _check_invariant_weights(m: DiscreteMeasure, maps: np.ndarray, tol=INVARIANCE_TOL):
-    for gi in range(maps.shape[0]):
-        if np.max(np.abs(m.weights[maps[gi]] - m.weights)) > tol:
-            raise ValueError("marginal is not invariant under the group action")
+def _check_invariant_weights(weights: np.ndarray, label: np.ndarray):
+    """Raise unless the weights spread by at most ``INVARIANCE_TOL`` within each
+    atom orbit: any two of its atoms are related by some group element."""
+    hi, lo = np.full(label.max() + 1, -np.inf), np.full(label.max() + 1, np.inf)
+    np.maximum.at(hi, label, weights)
+    np.minimum.at(lo, label, weights)
+    if np.max(hi - lo) > INVARIANCE_TOL:
+        raise ValueError("marginal is not invariant under the group action")
 
 
 def _labels(src_maps: np.ndarray, tgt_maps: np.ndarray | None = None):
@@ -249,11 +254,11 @@ class _Orbits:
 
 def _orbits(mu: DiscreteMeasure, nu: DiscreteMeasure, group: GroupAction) -> _Orbits:
     (mu, src_maps), (nu, tgt_maps) = _closed_support(mu, group), _closed_support(nu, group)
-    _check_invariant_weights(mu, src_maps)
-    _check_invariant_weights(nu, tgt_maps)
+    src_label, tgt_label = _labels(src_maps)[1], _labels(tgt_maps)[1]
+    _check_invariant_weights(mu.weights, src_label)
+    _check_invariant_weights(nu.weights, tgt_label)
     pair_reps, pair_label = _labels(src_maps, tgt_maps)
-    return _Orbits(mu, nu, pair_label, pair_reps, _labels(src_maps)[1],
-                   _labels(tgt_maps)[1])
+    return _Orbits(mu, nu, pair_label, pair_reps, src_label, tgt_label)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +398,9 @@ def product_power(component: DiscreteMeasure, d: int) -> DiscreteMeasure:
         raise ValueError("component must be 1D")
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"product power needs an integer d >= 1, got {d!r}")
-    # atom indices of every product atom, the last coordinate fastest
-    idx = np.indices((len(component),) * d).reshape(d, -1)
-    weights = np.ones(idx.shape[1])
-    for k in range(d):
-        weights *= component.weights[idx[k]]
-    return DiscreteMeasure(component.points[idx.T, 0], weights, normalize=False,
-                           prune=False)
+    return DiscreteMeasure(_product_grid([component.points[:, 0]] * d),
+                           np.prod(_product_grid([component.weights] * d), axis=1),
+                           normalize=False, prune=False)
 
 
 @dataclass(frozen=True)

@@ -216,9 +216,7 @@ class Grid1D:
 
     def cdf_table(self) -> np.ndarray:
         """Cumulative trapezoid integral of the density at the nodes."""
-        x, f = self.nodes, self.density
-        incr = 0.5 * np.diff(x) * (f[:-1] + f[1:])
-        return np.concatenate([[0.0], np.cumsum(incr)])
+        return _cumulative_trapezoid(self.density, self.nodes)
 
     def pdf(self, x) -> np.ndarray:
         return np.interp(x, self.nodes, self.density, left=0.0, right=0.0)
@@ -231,6 +229,16 @@ class Grid1D:
         """Inverse-CDF sampling from the tabulated density."""
         u = rng.random(size)
         return _invert_cdf(self.nodes, self.cdf_table(), u)
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of y over x from x[0] up to each node, 0.0 first."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * np.diff(x) * (y[:-1] + y[1:]))])
+
+
+def _product_grid(axes) -> np.ndarray:
+    """Every point of the product of the 1D ``axes``, one per row, last axis fastest."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ closed form via quantile functions, on the same staircase for two discrete
 measures; a grid's quantiles come from the one inverse CDF of its
 ``Grid1D.cdf_table``.  Plan diagnostics: cyclical monotonicity over every
 cycle on the whole support, by one Bellman-Ford relaxation shared with the
-assignment duals; graph concentration; barycentric map extraction.
+assignment duals and settled relative to the cost scale; graph concentration;
+row barycenters whose bits do not depend on the BLAS thread count.
 
 Every LP in seqot, here and in ``invariance``, is one call of ``linprog``
 below.  It drives scipy's own bundled HiGHS binding,
@@ -44,7 +45,7 @@ GAP_TOL = 1e-9
 # the product, monotone and assignment paths take larger instances (a
 # uniform 1001x1001 assignment solves in about half a second)
 MAX_LP_CELLS = 1_000_000
-# cyclical-monotonicity check: support weight threshold and settle bound
+# cyclical-monotonicity check: support weight threshold and settle bound (per 1 + max|c|)
 CYCLE_SUPPORT_THRESHOLD = 1e-12
 CYCLE_TOL = 1e-9
 # HiGHS options for every transport LP, passed to HiGHS directly by
@@ -687,12 +688,17 @@ def sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost=None, epsilon: float
 # plan diagnostics
 
 
+def _barycenters(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row barycenters sum_j w_ij y_j / sum_j w_ij, one matrix-vector product
+    per column: the bits of a matrix product move with the BLAS threads."""
+    return np.stack([w @ col for col in y.T], axis=1) / w.sum(axis=1)[:, None]
+
+
 def barycentric_map(plan: Coupling) -> np.ndarray:
     """Row-conditional barycenters T(x_i) = sum_j pi_ij y_j / sum_j pi_ij."""
-    r = plan.weights.sum(axis=1)
-    if np.any(r <= 0):
+    if np.any(plan.weights.sum(axis=1) <= 0):
         raise ValueError("zero-mass row; barycentric map undefined")
-    return (plan.weights @ plan.target.points) / r[:, None]
+    return _barycenters(plan.weights, plan.target.points)
 
 
 @dataclass(frozen=True)
@@ -709,15 +715,16 @@ def check_cyclical_monotonicity(plan: Coupling) -> CycleReport:
     Every cycle on the whole support, by one Bellman-Ford relaxation shared
     with the assignment duals (Villani, *Optimal Transport*, 2009, Thm 5.10).
     A cycle's nodes lose its slack in total each sweep, so any cycle with
-    slack below -``CYCLE_TOL`` times its length fails; one comes back as (i, j)
-    pairs in cyclic order with its shifted minus assigned cost.  k support
-    pairs over m target atoms with k * m > ``MAX_LP_CELLS`` raise ValueError.
+    slack below -tol times its length fails, at tol = ``CYCLE_TOL`` * (1 +
+    max|c|) as on the assignment path; one comes back as (i, j) pairs in
+    cyclic order with its shifted minus assigned cost.  k support pairs over m
+    target atoms with k * m > ``MAX_LP_CELLS`` raise ValueError.
     """
     i_idx, j_idx = np.nonzero(plan.weights > CYCLE_SUPPORT_THRESHOLD)
     if i_idx.size * len(plan.target) > MAX_LP_CELLS:
         raise ValueError(f"support of {i_idx.size} pairs over the size limit")
     c = cost_matrix(plan.source, plan.target)
-    _, sweeps, cycle = _relax(c, i_idx, j_idx, CYCLE_TOL)
+    _, sweeps, cycle = _relax(c, i_idx, j_idx, CYCLE_TOL * (1.0 + np.max(np.abs(c))))
     if cycle is None:
         return CycleReport(True, sweeps, 0.0, None)
     i_cyc, j_cyc = i_idx[cycle], j_idx[cycle]

@@ -24,6 +24,7 @@ from .measures import (
     Grid1D,
     _coerce_grid,
     _logsumexp,
+    _product_grid,
     _quantile_from_grid,
     _require_finite,
     _require_integer,
@@ -136,23 +137,15 @@ class QuasiProductSpec:
 
 
 def _block_cloud(spec: QuasiProductSpec, width: int, nodes: int):
-    """Discrete cloud of the first ``width`` coordinates: base grid + tilt."""
+    """Axes, points, tilted weights and tilt of the first ``width`` coordinates' grid."""
     # equal-weight discretization of each factor at its quantile midpoints
     axes = [_quantile_from_grid(spec.base.factors[k], nodes) for k in range(width)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    base_w = np.full(points.shape[0], 1.0 / points.shape[0])
+    points = _product_grid(axes)
     tilt_vals = spec.tilt(points)
     if np.any(tilt_vals <= 0):
         raise ValueError("tilt must be strictly positive")
-    weights = base_w * tilt_vals
-    return points, weights / weights.sum(), base_w, tilt_vals
-
-
-def _marginal_weights(weights: np.ndarray, shape: tuple, axes_keep: tuple) -> np.ndarray:
-    w = weights.reshape(shape)
-    drop = tuple(a for a in range(len(shape)) if a not in axes_keep)
-    return w.sum(axis=drop).ravel()
+    weights = (1.0 / points.shape[0]) * tilt_vals  # not tilt / N: other last bits
+    return axes, points, weights / weights.sum(), tilt_vals
 
 
 @dataclass(frozen=True)
@@ -203,8 +196,9 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
         raise HypothesisError(2, f"curvature bounds C0={c0:.3g}, C1={c1:.3g}")
     contraction = math.sqrt(c1 / c0)
 
-    x_pts, mu_w, base_w, f_vals = _block_cloud(mu_spec, width, nodes)
-    y_pts, nu_w, _, g_vals = _block_cloud(nu_spec, width, nodes)
+    x_axes, x_pts, mu_w, f_vals = _block_cloud(mu_spec, width, nodes)
+    y_axes, y_pts, nu_w, g_vals = _block_cloud(nu_spec, width, nodes)
+    base_w = 1.0 / x_pts.shape[0]
     # hypothesis 3: 0 < c <= g <= C on the discretization
     g_lo, g_hi = float(np.min(g_vals)), float(np.max(g_vals))
     if g_lo <= 0 or not np.isfinite(g_hi):
@@ -260,12 +254,8 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
                 d_val, ent = split_terms[split]
             else:
                 axes_a = tuple(range(split))
-                axes_b = tuple(range(split, width))
-                t_a = _sub_block_map(mu_spec, nu_spec, x_pts, mu_w, y_pts, nu_w,
-                                     shape, axes_a, nodes)
-                t_b = _sub_block_map(mu_spec, nu_spec, x_pts, mu_w, y_pts, nu_w,
-                                     shape, axes_b, nodes)
-                t_split = np.concatenate([t_a, t_b], axis=1)
+                t_split = np.hstack([_sub_block_map(x_axes, y_axes, mu_w, nu_w, keep)
+                                     for keep in (axes_a, tuple(range(split, width)))])
                 d_val = float(np.sum(mu_w * np.sum((t_split - t_block) ** 2, axis=1)))
                 ent = _decoupling_entropy(mu_w, shape, axes_a)
                 split_terms[split] = d_val, ent
@@ -284,28 +274,20 @@ def _max_log_curvature(g: Grid1D) -> float:
     return float(np.max(second)) if second.size else np.inf
 
 
-def _sub_block_map(mu_spec, nu_spec, x_pts, mu_w, y_pts, nu_w, shape, axes, nodes):
-    """Transport map between the marginals on the given block axes, evaluated
-    back at every full-block atom (exact: the support is a product grid)."""
-    width = len(shape)
-    wa_mu = _marginal_weights(mu_w, shape, axes)
-    wa_nu = _marginal_weights(nu_w, shape, axes)
-    sub_axes_mu = [np.unique(x_pts[:, a]) for a in axes]
-    sub_axes_nu = [np.unique(y_pts[:, a]) for a in axes]
-    grids_mu = np.meshgrid(*sub_axes_mu, indexing="ij")
-    grids_nu = np.meshgrid(*sub_axes_nu, indexing="ij")
-    pts_mu = np.stack([g.ravel() for g in grids_mu], axis=1)
-    pts_nu = np.stack([g.ravel() for g in grids_nu], axis=1)
-    res = solve_discrete_ot(DiscreteMeasure(pts_mu, wa_mu, normalize=False, prune=False),
-                            DiscreteMeasure(pts_nu, wa_nu, normalize=False, prune=False))
-    tmap = barycentric_map(res.plan)
+def _sub_block_map(x_axes, y_axes, mu_w, nu_w, keep):
+    """Transport map between the marginals on the block axes ``keep``,
+    evaluated back at every full-block atom (exact: the support is a product
+    grid of the axes)."""
+    shape = tuple(len(a) for a in x_axes)  # the target block's too: nodes per axis
+    drop = tuple(a for a in range(len(shape)) if a not in keep)
+    mu_sub, nu_sub = (DiscreteMeasure(_product_grid([axes[a] for a in keep]),
+                                      w.reshape(shape).sum(axis=drop).ravel(),
+                                      normalize=False, prune=False)
+                      for axes, w in ((x_axes, mu_w), (y_axes, nu_w)))
+    tmap = barycentric_map(solve_discrete_ot(mu_sub, nu_sub).plan)
     # index of each full atom's projection in the marginal product grid
-    idx = np.zeros(x_pts.shape[0], dtype=np.intp)
-    for a_pos, a in enumerate(axes):
-        ax_idx = np.searchsorted(sub_axes_mu[a_pos], x_pts[:, a])
-        stride = int(np.prod([len(sub_axes_mu[t]) for t in range(a_pos + 1, len(axes))]))
-        idx += ax_idx * stride
-    return tmap[idx]
+    full = np.unravel_index(np.arange(mu_w.size), shape)
+    return tmap[np.ravel_multi_index([full[a] for a in keep], [shape[a] for a in keep])]
 
 
 def _decoupling_entropy(weights: np.ndarray, shape: tuple, axes_a: tuple) -> float:

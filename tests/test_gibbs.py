@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -792,3 +796,37 @@ def test_experiment_epsilon_named_on_the_lp_branch(epsilon):
     with pytest.raises(ValueError, match="^epsilon must be finite and positive"):
         cauchy_convergence_experiment(quartic_spec(0.1), m_list=[0], n=1, samples=40,
                                       epsilon=epsilon, seed=5, ot_points=20, replicates=2)
+
+
+# the bytes of a 600 x 600 row-barycenter table and of a Sinkhorn-branch map's
+# in-sample values and out-of-sample extension (over one full chunk and a
+# partial one), one sha256 each
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from seqot.gibbs import empirical_map_to_gaussian
+from seqot.ot import _barycenters
+rng = np.random.default_rng(0)
+w, y = rng.random((600, 600)), rng.normal(size=(600, 5))
+emp = empirical_map_to_gaussian(rng.normal(size=(600, 5)) ** 3, 600, tol=1e-4)
+assert emp.method == "entropic"
+for a in (_barycenters(w, y), emp.values, emp.evaluate(rng.normal(size=(1100, 5)))):
+    print(hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+
+def test_maps_do_not_depend_on_the_blas_thread_count():
+    # with the columns as one (n, m) by (m, d) matrix product all three moved
+    # between 1 and 2 OpenBLAS threads; d matrix-vector products do not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                                             if p)}
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        runs.append(proc.stdout.split())
+    assert len(runs[0]) == 3
+    assert runs[0] == runs[1]

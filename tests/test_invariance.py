@@ -1,12 +1,16 @@
 import itertools
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
+from seqot import invariance
 from seqot.invariance import (
+    INVARIANCE_TOL,
     GroupAction,
+    _check_invariant_weights,
     _merge_atoms,
     close_support,
     closure_from_generators,
@@ -394,6 +398,19 @@ def test_product_power_matches_its_meshgrid_definition():
         assert p.weights.tobytes() == want.tobytes()
 
 
+def test_product_power_matches_itertools_product():
+    # rows in itertools.product order, weights 1.0 * w_i0 * w_i1 * ... bit for bit
+    rng = np.random.default_rng(9)
+    a = DiscreteMeasure(rng.normal(size=(4, 1)), rng.random(4) + 0.1)
+    x, w = a.points[:, 0], a.weights
+    for d in (1, 2, 3, 4):
+        p = product_power(a, d)
+        idx = list(itertools.product(range(4), repeat=d))
+        want = [math.prod((w[i] for i in row), start=1.0) for row in idx]
+        assert p.points.tobytes() == np.array([[x[i] for i in row] for row in idx]).tobytes()
+        assert p.weights.tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("d", [0, -1, 2.5])
 def test_product_power_needs_a_positive_power(d):
     a = DiscreteMeasure([[0.0], [1.0]], [0.25, 0.75])
@@ -439,3 +456,27 @@ def test_invariant_lp_meets_coupling_marginal_tolerance(tmp_path, monkeypatch):
     assert main(["run", str(cfg)]) == 0
     results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
     assert abs(results["primal"] - results["dual"]) <= 1e-8
+
+
+def test_orbit_weight_check_matches_the_element_loop():
+    # any two atoms of an orbit are related by some element, so the spread
+    # within each atom orbit decides as the loop over every element did
+    rng = np.random.default_rng(13)
+    groups = [symmetric_group(3), symmetric_group(4), cyclic_group(5), symmetric_group(5)]
+    verdicts = set()
+    for trial in range(40):
+        group = groups[trial % 4]
+        m, maps = invariance._closed_support(random_invariant_measure(rng, group), group)
+        w = m.weights.copy()
+        moved = rng.choice(len(w), size=int(rng.integers(1, 4)), replace=False)
+        w[moved] += rng.uniform(0.3, 1.2, moved.size) * INVARIANCE_TOL * rng.choice([-1, 1])
+        loop = any(np.max(np.abs(w[g] - w)) > INVARIANCE_TOL for g in maps)
+        try:
+            _check_invariant_weights(w, invariance._labels(maps)[1])
+            raised = False
+        except ValueError as err:
+            assert str(err) == "marginal is not invariant under the group action"
+            raised = True
+        assert raised == loop, trial
+        verdicts.add(raised)
+    assert verdicts == {False, True}

@@ -917,6 +917,35 @@ class TestDiagnostics:
         rep = check_cyclical_monotonicity(Coupling(mu, nu, w))
         assert rep.passed and rep.slack == 0.0 and rep.violating_cycle is None
 
+    # (scale, seed) of weighted 30 x 30 instances, atoms drawn from 5 points:
+    # an absolute settle bound of 1e-9 failed their LP-optimal plans on
+    # zero-length cycles, at slack 0.0 or +6.1e-5
+    LARGE_SCALE_OPTIMA = [(1e4, 47), (1e5, 4), (1e5, 6), (1e5, 34), (1e5, 57),
+                          (3e5, 28), (1e6, 31), (1e6, 42)]
+
+    @pytest.mark.parametrize("scale, seed", LARGE_SCALE_OPTIMA)
+    def test_optimal_plan_passes_at_a_large_cost_scale(self, scale, seed):
+        rng = np.random.default_rng([seed, int(scale)])
+        pool = rng.normal(size=(5, 2)) * scale
+        mu = DiscreteMeasure(pool[rng.integers(5, size=30)], rng.random(30) + 1e-3)
+        nu = DiscreteMeasure(pool[rng.integers(5, size=30)], rng.random(30) + 1e-3)
+        rep = check_cyclical_monotonicity(solve_discrete_ot(mu, nu).plan)
+        assert rep.passed, (rep.slack, rep.violating_cycle)
+
+    def test_swapped_optimal_permutation_fails_at_a_large_cost_scale(self):
+        rng = np.random.default_rng(11)
+        mu = DiscreteMeasure(rng.normal(size=(20, 2)) * 1e5)
+        nu = DiscreteMeasure(rng.normal(size=(20, 2)) * 1e5)
+        rows, sigma = linear_sum_assignment(cost_matrix(mu, nu))
+        w = np.zeros((20, 20))
+        w[rows, sigma] = 1.0 / 20
+        assert check_cyclical_monotonicity(Coupling(mu, nu, w)).passed
+        w[:2] = w[[1, 0]]  # the first two rows trade targets
+        plan = Coupling(mu, nu, w)
+        rep = check_cyclical_monotonicity(plan)
+        assert not rep.passed
+        assert rep.slack < 0 and cycle_slack(plan, rep.violating_cycle) < 0
+
     def test_support_over_the_size_limit_rejected(self):
         m = DiscreteMeasure(np.arange(120.0)[:, None])
         plan = Coupling(m, m, np.full((120, 120), 1.0 / 120 ** 2))

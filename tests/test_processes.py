@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from seqot import processes
+from seqot import ot, processes
 from seqot.cli import EXPERIMENTS, run_quasi_product
 from seqot import measures
 from seqot.measures import Grid1D, gaussian1d, gaussian_grid, mixture_grid
@@ -372,3 +372,54 @@ def test_quasi_product_solves_each_split_once(monkeypatch):
     assert len(calls) == 3
     first, second = rep.pair_rows[:2]
     assert (first["D"], first["entropy"]) == (second["D"], second["entropy"])
+
+
+def tilted_specs(width, a, b):
+    """Source tilt exp(a * sum_k x_k x_k+1) on the first ``width`` of
+    width + 1 standard Gaussian coordinates, target tilt exp(-b (y_1 - 0.5)^2)."""
+    base = ProductSpec([gaussian1d(0, 1)] * (width + 1))
+    f = Tilt(width, lambda x: np.exp(a * np.sum(x[:, :-1] * x[:, 1:], axis=1)))
+    g = Tilt(1, lambda y: np.exp(-b * (y[:, 0] - 0.5) ** 2), log_curvature_bound=0.0)
+    return QuasiProductSpec(base, f), QuasiProductSpec(base, g)
+
+
+class TestQuasiProductBits:
+    # sha256 of repr(quasi_product_approx(...)) per (width, nodes, a, b), with
+    # the row barycenters as one matrix product (the first digest, swapped in
+    # below) and as d matrix-vector products (the second, ot._barycenters).
+    # The default run (nodes 16) is in the report digests; these cover
+    # N = 100, 196, 900 and a width-3 tilt, where tilt / N and (1 / N) * tilt
+    # differ in the last bit
+    PINNED = {
+        (2, 10, 0.3, 0.2): (
+            "168c2ae70aed4d628a72621210ff349b34ed2a320061ee276180cd38cda47eb8",
+            "78fae56fc117b1e9df2f7a8180795852fd684ae9aa15a0fd6fff43651104a182"),
+        (2, 10, 0.6, 0.1): (
+            "62c72e06b6e8d3eaad0051136446c380f6bcb47e1006f778cb89fee8fa292475",
+            "9e2e44d9d9bef3d39fb9c7106c9b0773f67f8752ae44c7f39af46e382f33a9c9"),
+        (2, 14, 0.3, 0.2): (
+            "98d963447e3d6173a2d55a0e09ac19814b8d1a10c9ba635c2bccd1ebe62a2efa",
+            "03fdc28b4d511dce4f1bf23f1dd2a60927f8b643d3a1916668048bb5c7ba1aed"),
+        (2, 14, 0.6, 0.1): (
+            "658bd72c800b146dda9659233f0a2ea693173a2781a1b9b2d86099886d5ee549",
+            "9b396617951741ce53a14d1332d7d22f7cc077fcf04fc2835c531edee13cfc10"),
+        (2, 30, 0.6, 0.1): (
+            "6e3dc88491ca274e28c6f9391baf6c17755e89cfe5b5fd7881fcd27ee916d723",) * 2,
+        (3, 8, 0.3, 0.2): (
+            "89972c94009deb95131eaadd28cfbf4f59eaccc66895f1bfda99e16b9470e1f6",) * 2,
+    }
+
+    @staticmethod
+    def digest(width, nodes, a, b):
+        rep = quasi_product_approx(*tilted_specs(width, a, b),
+                                   n_list=range(1, width + 2), nodes=nodes)
+        return hashlib.sha256(repr(rep).encode()).hexdigest()
+
+    @pytest.mark.parametrize("case", PINNED)
+    def test_report_bits_pinned(self, case, monkeypatch):
+        before, now = self.PINNED[case]
+        assert self.digest(*case) == now
+        if before != now:
+            monkeypatch.setattr(ot, "_barycenters",
+                                lambda w, y: (w @ y) / w.sum(axis=1)[:, None])
+            assert self.digest(*case) == before

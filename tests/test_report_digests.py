@@ -9,8 +9,8 @@ entry:
 
     PYTHONPATH=src python tests/test_report_digests.py
 
-The Sinkhorn-branch ``gibbs_cauchy`` config is left out: its map evaluation
-goes through a BLAS product whose bits depend on the BLAS thread count.
+One more entry runs ``gibbs_cauchy`` through its Sinkhorn branch (the
+weak-coupling, 600-point config), whose maps read the row barycenters.
 """
 
 import hashlib
@@ -26,6 +26,9 @@ from seqot.cli import EXPERIMENTS, main
 
 TABLE = Path(__file__).with_name("report_digests.json")
 SEEDS = range(4)
+# gibbs_cauchy past LP_THRESHOLD map points: its maps come from Sinkhorn plans
+SINKHORN_PARAMS = {"coupling": 0.1, "n": 2, "m_list": [1], "ot_points": 600,
+                   "samples": 1800, "replicates": 3}
 
 
 def configs():
@@ -36,6 +39,8 @@ def configs():
                 yield f"{name}@{seed}", {"experiment": name, "seed": seed}
         else:
             yield name, {"experiment": name}
+    yield "gibbs_cauchy_sinkhorn@1", {"experiment": "gibbs_cauchy", "seed": 1,
+                                      "params": SINKHORN_PARAMS}
 
 
 def digest_run(config: dict, workdir: Path) -> dict:
