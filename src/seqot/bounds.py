@@ -187,6 +187,8 @@ def talagrand_gap(mu, nu, target, K: float) -> TalagrandReport:
     against the certificate of the target family; an uncertified target is an
     error, never a silent pass.
     """
+    if not (math.isfinite(K) and K >= 0):
+        raise ValueError(f"K must be finite and >= 0, got {K}")
     cert = log_concavity_constant(target)
     if K > cert + 1e-9:
         raise ValueError(f"target is only {cert:.6g}-uniformly log-concave; K={K} not certified")
@@ -220,8 +222,14 @@ def talagrand_gap(mu, nu, target, K: float) -> TalagrandReport:
 
 
 def _check_conjugate(p: float, q: float):
-    if p < 1 or q < 1 or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
+    if not (p >= 1 and q >= 1 and abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12):
         raise ValueError(f"(p, q)=({p}, {q}) are not conjugate exponents")
+
+
+def _check_epsilon(epsilon: float):
+    """The increment estimate raises |.| to the power 1 + epsilon > 0."""
+    if not (math.isfinite(epsilon) and epsilon > -1):
+        raise ValueError(f"epsilon must be finite and > -1, got {epsilon}")
 
 
 def _shift_ratio_powers(g: Grid1D, s: float):
@@ -249,7 +257,7 @@ class ShiftEstimateReport:
     resolution: int = 0
 
 
-def lemma21_check(mu: Grid1D, nu: Grid1D, t: float, epsilon: float,
+def lemma21_check(mu, nu, t: float, epsilon: float,
                   p: float, q: float) -> ShiftEstimateReport:
     """Evaluate both shift-increment estimates for the transport potential.
 
@@ -264,11 +272,13 @@ def lemma21_check(mu: Grid1D, nu: Grid1D, t: float, epsilon: float,
 
     are computed by trapezoid quadrature, with the shift window clipped to the
     grid interior and the suprema taken over an s-grid of LEMMA21_SUP_POINTS
-    points.
+    points.  mu and nu are 1D laws as in ``talagrand_gap``.
     """
     _check_conjugate(p, q)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_epsilon(epsilon)
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    mu, nu = _coerce_grid(mu), _coerce_grid(nu)
     x = mu.nodes
     tmap = _transport_map_values(mu, nu, x)
     phi = _cumulative_trapezoid(tmap, x)  # phi(x) = int_{x0}^x T
@@ -312,15 +322,18 @@ class ShiftDecayReport:
     decays_to_zero: bool       # heuristic: p(t_min) < 0.01 p(t_max)
 
 
-def assumption_A_probe(mu: Grid1D, nu: Grid1D, p: float, q: float, epsilon: float,
+def assumption_A_probe(mu, nu, p: float, q: float, epsilon: float,
                        t_grid) -> ShiftDecayReport:
     """Tabulate p(t) = sup_{0<=s<=t} int |e^{beta_s} - 1|^q dmu over the given
     shifts, together with the moment int |x|^{(1+eps)p} dnu, and report whether
-    p(t) decays to zero numerically.  Report-only; divergence is flagged."""
+    p(t) decays to zero numerically.  Report-only; divergence is flagged.
+    mu and nu are 1D laws as in ``talagrand_gap``."""
     _check_conjugate(p, q)
+    _check_epsilon(epsilon)
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    if np.any(t_grid < 0):
-        raise ValueError("shifts must be nonnegative")
+    if not np.all(np.isfinite(t_grid) & (t_grid >= 0)):
+        raise ValueError("shifts must be finite and nonnegative")
+    mu, nu = _coerce_grid(mu), _coerce_grid(nu)
     y = nu.nodes
     moment_integrand = np.abs(y) ** ((1.0 + epsilon) * p) * nu.density
     moment = float(np.trapezoid(moment_integrand, y))

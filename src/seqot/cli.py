@@ -316,7 +316,7 @@ def run_no_map(params, seed):
                                      params["action"])
     if rep.components_identical:
         assertions = [{"name": "identical_components_give_a_map",
-                       "passed": bool(rep.concentration >= 1.0 - 1e-12),
+                       "passed": rep.is_map,
                        "detail": f"concentration={rep.concentration}"}]
     else:
         assertions = [{"name": "no_map_concentration_below_0.99",
@@ -412,7 +412,7 @@ def run_talagrand(params, seed):
     rep = _bounds.talagrand_gap(params["mu"], params["nu"], params["target"],
                                 K=params["K"])
     assertions = [{"name": "entropy_dominates_map_gap",
-                   "passed": bool(rep.slack >= -1e-8),
+                   "passed": rep.passed,
                    "detail": f"lhs={rep.lhs:.6g} rhs={rep.rhs:.6g}"}]
     series = {"quantity": ["lhs", "rhs", "slack"],
               "value": [rep.lhs, rep.rhs, rep.slack]}

@@ -20,8 +20,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .bounds import EntropyEstimate
-from .measures import (_distinct_rows, _find_rows, _logsumexp, _require_integer,
-                       empirical_from_samples)
+from .measures import (_distinct_rows, _find_rows, _logsumexp, _require_finite,
+                       _require_integer, empirical_from_samples)
 from .ot import (_barycenters, _sq_dist_table, barycentric_map, sinkhorn,
                  solve_discrete_ot)
 
@@ -111,9 +111,11 @@ class GibbsSpec:
     def __init__(self, v_coeffs, w_coeffs, params: GibbsParams):
         self.v_coeffs = np.asarray(v_coeffs, dtype=float)
         w = np.atleast_2d(np.asarray(w_coeffs, dtype=float))
-        if w.shape[0] != w.shape[1]:
+        _require_finite("v_coeffs", self.v_coeffs)
+        _require_finite("w_coeffs", w)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise GibbsAssumptionError("pair potential symmetry",
-                                       "coefficient matrix must be square")
+                                       "coefficient matrix must be 2-D and square")
         self.w_coeffs = w
         self.params = params
         self._vp_coeffs = npoly.polyder(self.v_coeffs)
@@ -429,7 +431,7 @@ class EmpiricalMap:
     """A transport map estimated at sample points, with out-of-sample extension.
 
     Entropic estimates extend smoothly through the dual potential on the
-    target cloud; exact-LP estimates extend by nearest source point.
+    uniform target cloud; exact-LP estimates extend by nearest source point.
     """
 
     source_points: np.ndarray
@@ -438,7 +440,6 @@ class EmpiricalMap:
     epsilon: float = 0.0
     target_points: np.ndarray = None
     g_potential: np.ndarray = None
-    log_b: np.ndarray = None
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -446,24 +447,22 @@ class EmpiricalMap:
         if x.ndim != 2 or x.shape[1] != dim:
             raise ValueError(f"points of shape {x.shape}: the map takes points "
                              f"of dimension {dim}")
-        if self.method == "entropic":
-            out = np.empty((x.shape[0], self.target_points.shape[1]))
-            for lo in range(0, x.shape[0], EVAL_CHUNK):
-                # softmax over the target cloud of (g_j - c_ij) / eps + log b_j,
-                # shifted by its row maximum so the largest weight is 1
-                w = _sq_dist_table(x[lo:lo + EVAL_CHUNK], self.target_points)
-                np.subtract(self.g_potential, w, out=w)
-                w /= self.epsilon
-                w += self.log_b
-                w -= w.max(axis=1, keepdims=True)
-                np.exp(w, out=w)
-                out[lo:lo + EVAL_CHUNK] = _barycenters(w, self.target_points)
-            return out
-        # nearest-source extension for exact plans
+        entropic = self.method == "entropic"
+        cloud = self.target_points if entropic else self.source_points
         out = np.empty((x.shape[0], self.values.shape[1]))
         for lo in range(0, x.shape[0], EVAL_CHUNK):
-            c = _sq_dist_table(x[lo:lo + EVAL_CHUNK], self.source_points)
-            out[lo:lo + EVAL_CHUNK] = self.values[np.argmin(c, axis=1)]
+            w = _sq_dist_table(x[lo:lo + EVAL_CHUNK], cloud)
+            if entropic:
+                # softmax over the uniform target cloud of (g_j - c_ij) / eps
+                # + log(1/m), shifted by its row maximum so the largest weight is 1
+                np.subtract(self.g_potential, w, out=w)
+                w /= self.epsilon
+                w += np.log(1.0 / cloud.shape[0])
+                w -= w.max(axis=1, keepdims=True)
+                np.exp(w, out=w)
+                out[lo:lo + EVAL_CHUNK] = _barycenters(w, cloud)
+            else:  # the nearest source point's value, for exact plans
+                out[lo:lo + EVAL_CHUNK] = self.values[np.argmin(w, axis=1)]
         return out
 
 
@@ -496,6 +495,8 @@ def empirical_map_to_gaussian(points, gaussian_samples, epsilon: float = None,
         target = rng.standard_normal((int(gaussian_samples), d))
     else:
         target = np.atleast_2d(np.asarray(gaussian_samples, dtype=float))
+        if target.ndim != 2 or target.shape[1] != d:
+            raise ValueError(f"target cloud of shape {target.shape}: need dimension {d}")
     n_s, n_t = points.shape[0], target.shape[0]
     if n_s != n_t:
         keep = min(n_s, n_t)
@@ -517,8 +518,7 @@ def empirical_map_to_gaussian(points, gaussian_samples, epsilon: float = None,
         raise RuntimeError(
             f"entropic solver did not converge: violation {res.marginal_violation:.2e}")
     return EmpiricalMap(points, barycentric_map(res.plan), "entropic",
-                        epsilon=epsilon, target_points=target,
-                        g_potential=res.g, log_b=np.log(nu.weights))
+                        epsilon=epsilon, target_points=target, g_potential=res.g)
 
 
 @dataclass(frozen=True)
@@ -566,7 +566,8 @@ def equivariance_check(emp_map: EmpiricalMap) -> EquivarianceReport:
 
 def _z_values(spec: GibbsSpec, states: np.ndarray, m: int, n: int) -> np.ndarray:
     """Z = -W(x_m, x_-m) + W(x_m, x_{m+1}) + W(x_{-m-1}, x_-m) on ring states."""
-    if not 0 <= m < n:
+    _require_integer("m", m, 0)
+    if m >= n:
         raise ValueError("need 0 <= m < n")
     pos = lambda lattice: lattice + n
     xm = states[:, pos(m)]

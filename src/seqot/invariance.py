@@ -81,8 +81,8 @@ class GroupAction:
     """A finite group of coordinate permutations of {0..dim-1}.
 
     ``elements`` is a (k, dim) integer array; the action on a point is
-    ``x[p]`` for a row ``p``.  Closure, identity and inverses are verified on
-    construction; transitivity is computed, not asserted.
+    ``x[p]`` for a row ``p``.  Identity and closure (hence inverses: powers)
+    are verified on construction; transitivity is computed, not asserted.
     """
 
     def __init__(self, dim: int, elements, _verified: bool = False):
@@ -94,8 +94,6 @@ class GroupAction:
             # a set already closed by construction (generator closure, full
             # symmetric group) skips this quadratic re-validation
             for p in els:
-                if np.argsort(p).tobytes() not in keyed:
-                    raise ValueError("inverse missing; not a group")
                 for q in els:
                     if _compose(p, q).tobytes() not in keyed:
                         raise ValueError("not closed under composition")
@@ -185,7 +183,7 @@ def _closed_support(m: DiscreteMeasure, group: GroupAction):
     points, maps = _closure(m.points, group)
     if points.shape[0] > len(m):
         m = DiscreteMeasure(points, np.pad(m.weights, (0, points.shape[0] - len(m))),
-                            normalize=False, prune=False)
+                            normalize=False)
     return m, maps
 
 
@@ -199,7 +197,7 @@ def _merge_atoms(m: DiscreteMeasure) -> DiscreteMeasure:
     """Sum the weights of exactly coincident atoms."""
     first, label = _distinct_rows(m.points)
     return DiscreteMeasure(m.points[first], np.bincount(label, weights=m.weights),
-                           normalize=False, prune=False)
+                           normalize=False)
 
 
 def _check_invariant_weights(weights: np.ndarray, label: np.ndarray):
@@ -400,7 +398,7 @@ def product_power(component: DiscreteMeasure, d: int) -> DiscreteMeasure:
         raise ValueError(f"product power needs an integer d >= 1, got {d!r}")
     return DiscreteMeasure(_product_grid([component.points[:, 0]] * d),
                            np.prod(_product_grid([component.weights] * d), axis=1),
-                           normalize=False, prune=False)
+                           normalize=False)
 
 
 @dataclass(frozen=True)
@@ -424,8 +422,7 @@ def no_map_counterexample(component_a: DiscreteMeasure, component_b: DiscreteMea
     pb = product_power(component_b, d)
     nu = _merge_atoms(DiscreteMeasure(
         np.vstack([mu.points, pb.points]),
-        np.concatenate([0.5 * mu.weights, 0.5 * pb.weights]),
-        normalize=False, prune=False))
+        np.concatenate([0.5 * mu.weights, 0.5 * pb.weights]), normalize=False))
     identical = (len(component_a) == len(component_b)
                  and np.array_equal(component_a.points, component_b.points)
                  and np.array_equal(component_a.weights, component_b.weights))

@@ -54,30 +54,17 @@ def _row_sum(terms: np.ndarray):
 
     A vector is that row.  A (k, ...) array holds one slab per term and sums
     like ``np.sum`` over the last axis of the term-last table, bit for bit:
-    from +0.0, k < 8 terms one after another, else pairwise with numpy's
-    8-way unrolled blocks of at most 128 terms.  Elementwise adds of whole
-    slabs replace numpy's strided reduction over a short axis.
+    k < 8 terms one after another from +0.0, by elementwise adds of whole
+    slabs in place of numpy's strided reduction over a short axis; a vector
+    or a wider row is that sum itself, on a term-last contiguous copy (a
+    strided view sums in another order).
     """
-    if terms.ndim == 1:
-        return np.sum(terms)
-    k = terms.shape[0]
-    if k < 8:
-        total = terms[0] + 0.0
-        for t in terms[1:]:
-            total += t
-        return total
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        return _row_sum(terms[:half]) + _row_sum(terms[half:])
-    lanes = terms[:8].copy()
-    full = k - k % 8
-    for i in range(8, full, 8):
-        lanes += terms[i:i + 8]
-    total = (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-    for t in terms[full:]:
+    if terms.ndim == 1 or terms.shape[0] >= 8:
+        return np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1)
+    total = terms[0] + 0.0
+    for t in terms[1:]:
         total += t
-    return total + 0.0
+    return total
 
 
 def _logsumexp(a: np.ndarray):
@@ -114,13 +101,13 @@ def _logsumexp(a: np.ndarray):
 class DiscreteMeasure:
     """A probability measure supported on finitely many points of R^dim.
 
-    Weights are normalized to sum to one; atoms with weight below 1e-15 are
-    pruned after normalization (unless ``prune=False``, used when zero-weight
-    atoms are needed to keep a support closed under a group action).
-    Duplicate points are kept as separate atoms.
+    By default weights are normalized to sum to one and atoms below 1e-15 are
+    then pruned.  With ``normalize=False`` the weights must sum to one and
+    every atom is kept, zero-weight ones too (they keep a support closed under
+    a group action).  Duplicate points are kept as separate atoms.
     """
 
-    def __init__(self, points, weights=None, normalize=True, prune=True):
+    def __init__(self, points, weights=None, normalize=True):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.ndim != 2 or points.shape[0] == 0:
             raise ValueError("points must be a nonempty (n, dim) array")
@@ -141,7 +128,7 @@ class DiscreteMeasure:
             weights = weights / total
         elif abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
-        if prune and np.any(weights < PRUNE_TOL):
+        if normalize and np.any(weights < PRUNE_TOL):
             keep = weights >= PRUNE_TOL
             points, weights = points[keep], weights[keep]
             weights = weights / weights.sum()
@@ -323,7 +310,7 @@ def empirical_from_samples(samples) -> DiscreteMeasure:
     if pts.ndim != 2:
         raise ValueError("samples must share a common dimension")
     return DiscreteMeasure(pts, np.full(pts.shape[0], 1.0 / pts.shape[0]),
-                           normalize=False, prune=False)
+                           normalize=False)
 
 
 def _sqrtm_psd(a: np.ndarray) -> np.ndarray:

@@ -172,10 +172,14 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
         D(n, m) = int || T_tilde_m - T_n ||^2 dmu_n  <=  (2/K) Ent(mu_n | mu_m x mu_{m,n})
 
     with the decoupling entropy computed exactly on the discrete block.
-    Hypothesis failures raise HypothesisError with the failing number.
+    Hypothesis failures raise HypothesisError with the failing number; an
+    ``n_list`` entry that is not an integer >= 1 is a ValueError.
     """
     _require_integer("nodes", nodes, 2)
-    n_list = sorted(int(n) for n in n_list)
+    n_list = list(n_list)
+    for n in n_list:
+        _require_integer("n_list entry", n, 1)
+    n_list = sorted(map(int, n_list))
     kf, kg = mu_spec.tilt.coords, nu_spec.tilt.coords
     width = max(kf, kg, 1)
     if mu_spec.base.dim < width or nu_spec.base.dim < width:
@@ -208,8 +212,8 @@ def quasi_product_approx(mu_spec: QuasiProductSpec, nu_spec: QuasiProductSpec,
     if not np.isfinite(flogf):
         raise HypothesisError(4, "f log f diverges on the discretization")
 
-    mu_block = DiscreteMeasure(x_pts, mu_w, normalize=False, prune=False)
-    nu_block = DiscreteMeasure(y_pts, nu_w, normalize=False, prune=False)
+    mu_block = DiscreteMeasure(x_pts, mu_w, normalize=False)
+    nu_block = DiscreteMeasure(y_pts, nu_w, normalize=False)
     block_res = solve_discrete_ot(mu_block, nu_block)
     t_block = barycentric_map(block_res.plan)
 
@@ -282,7 +286,7 @@ def _sub_block_map(x_axes, y_axes, mu_w, nu_w, keep):
     drop = tuple(a for a in range(len(shape)) if a not in keep)
     mu_sub, nu_sub = (DiscreteMeasure(_product_grid([axes[a] for a in keep]),
                                       w.reshape(shape).sum(axis=drop).ravel(),
-                                      normalize=False, prune=False)
+                                      normalize=False)
                       for axes, w in ((x_axes, mu_w), (y_axes, nu_w)))
     tmap = barycentric_map(solve_discrete_ot(mu_sub, nu_sub).plan)
     # index of each full atom's projection in the marginal product grid
@@ -297,9 +301,8 @@ def _decoupling_entropy(weights: np.ndarray, shape: tuple, axes_a: tuple) -> flo
     wa = w.sum(axis=axes_b, keepdims=True)
     wb = w.sum(axis=axes_a, keepdims=True)
     mask = w > 0
-    ratio = np.ones_like(w)
-    ratio[mask] = w[mask] / (wa * wb + 1e-300)[mask]
-    return float(np.sum(w[mask] * np.log(ratio[mask])))
+    ratio = w[mask] / (wa * wb + 1e-300)[mask]
+    return float(np.sum(w[mask] * np.log(ratio)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +384,9 @@ def definetti_ot(pi_mu: MixtureSpec, pi_nu: MixtureSpec,
     qm, qn = ([_quantile_from_grid(g, resolution) for g in pi._grids_at(resolution)]
               for pi in (pi_mu, pi_nu))
     cost = np.array([[_midpoint_map(a, b).w2sq for b in qn] for a in qm])
-    outer_mu = DiscreteMeasure(np.arange(len(pi_mu), dtype=float)[:, None], pi_mu.weights,
-                               normalize=False, prune=False)
-    outer_nu = DiscreteMeasure(np.arange(len(pi_nu), dtype=float)[:, None], pi_nu.weights,
-                               normalize=False, prune=False)
+    outer_mu, outer_nu = (DiscreteMeasure(np.arange(len(pi), dtype=float)[:, None],
+                                          pi.weights, normalize=False)
+                          for pi in (pi_mu, pi_nu))
     res = solve_discrete_ot(outer_mu, outer_nu, cost=cost)
     plan = res.plan
     conc = graph_concentration(plan, tol=1e-9)

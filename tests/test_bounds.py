@@ -222,3 +222,55 @@ class TestAssumptionA:
                                  t_grid=[0.05, 0.5])
         assert rep.p_values.shape == (2,)
         assert isinstance(rep.decays_to_zero, bool)
+
+
+class TestNamedErrors:
+    def test_gaussian_laws_are_tabulated(self):
+        # before: AttributeError, 'GaussianSpec' object has no attribute 'nodes'
+        g = gaussian_grid(0, 1)
+        assert (lemma21_check(gaussian1d(0, 1), g, 0.1, 1.0, 2.0, 2.0)
+                == lemma21_check(g, g, 0.1, 1.0, 2.0, 2.0))
+        got = assumption_A_probe(g, gaussian1d(0, 1), 2.0, 2.0, 1.0, [0.1, 1.0])
+        want = assumption_A_probe(g, g, 2.0, 2.0, 1.0, [0.1, 1.0])
+        assert got.p_values.tobytes() == want.p_values.tobytes()
+        assert got.moment == want.moment
+
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_discrete_law_named(self, probe):
+        g, point = gaussian_grid(0, 1), DiscreteMeasure([[0.0]])
+        with pytest.raises(TypeError, match="cannot use DiscreteMeasure as a 1D law"):
+            if probe:
+                assumption_A_probe(g, point, 2.0, 2.0, 1.0, [0.1])
+            else:
+                lemma21_check(point, g, 0.1, 1.0, 2.0, 2.0)
+
+    @pytest.mark.parametrize("t, epsilon, p, message", [
+        (math.nan, 1.0, 2.0, "t must be finite and nonnegative"),
+        (math.inf, 1.0, 2.0, "t must be finite and nonnegative"),
+        (-0.1, 1.0, 2.0, "t must be finite and nonnegative"),
+        (0.1, -2.0, 2.0, "epsilon must be finite and > -1"),
+        (0.1, -1.0, 2.0, "epsilon must be finite and > -1"),
+        (0.1, math.nan, 2.0, "epsilon must be finite and > -1"),
+        (0.1, 1.0, math.nan, "not conjugate exponents"),
+    ])
+    def test_lemma21_arguments_named(self, t, epsilon, p, message):
+        # before: NaN t and p and epsilon <= -1 returned a report
+        g = gaussian_grid(0, 1)
+        with pytest.raises(ValueError, match=message):
+            lemma21_check(g, g, t, epsilon, p, 2.0)
+
+    @pytest.mark.parametrize("epsilon, t_grid, message", [
+        (-2.0, [0.1], "epsilon must be finite and > -1"),
+        (1.0, [0.1, math.nan], "shifts must be finite and nonnegative"),
+        (1.0, [-0.1], "shifts must be finite and nonnegative"),
+    ])
+    def test_probe_arguments_named(self, epsilon, t_grid, message):
+        g = gaussian_grid(0, 1)
+        with pytest.raises(ValueError, match=message):
+            assumption_A_probe(g, g, 2.0, 2.0, epsilon, t_grid)
+
+    @pytest.mark.parametrize("K", [math.nan, -1.0, math.inf])
+    def test_talagrand_K_named(self, K):
+        # before: NaN and negative K passed the certificate comparison
+        with pytest.raises(ValueError, match="K must be finite and >= 0"):
+            talagrand_gap(gaussian1d(1, 1), gaussian1d(0, 1), gaussian1d(0, 1), K=K)

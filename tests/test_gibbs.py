@@ -80,6 +80,12 @@ class TestGibbsSpec:
                       GibbsParams(J=0.001, L=4, N=3, sigma=1, A=3.9, B=1, C=4))
         assert "pair growth" in err.value.name
 
+    def test_three_dimensional_pair_table_named(self):
+        # before: a (2, 2, 2) table passed the square check
+        with pytest.raises(GibbsAssumptionError, match="2-D and square"):
+            GibbsSpec([0, 0, 0, 0, 1], np.zeros((2, 2, 2)),
+                      GibbsParams(J=1, L=4, N=3, sigma=1, A=3.9, B=1, C=4))
+
     def test_zero_coupling_clone(self):
         clone = quartic_spec(0.1).zero_coupling_clone()
         assert not clone.coupled
@@ -472,6 +478,14 @@ class TestEmpiricalMap:
                 m.evaluate(bad)
         assert m.evaluate(np.zeros(3)).shape == (1, 3)
 
+    @pytest.mark.parametrize("count", [20, 400])  # the LP and entropic branches
+    def test_target_cloud_dimension_named(self, count):
+        # before: a matmul core-dimension error from the squared-distance table
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"target cloud of shape \(%d, 3\)" % count):
+            empirical_map_to_gaussian(rng.normal(size=(count, 2)),
+                                      rng.normal(size=(count, 3)))
+
     def test_out_of_sample_extension_continuity(self):
         s = sample_periodic_gibbs(quartic_spec(0.0), 1, 400, seed=9)
         m = empirical_map_to_gaussian(s.states, 400, epsilon=0.2, seed=3, tol=1e-6)
@@ -480,20 +494,23 @@ class TestEmpiricalMap:
 
 
 def random_entropic_map(rng, m=300, d=3, epsilon=0.07):
-    """An entropic EmpiricalMap over a random weighted target cloud with a
+    """An entropic EmpiricalMap over a random uniform target cloud with a
     random potential; only the extension's inputs matter."""
-    b = rng.random(m) + 0.01
     return EmpiricalMap(np.zeros((1, d)), np.zeros((1, d)), "entropic", epsilon=epsilon,
                         target_points=rng.normal(size=(m, d)),
-                        g_potential=rng.normal(scale=0.3, size=m),
-                        log_b=np.log(b / b.sum()))
+                        g_potential=rng.normal(scale=0.3, size=m))
+
+
+def log_b(emp_map):
+    """log 1/m, the log-weight of each atom of the uniform target cloud."""
+    return np.log(1.0 / emp_map.target_points.shape[0])
 
 
 def logsumexp_extension(emp_map, x):
     """The extension as log-weights normalized by scipy's logsumexp, then
     exponentiated: the formula the one-pass softmax replaced."""
     c = np.sum((x[:, None, :] - emp_map.target_points[None, :, :]) ** 2, axis=2)
-    logw = (emp_map.g_potential[None, :] - c) / emp_map.epsilon + emp_map.log_b[None, :]
+    logw = (emp_map.g_potential[None, :] - c) / emp_map.epsilon + log_b(emp_map)
     logw -= logsumexp(logw, axis=1, keepdims=True)
     return np.exp(logw) @ emp_map.target_points
 
@@ -513,7 +530,7 @@ class TestSoftmaxExtension:
         direction = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, -1.0], [3.0, 1.0, 1.0]])
         x = 1e3 * direction
         c = np.sum((x[:, None, :] - emp_map.target_points[None, :, :]) ** 2, axis=2)
-        nearest = np.argmax((emp_map.g_potential - c) / emp_map.epsilon + emp_map.log_b,
+        nearest = np.argmax((emp_map.g_potential - c) / emp_map.epsilon + log_b(emp_map),
                             axis=1)
         got = emp_map.evaluate(x)
         assert np.all(np.isfinite(got))
@@ -689,6 +706,9 @@ class TestEntropy:
         s = sample_periodic_gibbs(spec, 2, 100, seed=3)
         with pytest.raises(ValueError):
             entropy_mn_estimate(spec, s, 2)
+        # before: an IndexError from numpy's fancy indexing
+        with pytest.raises(ValueError, match="m must be an integer >= 0, got 0.5"):
+            entropy_mn_estimate(spec, s, 0.5)
 
 
 class TestCauchyExperiment:

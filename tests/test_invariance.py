@@ -89,8 +89,9 @@ class TestGroups:
             closure_from_generators(8, [np.roll(np.arange(8), 1), [1, 0, 2, 3, 4, 5, 6, 7]])
 
     def test_group_validation(self):
-        with pytest.raises(ValueError):
-            GroupAction(3, [[0, 1, 2], [1, 2, 0]])  # missing inverse/closure
+        # the 3-cycle's inverse [2, 0, 1] is its square: the closure test names it
+        with pytest.raises(ValueError, match="not closed under composition"):
+            GroupAction(3, [[0, 1, 2], [1, 2, 0]])
         with pytest.raises(ValueError):
             GroupAction(2, [[0, 0]])
 
@@ -436,7 +437,7 @@ def test_trivial_group_orbit_lp_is_the_exact_lp(seed):
 
 def test_merge_atoms():
     m = DiscreteMeasure([[0.0], [0.0], [1.0]], [0.25, 0.25, 0.5],
-                        normalize=False, prune=False)
+                        normalize=False)
     merged = _merge_atoms(m)
     assert len(merged) == 2
     assert merged.weights.sum() == pytest.approx(1.0)
@@ -480,3 +481,25 @@ def test_orbit_weight_check_matches_the_element_loop():
         assert raised == loop, trial
         verdicts.add(raised)
     assert verdicts == {False, True}
+
+
+def _unstable_plan():
+    """A plan on a support that closing under S2 extends: the atom (0, 1) has
+    weight 0, so the marginal is invariant, but its image (1, 0) is missing."""
+    m = DiscreteMeasure([[0.0, 0.0], [0.0, 1.0]], [1.0, 0.0], normalize=False)
+    return Coupling(m, m, np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: GroupAction(3, [[0, 1]]), "element length != dim",
+                 id="element-length"),
+    pytest.param(lambda: GroupAction(2, [[1, 0]]), "identity not present", id="no-identity"),
+    pytest.param(lambda: symmetric_group(8), "capped at dim 7", id="symmetric-cap"),
+    pytest.param(lambda: symmetrize_coupling(_unstable_plan(), symmetric_group(2)),
+                 "point set is not stable", id="unstable-plan"),
+    pytest.param(lambda: product_power(DiscreteMeasure([[0.0, 1.0]]), 2),
+                 "component must be 1D", id="product-power-2d"),
+])
+def test_group_errors_named(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -20,7 +20,7 @@ from seqot.measures import (
     gaussian_w2,
     mixture_grid,
 )
-from seqot.gibbs import GibbsParams
+from seqot.gibbs import GibbsParams, GibbsSpec
 from seqot.ot import Coupling, sinkhorn, solve_discrete_ot
 from seqot.processes import MixtureSpec
 
@@ -197,6 +197,10 @@ PAIR = DiscreteMeasure([[0.0], [1.0]])
     pytest.param(lambda: GaussianSpec([NAN], [[1.0]]), "mean", id="gaussian-nan-mean"),
     pytest.param(lambda: GibbsParams(**{**GIBBS, "J": NAN}), "parameter J", id="gibbs-nan-J"),
     pytest.param(lambda: GibbsParams(**{**GIBBS, "C": INF}), "parameter C", id="gibbs-inf-C"),
+    pytest.param(lambda: GibbsSpec([0, 0, 0, 0, NAN], np.zeros((2, 2)), GibbsParams(**GIBBS)),
+                 "v_coeffs", id="gibbs-nan-V"),
+    pytest.param(lambda: GibbsSpec([0, 0, 0, 0, 1], [[0.0, NAN], [NAN, 0.0]],
+                                   GibbsParams(**GIBBS)), "w_coeffs", id="gibbs-nan-W"),
     pytest.param(lambda: MixtureSpec([0.5, NAN], [gaussian1d(0, 1), gaussian1d(3, 1)]),
                  "weights", id="mixture-nan-weight"),
     pytest.param(lambda: solve_discrete_ot(PAIR, PAIR, cost=[[0.0, NAN], [1.0, 0.0]]),
@@ -314,7 +318,6 @@ def test_logsumexp_of_a_vector_is_scipys_bit_for_bit(v):
 @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 15, 16, 17, 128, 129, 136, 300])
 def test_row_sum_is_numpys_row_order(k):
     # a running sum matches numpy below 8 terms only; wider rows sum pairwise
-    # in unrolled blocks, split in halves above 128
     rng = np.random.default_rng(k)
     table = rng.standard_normal((500, k)) * 10.0 ** rng.uniform(-8, 8, (500, k))
     table[0] = -0.0  # numpy starts from +0.0
@@ -322,3 +325,53 @@ def test_row_sum_is_numpys_row_order(k):
     wide = np.concatenate([table, table], axis=1)  # strided column slices
     assert same_bits(_row_sum(np.ascontiguousarray(wide[:, k:].T)),
                      wide[:, k:].sum(axis=1))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: DiscreteMeasure(np.zeros((0, 2))), "points must be a nonempty",
+                 id="no-points"),
+    pytest.param(lambda: DiscreteMeasure([[0.0], [1.0]], [1.5, -0.5]), "negative weight",
+                 id="negative-weight"),
+    pytest.param(lambda: DiscreteMeasure([[0.0], [1.0]], [0.0, 0.0]),
+                 "total mass must be positive", id="zero-mass"),
+    pytest.param(lambda: DiscreteMeasure([[0.0], [1.0]], [0.3, 0.3], normalize=False),
+                 "weights sum to 0.6, not 1", id="unnormalized-mass"),
+    pytest.param(lambda: GaussianSpec([0.0, 0.0], [[1.0]]), "covariance shape mismatch",
+                 id="covariance-shape"),
+    pytest.param(lambda: GaussianSpec([0.0, 0.0], np.eye(2)).sigma,
+                 "sigma is defined for 1D Gaussians", id="sigma-of-2d"),
+    pytest.param(lambda: Grid1D([0.0, 1.0], [1.0]), "nodes/density must be matching",
+                 id="grid-shapes"),
+    pytest.param(lambda: Grid1D([1.0, 0.0], [1.0, 1.0]), "strictly increasing",
+                 id="grid-decreasing"),
+    pytest.param(lambda: Grid1D([0.0, 1.0], [1.0, -1.0]), "density must be nonnegative",
+                 id="grid-negative"),
+    pytest.param(lambda: Grid1D([0.0, 1.0], [0.0, 0.0]), "density integrates to zero",
+                 id="grid-zero"),
+    pytest.param(lambda: empirical_from_samples(np.zeros((2, 2, 2))),
+                 "samples must share a common dimension", id="samples-3d"),
+])
+def test_measure_errors_named(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_only_normalized_measures_prune():
+    # normalize=False keeps every atom, zero-weight ones too; the default
+    # normalizes and prunes them
+    kept = DiscreteMeasure([[0.0], [1.0]], [1.0, 0.0], normalize=False)
+    assert len(kept) == 2 and kept.weights.tolist() == [1.0, 0.0]
+    pruned = DiscreteMeasure([[0.0], [1.0]], [1.0, 0.0])
+    assert len(pruned) == 1 and pruned.points.tolist() == [[0.0]]
+
+
+@pytest.mark.parametrize("k", [8, 9, 20, 129, 300])
+def test_row_sum_of_a_strided_slab_view_is_numpys_row_sum(k):
+    # every other slab of a larger array: numpy's sum over the last axis of
+    # that view, not of a term-last copy, runs in another order
+    rng = np.random.default_rng(k)
+    table = rng.standard_normal((300, k)) * 10.0 ** rng.uniform(-8, 8, (300, k))
+    slabs = np.zeros((2 * k, 300))
+    slabs[::2] = table.T
+    assert same_bits(_row_sum(slabs[::2]), table.sum(axis=1))
+    assert same_bits(_row_sum(table.T), table.sum(axis=1))

@@ -525,7 +525,7 @@ def one_dim_instance(seed, n, m, points, weights):
 
     Points are Gaussian, integer-valued (tied costs) or drawn from three
     values (duplicate atoms).  Weights are random, uniform, or normalized
-    here and passed with normalize=False and prune=False, one atom of each
+    here and passed with normalize=False, one atom of each
     measure at zero weight.
     """
     rng = np.random.default_rng(seed)
@@ -544,8 +544,8 @@ def one_dim_instance(seed, n, m, points, weights):
         return DiscreteMeasure(x, a), DiscreteMeasure(y, b)
     a[rng.integers(n)] = 0.0
     b[rng.integers(m)] = 0.0
-    return (DiscreteMeasure(x, a / a.sum(), normalize=False, prune=False),
-            DiscreteMeasure(y, b / b.sum(), normalize=False, prune=False))
+    return (DiscreteMeasure(x, a / a.sum(), normalize=False),
+            DiscreteMeasure(y, b / b.sum(), normalize=False))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1039,7 +1039,7 @@ def test_zero_mass_row_rejected():
     m = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
     plan = Coupling(m, m, np.diag([0.5, 0.5]))
     # a zero-weight source atom gives a valid coupling with an empty row
-    light = DiscreteMeasure([[0.0], [1.0]], [1.0, 0.0], normalize=False, prune=False)
+    light = DiscreteMeasure([[0.0], [1.0]], [1.0, 0.0], normalize=False)
     broken = Coupling(light, m, np.array([[0.5, 0.5], [0.0, 0.0]]))
     assert barycentric_map(plan).shape == (2, 1)
     with pytest.raises(ValueError, match="zero-mass row"):
@@ -1055,3 +1055,24 @@ def test_mass_mismatch_rejected():
     bad.dim = 1
     with pytest.raises(ValueError):
         solve_discrete_ot(mu, bad)
+
+
+HALF_PAIR = DiscreteMeasure([[0.0], [1.0]])
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Coupling(HALF_PAIR, HALF_PAIR, np.eye(3) / 3),
+                 "weight table shape mismatch", id="coupling-shape"),
+    pytest.param(lambda: Coupling(HALF_PAIR, HALF_PAIR, [[0.6, -0.1], [-0.1, 0.6]]),
+                 "negative coupling weight", id="coupling-negative"),
+    # each row and column is within MARGINAL_TOL, the total is not
+    pytest.param(lambda: Coupling(HALF_PAIR, HALF_PAIR, np.full((2, 2), 0.25 + 4.5e-11)),
+                 "total mass != 1", id="coupling-total"),
+    pytest.param(lambda: cost_matrix(HALF_PAIR, HALF_PAIR, np.zeros((3, 3))),
+                 "cost table shape mismatch", id="cost-shape"),
+    pytest.param(lambda: quantile_transport_1d(DiscreteMeasure([[0.0, 1.0]]), HALF_PAIR),
+                 "quantile transport needs 1D measures", id="quantile-2d"),
+])
+def test_transport_errors_named(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

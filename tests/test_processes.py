@@ -132,6 +132,13 @@ class TestQuasiProduct:
             quasi_product_approx(mu2, QuasiProductSpec(gaussian_product(2), no_tilt()),
                                  n_list=[1, 2], nodes=10)
 
+    @pytest.mark.parametrize("n_list", [[-1, 0.5], [1, 0], [1, 2.0]])
+    def test_n_list_entries_named(self, n_list):
+        # before: int() truncated 0.5, and rows for n = -1 and n = 0 were reported
+        spec = QuasiProductSpec(gaussian_product(2), no_tilt())
+        with pytest.raises(ValueError, match="n_list entry must be an integer >= 1"):
+            quasi_product_approx(spec, spec, n_list=n_list, nodes=10)
+
 
 class TestDeFinetti:
     def test_single_atom_mixture_reduces_to_1d(self):
