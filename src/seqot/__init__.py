@@ -28,7 +28,6 @@ from .ot import (
 )
 from .invariance import (
     GroupAction,
-    closure_from_generators,
     cyclic_group,
     haar_project,
     invariant_duality_value,

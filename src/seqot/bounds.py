@@ -10,7 +10,7 @@ potential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -253,8 +253,20 @@ class ShiftEstimateReport:
     rhs_linearization: float
     slack_increment: float
     slack_linearization: float
-    passed: bool
+    passed: bool = field(init=False)  # both estimates hold
     resolution: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", self.increment_holds and self.linearization_holds)
+
+    # each estimate holds up to LEMMA21_REL_TOL and an absolute floor
+    @property
+    def increment_holds(self) -> bool:
+        return self.lhs_increment <= self.rhs_increment * (1 + LEMMA21_REL_TOL) + 1e-300
+
+    @property
+    def linearization_holds(self) -> bool:
+        return self.lhs_linearization <= self.rhs_linearization * (1 + LEMMA21_REL_TOL) + 1e-15
 
 
 def lemma21_check(mu, nu, t: float, epsilon: float,
@@ -306,11 +318,8 @@ def lemma21_check(mu, nu, t: float, epsilon: float,
 
     rhs1 = t ** (1.0 + epsilon) * m1 * sup_ratio
     rhs2 = t * m2 * sup_dist
-    ok1 = lhs1 <= rhs1 * (1.0 + LEMMA21_REL_TOL) + 1e-300
-    ok2 = lhs2 <= rhs2 * (1.0 + LEMMA21_REL_TOL) + 1e-15
-    return ShiftEstimateReport(lhs1, rhs1, lhs2, rhs2,
-                               rhs1 - lhs1, rhs2 - lhs2, ok1 and ok2,
-                               int(x.size))
+    return ShiftEstimateReport(lhs1, rhs1, lhs2, rhs2, rhs1 - lhs1, rhs2 - lhs2,
+                               resolution=int(x.size))
 
 
 @dataclass(frozen=True)

@@ -488,10 +488,12 @@ def empirical_map_to_gaussian(points, gaussian_samples, epsilon: float = None,
     point).  ``gaussian_samples`` is either a target draw count or an
     explicit cloud; unequal counts are equalized by seeded subsampling.
     """
+    _require_integer("seed", seed, 0)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = points.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x9a)))
     if isinstance(gaussian_samples, (int, np.integer)):
+        _require_integer("gaussian_samples", gaussian_samples, 1)
         target = rng.standard_normal((int(gaussian_samples), d))
     else:
         target = np.atleast_2d(np.asarray(gaussian_samples, dtype=float))

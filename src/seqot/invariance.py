@@ -1,7 +1,7 @@
 """Finite coordinate-permutation groups acting on measures, functions and plans.
 
-Groups are materialized as explicit element lists (capped at |S_7| = 5040), so
-Haar averages and orbit enumeration are exact.  The invariant Kantorovich
+Groups are closed from generators into element lists (capped at |S_7| = 5040),
+so Haar averages and orbit enumeration are exact.  The invariant Kantorovich
 problem and its dual are one LP on the orbit quotient, a variable per orbit of
 support pairs under the diagonal action and a row per orbit of atoms: about |G|
 times smaller each way (symmetric-LP reduction, Boedi-Herr-Joswig 2013).  Each
@@ -11,7 +11,6 @@ by the least flat index in its orbit, and every Haar average is an orbit mean.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ INVARIANCE_TOL = MARGINAL_TOL / 2
 
 __all__ = [
     "GroupAction",
-    "closure_from_generators",
     "symmetric_group",
     "cyclic_group",
     "trivial_group",
@@ -51,12 +49,12 @@ def _identity(dim: int) -> np.ndarray:
 
 def _permutations(dim: int, rows) -> np.ndarray:
     """Rows of coordinate indices as a (k, dim) intp array of permutations of
-    0..dim-1.  A boolean or non-integer entry is rejected, not cast to an
-    index; the error names the first bad row."""
+    0..dim-1; an empty list has no rows.  A boolean or non-integer entry is
+    rejected, not cast to an index; the error names the first bad row."""
     identity = _identity(dim)
     if not isinstance(rows, np.ndarray):
         rows = np.array(rows, dtype=object)  # keeps booleans among integers
-    raw = np.atleast_2d(rows)
+    raw = rows.reshape(0, dim) if rows.shape == (0,) else np.atleast_2d(rows)
     if raw.ndim != 2 or raw.shape[1] != dim:
         raise ValueError("element length != dim")
     perms = raw.astype(np.intp)
@@ -72,36 +70,43 @@ def _permutations(dim: int, rows) -> np.ndarray:
     return perms
 
 
-def _compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # act(compose(p, q), x) = act(p, act(q, x)) with act(p, x)[i] = x[p[i]]
-    return q[p]
-
-
 class GroupAction:
-    """A finite group of coordinate permutations of {0..dim-1}.
+    """The finite group of coordinate permutations of {0..dim-1} generated by
+    the given permutations: their closure under composition.
 
-    ``elements`` is a (k, dim) integer array; the action on a point is
-    ``x[p]`` for a row ``p``.  Identity and closure (hence inverses: powers)
-    are verified on construction; transitivity is computed, not asserted.
+    ``elements`` is the (k, dim) integer array of every group element in
+    lexicographic order; the action on a point is ``x[p]`` for a row ``p``.
+    An element list of a group gives that group and an empty list the trivial
+    group.  A closure past MAX_GROUP_SIZE elements is an error; transitivity
+    is computed, not asserted.
     """
 
-    def __init__(self, dim: int, elements, _verified: bool = False):
-        keyed = {e.tobytes(): e for e in _permutations(dim, elements)}
-        els = np.array(sorted(keyed.values(), key=lambda e: tuple(e)))
-        if _identity(dim).tobytes() not in keyed:
-            raise ValueError("identity not present")
-        if not _verified:
-            # a set already closed by construction (generator closure, full
-            # symmetric group) skips this quadratic re-validation
-            for p in els:
-                for q in els:
-                    if _compose(p, q).tobytes() not in keyed:
-                        raise ValueError("not closed under composition")
+    def __init__(self, dim: int, generators):
+        identity = _identity(dim)
+        els, gens = {identity.tobytes(): identity}, []
+        for gen in _permutations(dim, generators):
+            if gen.tobytes() in els:
+                continue  # already generated: an element list closes in few passes
+            gens.append(gen)
+            frontier = list(els.values())
+            while frontier:
+                new = []
+                for g in gens:
+                    for h in frontier:
+                        c = h[g]  # g after h: x[c] is x[h][g]
+                        key = c.tobytes()
+                        if key not in els:
+                            els[key] = c
+                            new.append(c)
+                            if len(els) > MAX_GROUP_SIZE:
+                                raise ValueError(
+                                    f"group closure exceeds MAX_GROUP_SIZE={MAX_GROUP_SIZE}")
+                frontier = new
         self.dim = dim
-        self.elements = els
+        self.elements = np.array(sorted(els.values(), key=tuple))
         self.elements.flags.writeable = False
         # in a group, coordinate 0's orbit is everything iff every orbit is
-        self.transitive = bool(np.unique(els[:, 0]).size == dim)
+        self.transitive = bool(np.unique(self.elements[:, 0]).size == dim)
 
     def __len__(self):
         return self.elements.shape[0]
@@ -110,44 +115,19 @@ class GroupAction:
         return f"GroupAction(dim={self.dim}, order={len(self)}, transitive={self.transitive})"
 
 
-def closure_from_generators(dim: int, generators) -> GroupAction:
-    """Generate the group closure of the given permutations (BFS); a closure
-    larger than MAX_GROUP_SIZE elements is an error."""
-    gens = _permutations(dim, generators)
-    identity = _identity(dim)
-    els = {identity.tobytes(): identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for g in gens:
-            for h in frontier:
-                c = _compose(g, h)
-                key = c.tobytes()
-                if key not in els:
-                    els[key] = c
-                    new.append(c)
-                    if len(els) > MAX_GROUP_SIZE:
-                        raise ValueError(
-                            f"group closure exceeds MAX_GROUP_SIZE={MAX_GROUP_SIZE}")
-        frontier = new
-    return GroupAction(dim, np.array(list(els.values())), _verified=True)
-
-
 def symmetric_group(dim: int) -> GroupAction:
+    """Every permutation: the closure of the transposition (0 1) and the shift."""
     identity = _identity(dim)
-    if dim > 7:
-        raise ValueError("symmetric group materialization capped at dim 7")
-    return GroupAction(dim, np.array(list(itertools.permutations(identity))),
-                       _verified=True)
+    swap = np.concatenate([identity[1::-1], identity[2:]])  # the identity at dim 1
+    return GroupAction(dim, [swap, np.roll(identity, 1)])
 
 
 def cyclic_group(dim: int) -> GroupAction:
-    shift = np.roll(_identity(dim), 1)
-    return closure_from_generators(dim, [shift])
+    return GroupAction(dim, [np.roll(_identity(dim), 1)])
 
 
 def trivial_group(dim: int) -> GroupAction:
-    return GroupAction(dim, [_identity(dim)])
+    return GroupAction(dim, [])
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ def _require_finite(name: str, values) -> None:
 
 
 def _require_integer(name: str, value, low: int) -> None:
-    """ValueError naming the field unless it is an integer >= low."""
-    if not isinstance(value, (int, np.integer)) or value < low:
+    """ValueError naming the field unless it is an integer >= low; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -109,8 +109,8 @@ class DiscreteMeasure:
 
     def __init__(self, points, weights=None, normalize=True):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.ndim != 2 or points.shape[0] == 0:
-            raise ValueError("points must be a nonempty (n, dim) array")
+        if points.ndim != 2 or 0 in points.shape:
+            raise ValueError("points must be a nonempty (n, dim) array with dim >= 1")
         n = points.shape[0]
         if weights is None:
             weights = np.full(n, 1.0 / n)

@@ -736,6 +736,8 @@ def check_cyclical_monotonicity(plan: Coupling) -> CycleReport:
 def graph_concentration(plan: Coupling, tol: float = 0.05) -> float:
     """Fraction of source mass whose conditional row law is within TV <= tol
     of a point mass.  Equals 1 exactly when the plan is induced by a map."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     r = plan.weights.sum(axis=1)
     mask = r > 0
     tv = 1.0 - plan.weights[mask].max(axis=1) / r[mask]

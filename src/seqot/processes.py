@@ -124,6 +124,9 @@ class Tilt:
     fn: callable
     log_curvature_bound: float = 0.0
 
+    def __post_init__(self):
+        _require_integer("tilt coords", self.coords, 0)
+
     def __call__(self, block: np.ndarray) -> np.ndarray:
         if self.coords == 0:
             return np.ones(block.shape[0])
@@ -465,7 +468,7 @@ def mixture_entropy_bound_check(mixture: MixtureSpec, m: int, n: int,
     -log(min_k lambda_k).  The ratio is bounded by that constant pointwise, so
     the assertion carries no statistical risk; zero-density samples are
     skipped and counted.  ``m`` and ``n`` are integers with 0 < m < n and
-    ``samples`` an integer >= 2.
+    ``samples`` an integer >= 2, ``seed`` an integer >= 0.
 
     Log densities are held component-major, one length-``samples`` slab per
     component and coordinate, and reduced by ``measures._row_sum`` and
@@ -477,6 +480,7 @@ def mixture_entropy_bound_check(mixture: MixtureSpec, m: int, n: int,
     if not m < n:
         raise ValueError("need 0 < m < n")
     _require_integer("samples", samples, 2)  # two at least for a standard error
+    _require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     k = len(mixture)
     comp_idx = rng.choice(k, size=samples, p=mixture.weights)

@@ -203,19 +203,19 @@ class TestRun:
             monkeypatch.setattr(module, name,
                                 lambda *a, **k: calls.append(name) or fn(*a, **k))
 
-        count(seqot.invariance, "closure_from_generators")
+        count(seqot.invariance, "GroupAction")
         count(seqot.gibbs, "quartic_spec")
         cfg = write_config(tmp_path, "invariant_duality", seed=1,
                            params={"instance": "random", "group": "c3"},
                            output_dir=str(tmp_path / "inv"))
         assert main(["run", cfg]) == 0
-        assert calls == ["closure_from_generators"]
+        assert calls == ["GroupAction"]
         cfg = write_config(tmp_path, "gibbs_cauchy", seed=1,
                            params={"n": 1, "m_list": [0], "samples": 60,
                                    "ot_points": 20, "replicates": 3},
                            output_dir=str(tmp_path / "gibbs"))
         assert main(["run", cfg]) in (0, 1)  # 1: the 3-SE test failed by chance
-        assert calls == ["closure_from_generators", "quartic_spec"]
+        assert calls == ["GroupAction", "quartic_spec"]
 
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0

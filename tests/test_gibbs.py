@@ -478,6 +478,19 @@ class TestEmpiricalMap:
                 m.evaluate(bad)
         assert m.evaluate(np.zeros(3)).shape == (1, 3)
 
+    @pytest.mark.parametrize("count", [-1, 0])
+    def test_target_count_named(self, count):
+        # before: numpy's "negative dimensions are not allowed", and for 0 an
+        # empty measure further on
+        with pytest.raises(ValueError, match=f"gaussian_samples must be an integer >= 1, got {count}"):
+            empirical_map_to_gaussian(np.zeros((5, 2)), count)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_seed_named(self, seed):
+        # before: numpy's "expected non-negative integer" from SeedSequence
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
+            empirical_map_to_gaussian(np.zeros((5, 2)), 5, seed=seed)
+
     @pytest.mark.parametrize("count", [20, 400])  # the LP and entropic branches
     def test_target_cloud_dimension_named(self, count):
         # before: a matmul core-dimension error from the squared-distance table

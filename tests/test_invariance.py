@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqot import invariance
 from seqot.invariance import (
@@ -13,7 +15,6 @@ from seqot.invariance import (
     _check_invariant_weights,
     _merge_atoms,
     close_support,
-    closure_from_generators,
     cyclic_group,
     first_coordinate_cost,
     haar_project,
@@ -54,15 +55,26 @@ def random_invariant_measure(rng, group, n_orbits=3, scale=1.0):
     return DiscreteMeasure(np.array(pts), np.array(ws))
 
 
+def brute_force_closure(dim, generators):
+    """Reference: products of the identity and the generators, as tuples,
+    until no product is new; sorted lexicographically."""
+    els = {tuple(range(dim))} | {tuple(g) for g in generators}
+    while True:
+        products = {tuple(p[i] for i in q) for p in els for q in els}
+        if products <= els:
+            return sorted(els)
+        els |= products
+
+
 class TestGroups:
     def test_cyclic_from_generator(self):
-        g = closure_from_generators(3, [[1, 2, 0]])
+        g = GroupAction(3, [[1, 2, 0]])
         assert len(g) == 3
         assert g.transitive
 
     def test_s3_from_transpositions(self):
         # oracle: enumerate all compositions independently
-        g = closure_from_generators(3, [[1, 0, 2], [0, 2, 1]])
+        g = GroupAction(3, [[1, 0, 2], [0, 2, 1]])
         assert len(g) == 6
         want = {p for p in itertools.permutations(range(3))}
         assert {tuple(e) for e in g.elements} == want
@@ -72,9 +84,35 @@ class TestGroups:
         assert len(g) == 1
         assert not g.transitive
 
+    def test_no_generators_give_the_trivial_group(self):
+        # an empty list was read as a row of length 0 != dim
+        g = GroupAction(3, [])
+        assert g.elements.tolist() == [[0, 1, 2]]
+        assert g.elements.dtype == np.intp and not g.transitive
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda dim: st.tuples(
+        st.just(dim), st.lists(st.permutations(range(dim)), max_size=4))))
+    def test_elements_are_the_brute_force_closure(self, case):
+        dim, generators = case
+        g = GroupAction(dim, generators)
+        assert [tuple(e) for e in g.elements] == brute_force_closure(dim, generators)
+        assert g.elements.dtype == np.intp
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_symmetric_group_is_every_permutation(self, dim):
+        # the sorted enumeration symmetric_group built before it closed generators
+        want = np.array(sorted(itertools.permutations(range(dim))), dtype=np.intp)
+        assert symmetric_group(dim).elements.tobytes() == want.tobytes()
+
+    def test_element_list_gives_its_group(self):
+        elements = list(itertools.permutations(range(6)))[::-1]
+        g = GroupAction(6, elements)
+        assert g.elements.tobytes() == symmetric_group(6).elements.tobytes()
+
     @pytest.mark.parametrize("group", [
         *(symmetric_group(d) for d in (2, 3, 4, 5)), *(cyclic_group(d) for d in range(2, 7)),
-        trivial_group(2), closure_from_generators(3, [[1, 0, 2]])], ids=repr)
+        trivial_group(2), GroupAction(3, [[1, 0, 2]])], ids=repr)
     def test_transitive_matches_reach_table(self, group):
         # reach[i, j]: some element sends coordinate i to slot j
         reach = np.zeros((group.dim, group.dim), dtype=bool)
@@ -86,13 +124,15 @@ class TestGroups:
     def test_closure_cap(self):
         # S8 has 40,320 elements, past the cap of MAX_GROUP_SIZE = 5,040
         with pytest.raises(ValueError, match="MAX_GROUP_SIZE"):
-            closure_from_generators(8, [np.roll(np.arange(8), 1), [1, 0, 2, 3, 4, 5, 6, 7]])
+            GroupAction(8, [np.roll(np.arange(8), 1), [1, 0, 2, 3, 4, 5, 6, 7]])
 
     def test_group_validation(self):
-        # the 3-cycle's inverse [2, 0, 1] is its square: the closure test names it
-        with pytest.raises(ValueError, match="not closed under composition"):
-            GroupAction(3, [[0, 1, 2], [1, 2, 0]])
-        with pytest.raises(ValueError):
+        # a list that is not a group gives its closure: the 3-cycle's inverse
+        # [2, 0, 1] is its square, and [1, 0] alone generates S2
+        assert GroupAction(3, [[0, 1, 2], [1, 2, 0]]).elements.tolist() == \
+            cyclic_group(3).elements.tolist()
+        assert GroupAction(2, [[1, 0]]).elements.tolist() == [[0, 1], [1, 0]]
+        with pytest.raises(ValueError, match="not a permutation"):
             GroupAction(2, [[0, 0]])
 
     @pytest.mark.parametrize("row", [[1.5, 0.2], [0.0, 1.0, 2.5], [True, False],
@@ -101,20 +141,19 @@ class TestGroups:
         # a cast to intp truncated these to a permutation
         rows = [list(range(len(row))), row]
         with pytest.raises(ValueError, match=f"not a permutation .*{re.escape(str(row))}"):
-            closure_from_generators(len(row), rows)
-        with pytest.raises(ValueError, match=f"not a permutation .*{re.escape(str(row))}"):
             GroupAction(len(row), rows)
 
     @pytest.mark.parametrize("make", [symmetric_group, cyclic_group, trivial_group])
-    @pytest.mark.parametrize("dim", [0, -1, 2.5, 2.0])
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, 2.0, True])
     def test_dim_must_be_a_positive_integer(self, make, dim):
         # dim 0 built an empty group; 2.5 and 2.0 raised a TypeError from
-        # itertools or numpy, and -1 a mismatch of element length
+        # itertools or numpy, -1 a mismatch of element length, and True
+        # built a group of dim True
         with pytest.raises(ValueError, match=f"group dim must be an integer >= 1, got {dim}"):
             make(dim)
 
     def test_integral_float_entries_accepted(self):
-        assert len(closure_from_generators(3, [[1.0, 2.0, 0.0]])) == 3
+        assert len(GroupAction(3, [[1.0, 2.0, 0.0]])) == 3
 
 
 class TestHaarProject:
@@ -493,8 +532,8 @@ def _unstable_plan():
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: GroupAction(3, [[0, 1]]), "element length != dim",
                  id="element-length"),
-    pytest.param(lambda: GroupAction(2, [[1, 0]]), "identity not present", id="no-identity"),
-    pytest.param(lambda: symmetric_group(8), "capped at dim 7", id="symmetric-cap"),
+    pytest.param(lambda: symmetric_group(8), "group closure exceeds MAX_GROUP_SIZE=5040",
+                 id="symmetric-cap"),
     pytest.param(lambda: symmetrize_coupling(_unstable_plan(), symmetric_group(2)),
                  "point set is not stable", id="unstable-plan"),
     pytest.param(lambda: product_power(DiscreteMeasure([[0.0, 1.0]]), 2),

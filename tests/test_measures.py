@@ -330,6 +330,10 @@ def test_row_sum_is_numpys_row_order(k):
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: DiscreteMeasure(np.zeros((0, 2))), "points must be a nonempty",
                  id="no-points"),
+    # both built a dimension-0 measure
+    pytest.param(lambda: DiscreteMeasure([]), "with dim >= 1", id="empty-list"),
+    pytest.param(lambda: DiscreteMeasure(np.zeros((3, 0))), "with dim >= 1",
+                 id="no-coordinates"),
     pytest.param(lambda: DiscreteMeasure([[0.0], [1.0]], [1.5, -0.5]), "negative weight",
                  id="negative-weight"),
     pytest.param(lambda: DiscreteMeasure([[0.0], [1.0]], [0.0, 0.0]),

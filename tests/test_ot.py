@@ -1072,6 +1072,11 @@ HALF_PAIR = DiscreteMeasure([[0.0], [1.0]])
                  "cost table shape mismatch", id="cost-shape"),
     pytest.param(lambda: quantile_transport_1d(DiscreteMeasure([[0.0, 1.0]]), HALF_PAIR),
                  "quantile transport needs 1D measures", id="quantile-2d"),
+    # nan read 0.0 and a negative tol could never be met
+    *(pytest.param(lambda tol=tol: graph_concentration(
+        Coupling(HALF_PAIR, HALF_PAIR, np.eye(2) / 2), tol=tol),
+        "tol must be finite and nonnegative", id=f"concentration-tol-{tol}")
+      for tol in (float("nan"), -0.1)),
 ])
 def test_transport_errors_named(build, message):
     with pytest.raises(ValueError, match=message):

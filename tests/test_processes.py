@@ -132,6 +132,12 @@ class TestQuasiProduct:
             quasi_product_approx(mu2, QuasiProductSpec(gaussian_product(2), no_tilt()),
                                  n_list=[1, 2], nodes=10)
 
+    @pytest.mark.parametrize("coords", [-1, 1.5])
+    def test_tilt_coords_named(self, coords):
+        # Tilt(-1, fn) was accepted and then handed fn every column but the last
+        with pytest.raises(ValueError, match=f"tilt coords must be an integer >= 0, got {coords}"):
+            Tilt(coords, lambda x: np.ones(x.shape[0]))
+
     @pytest.mark.parametrize("n_list", [[-1, 0.5], [1, 0], [1, 2.0]])
     def test_n_list_entries_named(self, n_list):
         # before: int() truncated 0.5, and rows for n = -1 and n = 0 were reported
@@ -329,6 +335,13 @@ class TestMixtureEntropy:
         mix = MixtureSpec([0.5, 0.5], [gaussian1d(0, 1), gaussian1d(3, 1)])
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             mixture_entropy_bound_check(mix, m=m, n=n, samples=100, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_bad_seed_named(self, seed):
+        # before: numpy's "expected non-negative integer" and a TypeError
+        mix = MixtureSpec([0.5, 0.5], [gaussian1d(0, 1), gaussian1d(3, 1)])
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
+            mixture_entropy_bound_check(mix, m=1, n=2, samples=100, seed=seed)
 
     @staticmethod
     def _comb_mixture():
